@@ -5,7 +5,6 @@ Regenerates the paper's tables and figures without pytest:
     python -m repro.bench --list
     python -m repro.bench figure7 figure11
     python -m repro.bench all --scale full --out results.txt
-    python -m repro.bench profile --json PROFILE_pr10.json
 """
 
 from __future__ import annotations
@@ -102,22 +101,6 @@ def _run_drain_ablation() -> str:
                         rows, title="Ablation — drain-AUQ-before-flush")
 
 
-def _run_perf() -> str:
-    """Wall-clock perf baseline (see :mod:`repro.bench.perf`); honours
-    REPRO_BENCH_QUICK / REPRO_BENCH_JSON and writes BENCH_pr10.json."""
-    from repro.bench.perf import render_perf_report, run_perf_baseline
-    return render_perf_report(run_perf_baseline())
-
-
-def _run_scenario() -> str:
-    """Both canned scenarios as a CI gate (see :mod:`repro.scenario.
-    bench`); honours REPRO_BENCH_QUICK / REPRO_SCENARIO_JSON and writes
-    BENCH_pr9.json."""
-    from repro.scenario.bench import render_scenario_bench, \
-        run_scenario_bench
-    return render_scenario_bench(run_scenario_bench())
-
-
 RUNNERS: Dict[str, Callable[[], str]] = {
     "table1": _run_table1,
     "table2": _run_table2,
@@ -129,35 +112,12 @@ RUNNERS: Dict[str, Callable[[], str]] = {
     "index-vs-scan": _run_index_vs_scan,
     "drain-ablation": _run_drain_ablation,
     "metrics": _run_metrics,
-    "perf": _run_perf,
-    "scenario": _run_scenario,
 }
-
-
-def _profile_main(argv: List[str]) -> int:
-    """``python -m repro.bench profile`` — cProfile the fixed mixed
-    workload and write the top-N hotspot JSON artifact (see
-    :mod:`repro.bench.profiling`)."""
-    from repro.bench.profiling import (DEFAULT_OUTPUT, DEFAULT_TOP_N,
-                                       render_profile, run_profile)
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench profile",
-        description="Profile the fixed mixed workload; emit hotspot JSON.")
-    parser.add_argument("--json", type=str, default=DEFAULT_OUTPUT,
-                        help=f"artifact path (default {DEFAULT_OUTPUT})")
-    parser.add_argument("--top", type=int, default=DEFAULT_TOP_N,
-                        help="how many hotspots to keep, by cumulative time")
-    args = parser.parse_args(argv)
-    report = run_profile(args.json, args.top)
-    print(render_profile(report))
-    return 0
 
 
 def main(argv: List[str] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "profile":
-        return _profile_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the paper's tables and figures.")
@@ -177,8 +137,6 @@ def main(argv: List[str] = None) -> int:
         for name in RUNNERS:
             print(f"  {name}")
         print("  all")
-        print("  profile   (cProfile hotspot artifact; "
-              "see 'profile --help')")
         return 0
 
     os.environ["REPRO_BENCH_SCALE"] = args.scale

@@ -311,42 +311,28 @@ def _mutate_fraction(exp: Experiment, fraction: float) -> None:
 def figure9_range_selectivity(
         selectivities: Optional[List[float]] = None,
         record_count: int = 4000,
-        duration_ms: float = 1200.0,
-        engines: Optional[List[str]] = None) -> Series:
-    """Paper Figure 9, optionally A/B-ing the range-scan engine.
-
-    By default every run uses the remix engine (the production default).
-    Pass ``engines=["remix", "heap"]`` — or set ``REPRO_SCAN_AB=1`` —
-    to re-run every (scheme, selectivity) point on both engines; series
-    labels then become ``"<scheme>/<engine>"`` (DESIGN.md §13)."""
+        duration_ms: float = 1200.0) -> Series:
+    """Paper Figure 9: INDEX_RANGE latency per scheme as the price range
+    widens from 0.1% to 10% of the table."""
     if selectivities is None:
         selectivities = ([0.001, 0.01, 0.05, 0.1] if bench_scale() == "full"
                          else [0.001, 0.01, 0.1])
-    if engines is None:
-        engines = (["remix", "heap"]
-                   if os.environ.get("REPRO_SCAN_AB", "") not in ("", "0")
-                   else ["remix"])
     series = Series("Figure 9 — range query latency vs selectivity",
                     "rows selected", "range query latency (ms)")
     for label in ("insert", "full", "async"):
-        for engine in engines:
-            for selectivity in selectivities:
-                exp = Experiment(ExperimentConfig(
-                    record_count=record_count,
-                    title_cardinality=record_count // 5,
-                    scheme_label=label, with_price_index=True,
-                    scan_engine=engine,
-                    learned_index=engine == "remix"))
-                result = exp.run_closed(
-                    {OpType.INDEX_RANGE: 1.0},
-                    num_threads=10,  # paper: 10 threads
-                    duration_ms=duration_ms, warmup_ms=200.0,
-                    range_selectivity=selectivity)
-                stats = result.stats(OpType.INDEX_RANGE)
-                rows_selected = int(record_count * selectivity)
-                series_label = (label if len(engines) == 1
-                                else f"{label}/{engine}")
-                series.add(series_label, rows_selected, stats.mean_ms)
+        for selectivity in selectivities:
+            exp = Experiment(ExperimentConfig(
+                record_count=record_count,
+                title_cardinality=record_count // 5,
+                scheme_label=label, with_price_index=True))
+            result = exp.run_closed(
+                {OpType.INDEX_RANGE: 1.0},
+                num_threads=10,  # paper: 10 threads
+                duration_ms=duration_ms, warmup_ms=200.0,
+                range_selectivity=selectivity)
+            stats = result.stats(OpType.INDEX_RANGE)
+            rows_selected = int(record_count * selectivity)
+            series.add(label, rows_selected, stats.mean_ms)
     return series
 
 

@@ -51,18 +51,10 @@ class ExperimentConfig:
     # freely, so the production high-watermark backpressure stays off
     # unless an experiment opts in.
     auq_high_watermark: Optional[int] = None
-    # Region replication (repro.replication); None keeps the classic
-    # single-copy cluster.
-    replication: Optional[object] = None
-    # Range-scan engine for every table ("remix" | "heap") and whether
-    # SSTables carry the learned block index; the scan bench A/Bs
-    # remix+learned vs heap+bisect (DESIGN.md §13).
-    scan_engine: str = "remix"
-    learned_index: bool = True
     # Compaction policy for the index tables ("size_tiered" | "leveled");
-    # None inherits the base table's.  The PR-8 bench runs validation
-    # with "leveled" so every compaction round is major and the
-    # dead-entry purge gets its chances (DESIGN.md §14).
+    # None inherits the base table's.  "leveled" makes every compaction
+    # round major, which gives the dead-entry purge its chances
+    # (DESIGN.md §14).
     index_compaction_policy: Optional[str] = None
 
     def schema(self) -> ItemSchema:
@@ -87,20 +79,15 @@ class Experiment:
         self.cluster = MiniCluster(
             num_servers=config.num_servers, model=model,
             server_config=server_config, seed=config.seed,
-            staleness_sample_rate=config.staleness_sample_rate,
-            replication=config.replication,
-            scan_engine=config.scan_engine,
-            learned_index=config.learned_index)
+            staleness_sample_rate=config.staleness_sample_rate)
         self._build()
 
     def _build(self) -> None:
         config = self.config
         base_regions = config.num_servers * config.regions_per_server
-        table_kwargs = dict(
-            flush_threshold_bytes=config.flush_threshold_bytes)
         self.cluster.create_table(
             self.TABLE, split_keys=self.schema.split_keys(base_regions),
-            **table_kwargs)
+            flush_threshold_bytes=config.flush_threshold_bytes)
         load_direct(self.cluster, self.schema, self.TABLE, seed=config.seed)
 
         scheme = scheme_from_label(config.scheme_label)

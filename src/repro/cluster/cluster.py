@@ -18,6 +18,8 @@ from repro.core.index import (IndexDescriptor, IndexState,
                               extract_index_values, row_index_key)
 from repro.core.observers import build_observers
 from repro.core.staleness import StalenessTracker
+from repro.lsm.policy import compaction_policy_from_label
+from repro.lsm.tree import LSMConfig
 from repro.lsm.types import Cell
 from repro.cluster.client import Client
 from repro.cluster.coordinator import Coordinator
@@ -56,19 +58,10 @@ class MiniCluster:
                  heartbeat_timeout_ms: float = 2000.0,
                  placement: Optional["PlacementConfig"] = None,
                  replication: Optional[ReplicationConfig] = None,
-                 scan_engine: str = "remix",
-                 learned_index: bool = True,
-                 memtable_map: str = "arraymap"):
-        if scan_engine not in ("remix", "heap"):
-            raise ValueError(f"unknown scan engine {scan_engine!r}")
-        if memtable_map not in ("arraymap", "skiplist"):
-            raise ValueError(f"unknown memtable map {memtable_map!r}")
-        # Default range-scan engine and block-index flavour for every
-        # table this cluster creates (DESIGN.md §13); per-table override
-        # via create_table.
-        self.scan_engine = scan_engine
-        self.learned_index = learned_index
-        self.memtable_map = memtable_map
+                 storage: Optional[LSMConfig] = None):
+        # Storage-engine settings of every table this cluster creates;
+        # create_table overrides the per-table ones.
+        self.storage = storage or LSMConfig()
         self.sim = Simulator()
         self.replication = replication or ReplicationConfig()
         self.model = model or LatencyModel()
@@ -193,31 +186,44 @@ class MiniCluster:
 
     def create_table(self, name: str,
                      split_keys: Optional[List[bytes]] = None,
-                     max_versions: int = 3,
-                     flush_threshold_bytes: int = 256 * 1024,
-                     block_bytes: int = 4096,
-                     scan_engine: Optional[str] = None,
-                     learned_index: Optional[bool] = None,
-                     compaction_policy: str = "size_tiered",
-                     memtable_map: Optional[str] = None,
+                     max_versions: Optional[int] = None,
+                     flush_threshold_bytes: Optional[int] = None,
+                     compaction_policy: Optional[str] = None,
                      ) -> TableDescriptor:
-        from repro.lsm.policy import POLICY_LABELS
-        if compaction_policy not in POLICY_LABELS:
-            raise ValueError(
-                f"unknown compaction policy {compaction_policy!r}")
-        if memtable_map not in (None, "arraymap", "skiplist"):
-            raise ValueError(f"unknown memtable map {memtable_map!r}")
+        """CREATE TABLE.  A storage kwarg left at None keeps the
+        cluster's ``storage`` value; ``compaction_policy`` is a
+        :mod:`repro.lsm.policy` label."""
+        overrides: Dict[str, Any] = {}
+        if max_versions is not None:
+            overrides["max_versions"] = max_versions
+        if flush_threshold_bytes is not None:
+            overrides["flush_threshold_bytes"] = flush_threshold_bytes
+        if compaction_policy is not None:
+            overrides["compaction"] = compaction_policy_from_label(
+                compaction_policy)
         descriptor = TableDescriptor(
-            name, TableKind.BASE, max_versions=max_versions,
-            flush_threshold_bytes=flush_threshold_bytes,
-            block_bytes=block_bytes,
-            scan_engine=scan_engine or self.scan_engine,
-            learned_index=(self.learned_index if learned_index is None
-                           else learned_index),
-            compaction_policy=compaction_policy,
-            memtable_map=memtable_map or self.memtable_map)
+            name, TableKind.BASE,
+            storage=dataclasses.replace(self.storage, **overrides))
         self.master.create_table(descriptor, split_keys=split_keys)
         return descriptor
+
+    def _create_index_table(self, index: IndexDescriptor,
+                            split_keys: Optional[List[bytes]],
+                            prefix_compression: bool,
+                            compaction_policy: Optional[str],
+                            ) -> TableDescriptor:
+        """The key-only index table: the base table's storage settings
+        with the two an index may set for itself."""
+        base = self.descriptor(index.base_table).storage
+        index_table = TableDescriptor(
+            index.table_name, TableKind.INDEX,
+            storage=dataclasses.replace(
+                base, prefix_compression=prefix_compression,
+                compaction=(base.compaction if compaction_policy is None
+                            else compaction_policy_from_label(
+                                compaction_policy))))
+        self.master.create_table(index_table, split_keys=split_keys)
+        return index_table
 
     def create_index(self, index: IndexDescriptor,
                      split_keys: Optional[List[bytes]] = None,
@@ -258,17 +264,8 @@ class MiniCluster:
             if backfill:
                 self._backfill_local_index(stamped)
             return base
-        index_table = TableDescriptor(
-            index.table_name, TableKind.INDEX,
-            max_versions=base.max_versions,
-            flush_threshold_bytes=base.flush_threshold_bytes,
-            block_bytes=base.block_bytes,
-            prefix_compression=prefix_compression,
-            scan_engine=base.scan_engine,
-            learned_index=base.learned_index,
-            compaction_policy=compaction_policy or base.compaction_policy,
-            memtable_map=base.memtable_map)
-        self.master.create_table(index_table, split_keys=split_keys)
+        index_table = self._create_index_table(
+            index, split_keys, prefix_compression, compaction_policy)
         stamped = self._attach_index_descriptor(index, IndexState.ACTIVE)
         if backfill:
             self._backfill_index(stamped)
@@ -295,17 +292,8 @@ class MiniCluster:
                 "local indexes build offline (entries are region-co-located"
                 " and crash-atomic with the base rows); use "
                 "backfill='offline'")
-        index_table = TableDescriptor(
-            index.table_name, TableKind.INDEX,
-            max_versions=base.max_versions,
-            flush_threshold_bytes=base.flush_threshold_bytes,
-            block_bytes=base.block_bytes,
-            prefix_compression=prefix_compression,
-            scan_engine=base.scan_engine,
-            learned_index=base.learned_index,
-            compaction_policy=compaction_policy or base.compaction_policy,
-            memtable_map=base.memtable_map)
-        self.master.create_table(index_table, split_keys=split_keys)
+        self._create_index_table(index, split_keys, prefix_compression,
+                                 compaction_policy)
         stamped = self._attach_index_descriptor(index, IndexState.BUILDING)
         return self.ddl.submit_create(stamped)
 

@@ -106,8 +106,7 @@ class Master:
                           server: "RegionServer") -> RegionInfo:
         self._region_seq += 1
         region_name = f"{descriptor.name},r{self._region_seq:04d}"
-        region = Region(region_name, descriptor, key_range,
-                        seed=self._region_seq)
+        region = Region(region_name, descriptor, key_range)
         server.add_region(region)
         return RegionInfo(region_name, descriptor.name, key_range, server.name)
 

@@ -114,8 +114,7 @@ def recover_server(cluster: "MiniCluster", dead: "RegionServer",
 
         target = _pick_target(cluster, dead, info)
         descriptor = master.descriptor(info.table)
-        region = Region(info.region_name, descriptor, info.key_range,
-                        seed=recovered + 1)
+        region = Region(info.region_name, descriptor, info.key_range)
         # (3) re-link flushed store files.
         region.tree.adopt_sstables(hdfs.store_files(info.table,
                                                     info.region_name))

@@ -18,8 +18,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.lsm.cache import BlockCache
-from repro.lsm.policy import compaction_policy_from_label
-from repro.lsm.tree import LSMConfig, LSMTree, ReadStats
+from repro.lsm.tree import LSMTree, ReadStats
 from repro.lsm.types import Cell, KeyRange, cell_size
 from repro.cluster.table import TableDescriptor
 from repro.sim.kernel import RESOLVED_NONE, Future, Simulator
@@ -79,20 +78,11 @@ class RowLocks:
 
 class Region:
     def __init__(self, name: str, table: TableDescriptor, key_range: KeyRange,
-                 cache: Optional[BlockCache] = None, seed: int = 0):
+                 cache: Optional[BlockCache] = None):
         self.name = name
         self.table = table
         self.key_range = key_range
-        config = LSMConfig(
-            flush_threshold_bytes=table.flush_threshold_bytes,
-            block_bytes=table.block_bytes,
-            max_versions=table.max_versions,
-            prefix_compression=table.prefix_compression,
-            remix_enabled=table.scan_engine == "remix",
-            learned_index=table.learned_index,
-            compaction=compaction_policy_from_label(table.compaction_policy),
-            memtable_map=table.memtable_map)
-        self.tree = LSMTree(name=name, config=config, cache=cache, seed=seed)
+        self.tree = LSMTree(name=name, config=table.storage, cache=cache)
         self.locks = RowLocks()
         self.flushing = False
         # Set while a split/migration close is in progress: writes are

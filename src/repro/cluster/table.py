@@ -14,6 +14,7 @@ import enum
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.index import INDEX_TABLE_PREFIX, index_table_name
+from repro.lsm.tree import LSMConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.index import IndexDescriptor
@@ -31,23 +32,9 @@ class TableKind(enum.Enum):
 class TableDescriptor:
     name: str
     kind: TableKind = TableKind.BASE
-    max_versions: int = 3
-    flush_threshold_bytes: int = 256 * 1024
-    block_bytes: int = 4096
-    prefix_compression: bool = False
-    # Range-scan engine for this table's regions: "remix" keeps a REMIX-
-    # style cross-SSTable sorted view (one cursor walk per scan), "heap"
-    # is the classic per-SSTable K-way merge (DESIGN.md §13).
-    scan_engine: str = "remix"
-    # Learned (ε-bounded PLR) per-SSTable block index vs plain bisect.
-    learned_index: bool = True
-    # Compaction policy label resolved through repro.lsm.policy
-    # ("size_tiered" | "leveled"); index tables under lazy schemes pair
-    # naturally with "leveled" (every round major → dead-entry purge).
-    compaction_policy: str = "size_tiered"
-    # Ordered-map substrate under the memtable ("arraymap" | "skiplist");
-    # behaviourally identical, arraymap is the fast default (DESIGN.md §16).
-    memtable_map: str = "arraymap"
+    # Every storage-engine setting of this table's regions, handed to
+    # each region's LSMTree as is.
+    storage: LSMConfig = dataclasses.field(default_factory=LSMConfig)
     # Index descriptors attached to this (base) table — the catalog keeps
     # a copy in the table descriptor, as BigInsights does (§7).
     indexes: Dict[str, "IndexDescriptor"] = dataclasses.field(default_factory=dict)

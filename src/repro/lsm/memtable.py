@@ -12,26 +12,16 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ImmutableError
 from repro.lsm.arraymap import ArrayMap
-from repro.lsm.skiplist import SkipList
 from repro.lsm.types import Cell, KeyRange, cell_size
 
 __all__ = ["MemTable"]
-
-# Ordered-map substrates: operation-for-operation equivalent (pinned by
-# tests/test_arraymap_equivalence.py); "arraymap" is the fast default
-# (DESIGN.md §16).
-_MAP_IMPLS = {"arraymap": ArrayMap, "skiplist": SkipList}
 
 
 class MemTable:
     """Multi-version ordered buffer keyed by byte keys."""
 
-    def __init__(self, seed: int = 0, map_impl: str = "arraymap"):
-        try:
-            impl = _MAP_IMPLS[map_impl]
-        except KeyError:
-            raise ValueError(f"unknown memtable map: {map_impl!r}") from None
-        self._map = impl(seed=seed)
+    def __init__(self) -> None:
+        self._map = ArrayMap()
         self._sealed = False
         self._bytes = 0
         self._cells = 0

@@ -1,9 +1,9 @@
 """Pluggable compaction policies (DESIGN.md §14).
 
 The tree used to hard-wire one size-tiered trigger; now the policy is a
-per-table choice carried on :class:`~repro.cluster.table.TableDescriptor`
-(``compaction_policy`` label) and resolved here when the region builds
-its :class:`~repro.lsm.tree.LSMConfig`:
+per-table choice: ``create_table`` / ``create_index`` take a
+``compaction_policy`` label, resolved here into the ``compaction`` field
+of the table's :class:`~repro.lsm.tree.LSMConfig`:
 
 * :class:`SizeTieredPolicy` — the extracted original behaviour: merge
   the oldest ``max_files`` once ``min_files`` accumulate; every
@@ -62,7 +62,7 @@ POLICY_LABELS: Dict[str, Type[CompactionPolicy]] = {
 
 
 def compaction_policy_from_label(label: str, **kwargs) -> CompactionPolicy:
-    """Resolve a :class:`TableDescriptor.compaction_policy` label."""
+    """Resolve a ``compaction_policy`` label."""
     try:
         cls = POLICY_LABELS[label]
     except KeyError:

@@ -1,7 +1,10 @@
 """A deterministic-height skip list keyed by arbitrary comparable keys.
 
-This is the ordered map under the memtable — the same role the
-ConcurrentSkipListMap plays in HBase.  It supports:
+The classic ordered map of an LSM memtable (HBase's
+ConcurrentSkipListMap).  The memtable itself runs on
+:class:`repro.lsm.arraymap.ArrayMap`; this implementation stays as the
+reference model ``tests/test_arraymap_equivalence.py`` compares that
+against.  It supports:
 
 * ``insert(key, value)`` — upsert;
 * ``get(key)``;

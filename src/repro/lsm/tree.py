@@ -36,7 +36,7 @@ __all__ = ["LSMConfig", "ReadStats", "LSMTree", "FlushHandle"]
 _flush_ids = itertools.count(1)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class LSMConfig:
     flush_threshold_bytes: int = 256 * 1024
     block_bytes: int = DEFAULT_BLOCK_BYTES
@@ -56,10 +56,6 @@ class LSMConfig:
     learned_index: bool = True
     learned_epsilon: int = DEFAULT_EPSILON
     compaction: CompactionPolicy = dataclasses.field(default_factory=CompactionPolicy)
-    # Ordered-map substrate under the memtable: "arraymap" (bisect over
-    # parallel arrays — the fast default) or "skiplist" (the classic
-    # pointer tower).  Operation-for-operation equivalent (DESIGN.md §16).
-    memtable_map: str = "arraymap"
 
 
 @dataclasses.dataclass
@@ -89,13 +85,11 @@ class FlushHandle:
 
 class LSMTree:
     def __init__(self, name: str = "lsm", config: Optional[LSMConfig] = None,
-                 cache: Optional[BlockCache] = None, seed: int = 0):
+                 cache: Optional[BlockCache] = None):
         self.name = name
         self.config = config or LSMConfig()
         self.cache = cache
-        self._seed = seed
-        self._memtable = MemTable(seed=seed,
-                                  map_impl=self.config.memtable_map)
+        self._memtable = MemTable()
         self._flushing: List[FlushHandle] = []
         self._sstables: List[SSTable] = []   # newest first
         self._compactions_done = 0
@@ -234,8 +228,7 @@ class LSMTree:
         sealed.seal()
         handle = FlushHandle(next(_flush_ids), sealed, self.last_applied_seqno)
         self._flushing.append(handle)
-        self._memtable = MemTable(seed=self._seed + handle.flush_id,
-                                  map_impl=self.config.memtable_map)
+        self._memtable = MemTable()
         return handle
 
     def complete_flush(self, handle: FlushHandle) -> SSTable:

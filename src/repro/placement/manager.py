@@ -36,7 +36,6 @@ Defaults keep both mechanisms off (``max_region_bytes=None``,
 from __future__ import annotations
 
 import dataclasses
-import zlib
 from typing import Any, Dict, Generator, List, Optional, Set, TYPE_CHECKING
 
 from repro.errors import NoSuchRegionError, StorageError
@@ -373,8 +372,7 @@ class PlacementManager:
                   (job.right_region,
                    KeyRange(split_key, parent.key_range.end)))
         for name, key_range in ranges:
-            region = Region(name, descriptor, key_range,
-                            seed=_region_seed(name))
+            region = Region(name, descriptor, key_range)
             region.tree.adopt_sstables(list(store))
             server.add_region(region)
             daughters.append(RegionInfo(name, job.table, key_range,
@@ -461,7 +459,7 @@ class PlacementManager:
             # be the source itself on the fallback path).
             source.remove_region(region_name)
             region = Region(region_name, master.descriptor(table),
-                            current.key_range, seed=_region_seed(region_name))
+                            current.key_range)
             region.tree.adopt_sstables(
                 self.cluster.hdfs.store_files(table, region_name))
             dest.add_region(region)
@@ -584,9 +582,3 @@ class PlacementManager:
         # shipped writes and follower reads but no foreground write path.
         score += 0.5 * cfg.region_count_weight * len(server.follower_regions)
         return score
-
-
-def _region_seed(name: str) -> int:
-    # Deterministic across processes (hash() is randomized by
-    # PYTHONHASHSEED; crc32 is not).
-    return zlib.crc32(name.encode()) & 0x7FFFFFFF

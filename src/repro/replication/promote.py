@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import (Any, Generator, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING)
-import zlib
 
 from repro.cluster.recovery import task_from_wal_record
 from repro.cluster.region import Region
@@ -45,12 +44,6 @@ _PROMOTION_OPEN_COST_MS = 1.0
 _REPLAY_COST_PER_RECORD_MS = 0.02   # same unit cost as classic replay
 
 
-def _follower_seed(region_name: str, server_name: str) -> int:
-    # Deterministic and distinct per (region, host) — crc32, not hash()
-    # (PYTHONHASHSEED randomises the latter).
-    return zlib.crc32(f"{region_name}@{server_name}".encode()) & 0x7FFFFFFF
-
-
 def create_follower(cluster: "MiniCluster", info: "RegionInfo",
                     target: "RegionServer",
                     caught_up_through: float = 0.0) -> FollowerReplica:
@@ -60,8 +53,7 @@ def create_follower(cluster: "MiniCluster", info: "RegionInfo",
     store files provably cover everything acked by the flush's prepare
     time).  Registers the follower in ``info.replica_servers``."""
     descriptor = cluster.master.descriptor(info.table)
-    region = Region(info.region_name, descriptor, info.key_range,
-                    seed=_follower_seed(info.region_name, target.name))
+    region = Region(info.region_name, descriptor, info.key_range)
     store = cluster.hdfs.store_files(info.table, info.region_name)
     if store:
         region.tree.adopt_sstables(store)

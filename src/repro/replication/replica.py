@@ -80,8 +80,7 @@ class FollowerReplica:
             return
         tree = self.region.tree
         tree.relink_sstables(list(store_files))
-        tree._memtable = MemTable(seed=tree._seed,
-                                  map_impl=tree.config.memtable_map)
+        tree._memtable = MemTable()
         survivors = [r for r in self.tail if r.seqno > rolled_seqno]
         for record in survivors:
             for cell in record.cells:
@@ -103,8 +102,7 @@ class FollowerReplica:
         exact coverage claim."""
         tree = self.region.tree
         tree.relink_sstables(list(store_files))
-        tree._memtable = MemTable(seed=tree._seed,
-                                  map_impl=tree.config.memtable_map)
+        tree._memtable = MemTable()
         self.tail = []
         if self.applied_seqno > self.relinked_seqno:
             self.relinked_seqno = self.applied_seqno

@@ -80,17 +80,17 @@ def test_index_inherits_and_overrides_policy():
     cluster.create_index(IndexDescriptor("ix", "t", ("c",),
                                          scheme=IndexScheme.SYNC_FULL))
     inherited = cluster.index_descriptor("ix")
-    assert cluster.descriptor(inherited.table_name).compaction_policy \
-        == "leveled"
+    assert cluster.descriptor(
+        inherited.table_name).storage.compaction.label == "leveled"
 
     cluster.create_table("u")          # size_tiered base...
     cluster.create_index(IndexDescriptor("uix", "u", ("c",),
                                          scheme=IndexScheme.SYNC_FULL),
                          compaction_policy="leveled")   # ...leveled index
-    assert cluster.descriptor("u").compaction_policy == "size_tiered"
+    assert cluster.descriptor("u").storage.compaction.label == "size_tiered"
     overridden = cluster.index_descriptor("uix")
-    assert cluster.descriptor(overridden.table_name).compaction_policy \
-        == "leveled"
+    assert cluster.descriptor(
+        overridden.table_name).storage.compaction.label == "leveled"
 
 
 # -- dead-entry purge ----------------------------------------------------------

@@ -15,6 +15,8 @@ from repro import (FaultPlan, IndexDescriptor, IndexScheme, IndexScope,
 from repro.errors import NoSuchRegionError
 from repro.placement.jobs import SplitCatalog, SplitJob, SplitPhase
 from repro.sim.random import RandomStream
+from repro.ycsb.distributions import Zipfian
+from repro.ycsb.stats import LatencyRecorder
 
 
 def assert_layout_contiguous(cluster):
@@ -150,6 +152,47 @@ def test_autosplit_spreads_singleregion_table():
     assert_layout_contiguous(cluster)
     assert len(all_rows(cluster, client)) == 300
     assert check_index(cluster, "ix").is_consistent
+
+
+def test_balancer_buys_back_hot_range_read_p95():
+    """Zipfian hot-range load (80% read / 20% update) on a table that
+    starts as ONE region, from more closed-loop workers than one server
+    has handler slots.  Auto-split is on in both runs, but without the
+    balancer every daughter stays on the original server and the whole
+    hot range funnels through one handler pool and disk; with it the
+    daughters spread and the read p95 comes back."""
+    def run(balancer_enabled, rows=300, workers=16):
+        cfg = PlacementConfig(max_region_bytes=8 * 1024,
+                              balancer_enabled=balancer_enabled,
+                              balancer_interval_ms=200.0, qps_weight=0.05)
+        cluster, client = build(num_servers=4, placement=cfg)
+        load_rows(cluster, client, rows)
+        zipf = Zipfian(rows)
+        measure_from = cluster.sim.now() + 60.0     # warm-up: splits, moves
+        end_at = measure_from + 150.0
+        reads = LatencyRecorder()
+        cluster.sim.call_at(measure_from, reads.begin_window, measure_from)
+
+        def worker(wid):
+            rng = cluster.seeds.stream(f"hot-range-worker/{wid}")
+            while cluster.sim.now() < end_at:
+                row = f"row{zipf.next_index(rng):05d}".encode()
+                if rng.random() < 0.8:
+                    start = cluster.sim.now()
+                    yield from client.get("t", row)
+                    reads.record("read", cluster.sim.now() - start)
+                else:
+                    yield from client.put("t", row, {"v": b"hot"})
+
+        for proc in [cluster.spawn(worker(w)) for w in range(workers)]:
+            cluster.sim.run_until_complete(proc)
+        return reads.stats("read").p95_ms, cluster.placement
+
+    unbalanced_p95, unbalanced = run(balancer_enabled=False)
+    balanced_p95, balanced = run(balancer_enabled=True)
+    assert unbalanced.obs_splits.value >= 2 and unbalanced.obs_moves.value == 0
+    assert balanced.obs_splits.value >= 2 and balanced.obs_moves.value >= 1
+    assert balanced_p95 <= unbalanced_p95, (balanced_p95, unbalanced_p95)
 
 
 def test_balance_once_moves_hot_server_regions():

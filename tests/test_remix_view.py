@@ -314,8 +314,9 @@ def test_promotion_leaves_fresh_views():
 
 
 def test_index_maintenance_correct_on_both_engines():
-    for engine in ("remix", "heap"):
-        cluster = MiniCluster(num_servers=3, scan_engine=engine).start()
+    for remix in (True, False):
+        cluster = MiniCluster(
+            num_servers=3, storage=LSMConfig(remix_enabled=remix)).start()
         cluster.create_table("t")
         cluster.create_index(IndexDescriptor(
             "ix", "t", ("c",), scheme=IndexScheme.SYNC_FULL))
@@ -329,4 +330,4 @@ def test_index_maintenance_correct_on_both_engines():
         cluster.run(driver(cluster.new_client()))
         cluster.quiesce()
         report = check_index(cluster, "ix")
-        assert report.is_consistent, (engine, report)
+        assert report.is_consistent, (remix, report)

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import (FaultPlan, IndexDescriptor, IndexScheme, LatencyBound,
-                   MiniCluster, ReadMode, ReplicationConfig, check_index)
+from repro import (Client, FaultPlan, IndexDescriptor, IndexScheme,
+                   LatencyBound, MiniCluster, ReadMode, ReplicationConfig,
+                   check_index)
 
 relaxed = settings(max_examples=8, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow,
@@ -237,6 +238,38 @@ def test_promotion_replays_tail_only_after_flush():
         got = cluster.run(client.get("t", b"f%03d" % i))
         assert got["c"][0] == (b"old" if i < 30 else b"new")
     assert cluster.metrics.counter("promotions_total").value > 0
+
+
+def test_promotion_beats_full_wal_replay_on_client_felt_unavailability():
+    """The same kill-the-leader history at rf=1 (classic recovery: reopen
+    the region, replay its whole WAL slice) and at rf=3 (promote the most
+    caught-up follower, replay only the tail).  Unavailability is what a
+    client feels — a tight-backoff probe read of the dead leader's range
+    issued right after the kill — so both runs pay the same failure
+    detection and the difference is the recovery work itself."""
+    def unavailability(replication_factor):
+        cluster = build(replication_factor, split_keys=(), seed=29,
+                        heartbeat_timeout_ms=400.0)
+        client = cluster.new_client()
+
+        def load():
+            for i in range(800):
+                yield from client.put("t", b"r%04d" % i, {"c": b"v" * 16})
+        cluster.run(load())
+        cluster.advance(100.0)           # followers catch up
+        victim = leader_of(cluster, "t", b"r0000")
+        killed_at = cluster.sim.now()
+        cluster.kill_server(victim)
+        probe = Client(cluster, name="probe", retry_backoff_ms=5.0)
+        got = cluster.run(probe.get("t", b"r0000"))
+        assert got["c"][0] == b"v" * 16
+        return (cluster.sim.now() - killed_at,
+                cluster.metrics.counter("promotions_total").value)
+
+    replay_ms, replay_promotions = unavailability(1)
+    promotion_ms, promotions = unavailability(3)
+    assert replay_promotions == 0 and promotions >= 1
+    assert replay_ms - promotion_ms >= 10.0, (replay_ms, promotion_ms)
 
 
 def test_anti_affinity_survives_repeated_failures():

@@ -85,8 +85,9 @@ SCHEMES = [IndexScheme.SYNC_INSERT, IndexScheme.SYNC_FULL,
            IndexScheme.ASYNC_SIMPLE, IndexScheme.ASYNC_SESSION]
 
 
-def run_workload(engine, scheme):
-    cluster = MiniCluster(num_servers=3, seed=7, scan_engine=engine).start()
+def run_workload(remix, scheme):
+    cluster = MiniCluster(num_servers=3, seed=7,
+                          storage=LSMConfig(remix_enabled=remix)).start()
     cluster.create_table("t", flush_threshold_bytes=4096)
     cluster.create_index(IndexDescriptor("ix", "t", ("c",), scheme=scheme))
     client = cluster.new_client()
@@ -119,8 +120,8 @@ def test_cluster_scans_identical_across_engines_all_schemes():
     sync-full — sync-insert keeps stale entries by design and the async
     schemes converge via the AUQ, all equally on both engines)."""
     for scheme in SCHEMES:
-        remix = run_workload("remix", scheme)
-        heap = run_workload("heap", scheme)
+        remix = run_workload(True, scheme)
+        heap = run_workload(False, scheme)
         assert remix == heap, scheme
         if scheme is IndexScheme.SYNC_FULL:
             assert remix[2], scheme
