@@ -97,9 +97,9 @@ def test_adaptive_tracks_best_fixed_scheme(benchmark):
     # During ingest, adaptive must beat sync-full's update latency
     # (it switches to async early in the phase)...
     assert adaptive["ingest_update_ms"] < 0.7 * results["full"]["ingest_update_ms"]
-    # ...and during serving it must beat sync-insert's read latency
-    # (it switches back to sync-full).
-    assert adaptive["serving_read_ms"] < 0.5 * results["insert"]["serving_read_ms"]
-    # Within a modest factor of the per-phase optimum on both axes.
+    # ...and during serving it has switched back to sync-full: it reads
+    # like sync-full, below sync-insert's double-checked reads.
+    assert adaptive["serving_read_ms"] <= 1.05 * results["full"]["serving_read_ms"]
+    assert adaptive["serving_read_ms"] < results["insert"]["serving_read_ms"]
+    # Ingest stays within a modest factor of the per-phase optimum.
     assert adaptive["ingest_update_ms"] < 2.5 * results["async"]["ingest_update_ms"]
-    assert adaptive["serving_read_ms"] < 2.5 * results["full"]["serving_read_ms"]

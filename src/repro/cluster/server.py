@@ -1105,7 +1105,7 @@ class RegionServer:
             self.auq.put(task)
             self.obs_auq_depth.set(len(self.auq))
             return
-        self.staleness.record(task.ts, self.sim.now())
+        self.staleness.record(task.visible_at, self.sim.now())
 
     def degrade_to_auq(self, task: IndexTask) -> None:
         """§6.2: a failed synchronous index op is queued for retry; causal

@@ -78,6 +78,13 @@ class IndexTask:
         # mutations' own tombstones.
         self.epoch = epoch
 
+    @property
+    def visible_at(self) -> float:
+        """Staleness T1.  ``ts`` alone runs ahead of the clock after a bulk
+        load (``max(now, last + 1)`` per row); ``enqueued_at`` alone is
+        refreshed by recovery, losing a replayed task's original T1."""
+        return min(self.ts, self.enqueued_at)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"IndexTask({self.table!r}, {self.row!r}, ts={self.ts}, "
                 f"indexes={self.index_names})")
@@ -451,12 +458,12 @@ def _process_batch(server: Any, ctx: "IndexOpContext",
                     target = None
     now = server.sim.now()
     for task, span in zip(batch, spans):
-        server.staleness.record(task.ts, now)
-        # Live Figure 11: the lag between the base entry's visibility (T1,
-        # the base timestamp) and the moment its index maintenance landed
-        # (T2, now) — same definition the StalenessTracker records, so the
-        # two instrumentations can be cross-checked exactly.
-        lag = max(0.0, now - task.ts)
+        server.staleness.record(task.visible_at, now)
+        # Live Figure 11: the lag between the base entry's visibility (T1)
+        # and the moment its index maintenance landed (T2, now) — same
+        # definition the StalenessTracker records, so the two
+        # instrumentations can be cross-checked exactly.
+        lag = max(0.0, now - task.visible_at)
         server.obs_auq_lag.observe(lag)
         server.obs_auq_lag_last.set(lag)
         span.end()

@@ -219,7 +219,7 @@ class ValidationObserver(RegionObserver):
                                           span=obs)
                 now = server.sim.now()
                 for task in tasks:
-                    server.staleness.record(task.ts, now)
+                    server.staleness.record(task.visible_at, now)
             except (NoSuchRegionError, RpcError):
                 # Transient routing failure (§6.2): the AUQ's retry loop
                 # re-resolves the owner and converges the index.

@@ -11,11 +11,13 @@ lands below the tombstone and stays invisible.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lsm.types import Cell
 
-__all__ = ["resolve_versions", "resolve_get", "merge_key_streams"]
+__all__ = ["resolve_versions", "resolve_get", "newest_run",
+           "merge_key_streams"]
 
 
 def resolve_versions(cells: Iterable[Cell],
@@ -59,6 +61,21 @@ def resolve_get(cells: Iterable[Cell]) -> Optional[Cell]:
     """The single newest visible version, or None if absent/deleted."""
     visible = resolve_versions(cells, max_versions=1)
     return visible[0] if visible else None
+
+
+def newest_run(cells: Sequence[Cell], key: bytes,
+               max_ts: Optional[int] = None) -> Sequence[Cell]:
+    """All a point read needs from ONE component: the cells of ``key`` at
+    its newest timestamp ``<= max_ts`` there — a value, a tombstone, or
+    both — or an empty run.  ``cells`` is sorted ``(key asc, ts desc)``,
+    which a memtable version chain and an SSTable block both are."""
+    newest = float("-inf") if max_ts is None else -max_ts
+    start = end = bisect_left(cells, (key, newest),
+                              key=lambda c: (c.key, -c.ts))
+    while (end < len(cells) and cells[end].key == key
+           and cells[end].ts == cells[start].ts):
+        end += 1
+    return cells[start:end]
 
 
 def merge_key_streams(

@@ -8,7 +8,7 @@ SSTable — the flush step of Figure 2 in the paper.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.errors import ImmutableError
 from repro.lsm.arraymap import ArrayMap
@@ -56,20 +56,18 @@ class MemTable:
             raise ImmutableError("memtable is sealed")
         versions: List[Cell] = self._map.obtain(cell.key)
         new_tomb = cell.value is None
-        for i, existing in enumerate(versions):
-            if existing.ts == cell.ts and (existing.value is None) == new_tomb:
-                self._bytes += cell_size(cell) - cell_size(existing)
-                versions[i] = cell
-                return
-        # Positional insert preserving newest-first order.  Equivalent to
-        # the old append + stable sort by -ts: the new cell lands after
-        # every existing version with ts >= cell.ts.  The common case is a
-        # fresh newest timestamp, so scan from the front.
+        # One pass over the newest-first chain: overwrite the same
+        # (ts, kind) cell, or insert after every version with ts >= cell.ts.
+        # Stops at the first older one — for a fresh newest ts, the head.
         ts = cell.ts
         index = 0
         for existing in versions:
             if existing.ts < ts:
                 break
+            if existing.ts == ts and (existing.value is None) == new_tomb:
+                self._bytes += cell_size(cell) - cell_size(existing)
+                versions[index] = cell
+                return
             index += 1
         versions.insert(index, cell)
         # cell_size inlined: this is once per write on the hot path.
@@ -79,16 +77,12 @@ class MemTable:
 
     # -- reads ----------------------------------------------------------------
 
-    def cells_for(self, key: bytes, max_ts: Optional[int] = None) -> List[Cell]:
-        """All versions (values and tombstones) of ``key`` with ts <= max_ts,
-        newest first.  Resolution against tombstones happens one layer up so
-        it can merge across memtable and SSTables."""
-        versions: Optional[List[Cell]] = self._map.get(key)
-        if not versions:
-            return []
-        if max_ts is None:
-            return versions   # callers read, never mutate (tree._collect_cells)
-        return [c for c in versions if c.ts <= max_ts]
+    def cells_for(self, key: bytes) -> List[Cell]:
+        """All versions (values and tombstones) of ``key``, newest first —
+        the chain itself: callers read, never mutate.  Bounding by
+        timestamp and resolving tombstones happen one layer up, across
+        memtables and SSTables (``LSMTree.get``)."""
+        return self._map.get(key) or []
 
     def scan(self, key_range: KeyRange) -> Iterator[Tuple[bytes, List[Cell]]]:
         """Ordered iteration of ``(key, versions-newest-first)`` in range."""

@@ -178,15 +178,6 @@ class SSTable:
 
     # -- direct (cost-free) access for compaction & tests ---------------------
 
-    def cells_for(self, key: bytes, max_ts: Optional[int] = None) -> List[Cell]:
-        block_id = self.block_for_key(key)
-        if block_id is None:
-            return []
-        cells = [c for c in self._blocks[block_id] if c.key == key]
-        if max_ts is not None:
-            cells = [c for c in cells if c.ts <= max_ts]
-        return cells
-
     def all_cells(self) -> Iterator[Cell]:
         for block in self._blocks:
             yield from block

@@ -19,12 +19,13 @@ import dataclasses
 import itertools
 import time
 from bisect import bisect_left
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.lsm.cache import BlockCache
 from repro.lsm.compaction import CompactionPolicy, CompactionResult, compact_sstables
-from repro.lsm.iterators import merge_key_streams, resolve_get, resolve_versions
+from repro.lsm.iterators import (merge_key_streams, newest_run, resolve_get,
+                                 resolve_versions)
 from repro.lsm.learned import DEFAULT_EPSILON
 from repro.lsm.memtable import MemTable
 from repro.lsm.remix import RemixView
@@ -332,26 +333,33 @@ class LSMTree:
 
     # ------------------------------------------------------------------- read
 
-    def _collect_cells(self, key: bytes, max_ts: Optional[int],
-                       stats: Optional[ReadStats]) -> List[Cell]:
-        cells: List[Cell] = []
+    def _sources(self, key: bytes, stats: Optional[ReadStats],
+                 skip=lambda sstable: False) -> Iterator[Sequence[Cell]]:
+        """The point-read walk: each memtable's version chain for ``key``,
+        then the one (charged) block that could hold it from every
+        SSTable not ``skip``-ped that passes its bloom filter.  Lazy on
+        purpose: ``skip`` sees what the consumer has learned so far."""
         for memtable in [self._memtable] + [h.memtable for h in self._flushing]:
-            found = memtable.cells_for(key, max_ts)
-            cells.extend(found)
             if stats is not None:
                 stats.memtable_probes += 1
+            yield memtable.cells_for(key)
         for sstable in self._sstables:
+            if skip(sstable):
+                continue
             if stats is not None:
                 stats.bloom_probes += 1
-            if not sstable.may_contain(key):
-                continue
-            block_id = sstable.block_for_key(key)
-            if block_id is None:
-                continue
-            self._charge_block(sstable, block_id, stats)
-            found = sstable.cells_for(key, max_ts)
-            cells.extend(found)
-        return cells
+            if sstable.may_contain(key):
+                block_id = sstable.block_for_key(key)
+                self._charge_block(sstable, block_id, stats)
+                yield sstable.get_block(block_id)
+
+    def _collect_cells(self, key: bytes, max_ts: Optional[int],
+                       stats: Optional[ReadStats]) -> List[Cell]:
+        """EVERY version at or before ``max_ts`` from every component:
+        what ``get_versions`` needs, and the exhaustive reference the
+        property tests hold ``get``'s bounded walk to."""
+        return [c for source in self._sources(key, stats) for c in source
+                if c.key == key and (max_ts is None or c.ts <= max_ts)]
 
     def _charge_block(self, sstable: SSTable, block_id: int,
                       stats: Optional[ReadStats]) -> None:
@@ -370,8 +378,26 @@ class LSMTree:
 
     def get(self, key: bytes, max_ts: Optional[int] = None,
             stats: Optional[ReadStats] = None) -> Optional[Cell]:
-        """Newest visible version of ``key`` at or before ``max_ts``."""
-        return resolve_get(self._collect_cells(key, max_ts, stats))
+        """Newest visible version of ``key`` at or before ``max_ts``.
+
+        Takes each component's newest admissible run and skips, before
+        its bloom probe, a file whose timestamp window cannot hold the
+        deciding cell.  Exact (DESIGN.md §13.6): only the cells at the
+        key's highest admissible ts matter, and a skipped file has none.
+        Strictly ``<``: an equal-ts tombstone there would mask the value."""
+        cells: List[Cell] = []
+        best_ts = -1
+
+        def skip(sstable: SSTable) -> bool:
+            return sstable.max_ts < best_ts or (
+                max_ts is not None and sstable.min_ts > max_ts)
+
+        for source in self._sources(key, stats, skip):
+            run = newest_run(source, key, max_ts)
+            if run and run[0].ts >= best_ts:
+                best_ts = run[0].ts
+                cells.extend(run)
+        return resolve_get(cells)
 
     def get_versions(self, key: bytes, n: int, max_ts: Optional[int] = None,
                      stats: Optional[ReadStats] = None) -> List[Cell]:

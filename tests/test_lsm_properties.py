@@ -1,6 +1,7 @@
 """Property tests: the LSM tree against a model map under random
-operation/flush/compaction interleavings, and concurrent-writer
-consistency for sync-full."""
+operation/flush/compaction interleavings, the bounded point-read walk
+against the exhaustive collector, and concurrent-writer consistency for
+sync-full."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,53 @@ def test_lsm_scan_is_sorted_and_deduped(ops):
     cells = tree.scan(KeyRange())
     keys = [c.key for c in cells]
     assert keys == sorted(set(keys))
+
+
+# One component's cells: (key_idx, ts, is_tombstone).  Timestamps come
+# from a tiny range and are NOT ordered by component, so equal-ts
+# value+tombstone pairs, equal-ts duplicates across components and files
+# whose [min_ts, max_ts] windows interleave are all common.
+component_strategy = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 6), st.booleans()),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(component_strategy, min_size=0, max_size=5),
+       st.one_of(st.none(), component_strategy), component_strategy,
+       st.one_of(st.none(), st.integers(0, 7)))
+def test_bounded_get_equals_exhaustive_resolution(flushed, sealed, active,
+                                                  max_ts):
+    """``get`` stops early and skips files by their timestamp window;
+    ``get_versions`` collects every version from every component.  They
+    must agree on the visible cell — same ts AND same value, so the
+    first-seen-wins rule for equal-ts duplicates is held too — for every
+    key, whatever order the components' timestamps come in."""
+    tree = LSMTree(config=LSMConfig(flush_threshold_bytes=10 ** 9))
+
+    def fill(component, tag):
+        for n, (key_idx, ts, tomb) in enumerate(component):
+            tree.add(Cell(KEYS[key_idx], ts,
+                          None if tomb else f"{tag}.{n}".encode()))
+
+    for i, component in enumerate(flushed):
+        fill(component, f"sst{i}")
+        tree.complete_flush(tree.prepare_flush())
+    if sealed is not None:
+        fill(sealed, "sealed")
+        tree.prepare_flush()            # stays a flushing memtable
+    fill(active, "active")
+
+    for key in KEYS[:3]:
+        reference = tree.get_versions(key, 1, max_ts)
+        got = tree.get(key, max_ts)
+        if not reference:
+            assert got is None, (key, got)
+        else:
+            assert got is not None, (key, reference)
+            assert (got.ts, got.value) == (reference[0].ts,
+                                           reference[0].value), key
 
 
 @settings(max_examples=8, deadline=None,

@@ -184,6 +184,60 @@ def test_read_stats_bloom_skip():
     assert stats.blocks_from_disk == 0  # bloom filter skipped the file
 
 
+def blocks_read(stats):
+    return stats.blocks_from_disk + stats.blocks_from_cache
+
+
+def test_get_decided_in_memtable_touches_no_file():
+    """The read-before-write of a row updated since the last flush: the
+    flushed copy is older than the cell in hand, so its file is skipped
+    before the bloom probe."""
+    tree = small_tree()
+    tree.add(Cell(b"a", 1, b"old"))
+    flush(tree)
+    tree.add(Cell(b"a", 5, b"new"))
+    tree.add(Cell(b"a", 9, b"newest"))
+    stats = ReadStats()
+    assert tree.get(b"a", max_ts=8, stats=stats).value == b"new"
+    assert stats.bloom_probes == 0
+    assert blocks_read(stats) == 0
+
+
+def test_get_over_stacked_rewrites_reads_one_block():
+    tree = small_tree()
+    for ts in (1, 2, 3):
+        for i in range(10):
+            tree.add(Cell(key(i), ts, b"v%d" % ts))
+        flush(tree)
+    stats = ReadStats()
+    assert tree.get(key(4), stats=stats).value == b"v3"
+    assert blocks_read(stats) == 1
+    assert stats.bloom_probes == 1
+
+
+def test_get_skips_files_newer_than_max_ts():
+    tree = small_tree()
+    tree.add(Cell(b"a", 1, b"old"))
+    flush(tree)
+    tree.add(Cell(b"a", 5, b"new"))
+    flush(tree)
+    stats = ReadStats()
+    assert tree.get(b"a", max_ts=4, stats=stats).value == b"old"
+    assert stats.bloom_probes == 1      # the ts-5 file was never probed
+    assert blocks_read(stats) == 1
+
+
+def test_equal_ts_tombstone_in_older_file_still_masks():
+    """Why the skip is ``max_ts < best_ts`` and not ``<=``."""
+    tree = small_tree()
+    tree.add(Cell(b"a", 5, None))
+    flush(tree)
+    tree.add(Cell(b"a", 5, b"v"))
+    flush(tree)
+    assert tree.get(b"a") is None
+    assert tree.get_versions(b"a", 1) == []
+
+
 def test_block_cache_hit_on_second_read():
     cache = BlockCache(capacity_bytes=1 << 20)
     tree = small_tree(cache=cache)

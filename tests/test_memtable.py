@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ImmutableError
 from repro.lsm import Cell, KeyRange, MemTable
+from repro.lsm.iterators import newest_run
 
 
 def make(key, ts, value=b"v"):
@@ -30,8 +31,11 @@ def test_max_ts_filters_versions():
     mt = MemTable()
     mt.add(make(b"a", 1, b"old"))
     mt.add(make(b"a", 5, b"new"))
-    assert [c.ts for c in mt.cells_for(b"a", max_ts=4)] == [1]
-    assert [c.ts for c in mt.cells_for(b"a", max_ts=5)] == [5, 1]
+    chain = mt.cells_for(b"a")
+    assert [c.ts for c in newest_run(chain, b"a", max_ts=4)] == [1]
+    assert [c.ts for c in newest_run(chain, b"a", max_ts=5)] == [5]
+    assert [c.ts for c in newest_run(chain, b"a")] == [5]
+    assert list(newest_run(chain, b"a", max_ts=0)) == []
 
 
 def test_same_key_same_ts_overwrites():

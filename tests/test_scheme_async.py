@@ -4,6 +4,7 @@ behaviour, batching, out-of-order APS delivery."""
 import pytest
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster, check_index
+from repro.ycsb import ItemSchema, load_direct
 
 
 def make_cluster(**kwargs):
@@ -110,6 +111,31 @@ def test_staleness_tracker_records_lag():
     assert tracker.max() >= tracker.mean() >= 0
     pct = tracker.percentiles((50, 100))
     assert pct[100] >= pct[50]
+
+
+def test_staleness_is_measured_from_the_clock_after_a_bulk_load():
+    """``load_direct`` draws one logical timestamp per row at sim-time 0,
+    so a freshly loaded server stamps puts hundreds of ms ahead of the
+    clock; a lag computed from ``task.ts`` alone clamps to 0 until the
+    clock catches up.  T1 is when the entry became visible."""
+    schema = ItemSchema(record_count=600)
+    cluster = MiniCluster(num_servers=3, seed=9).start()
+    cluster.create_table("item")
+    load_direct(cluster, schema, "item")
+    cluster.create_index(IndexDescriptor(
+        "item_title", "item", ("item_title",),
+        scheme=IndexScheme.ASYNC_SIMPLE))
+    client = cluster.new_client()
+    for server in cluster.servers.values():
+        server.aps_gate.close()
+    cluster.run(client.put("item", schema.rowkey(0), {"item_title": b"new"}))
+    cluster.advance(50.0)
+    for server in cluster.servers.values():
+        server.aps_gate.open()
+    cluster.quiesce()
+    assert len(cluster.staleness.lags_ms) == 1
+    assert cluster.staleness.lags_ms[0] >= 50.0
+    assert cluster.metrics.merged_histogram("auq_lag_ms").max >= 50.0
 
 
 def test_batching_delivers_multiple_tasks_per_rpc():

@@ -190,3 +190,29 @@ def test_index_survives_flush_and_compaction(cluster, client):
     assert check_index(cluster, "ix").is_consistent
     assert hits(cluster, client, b"round4") == [f"r{i}".encode()
                                                 for i in range(10)]
+
+
+def test_read_before_write_touches_disk_only_for_flushed_rows(cluster, client):
+    """RB(t − δ) of a row updated since the last flush is decided in the
+    memtable — the older flushed copy's file is skipped, not read — and
+    pays a block read again once the previous version is disk-resident."""
+    def block_reads():
+        return (cluster.metrics.total("block_cache_misses"),
+                cluster.metrics.total("block_cache_hits"))
+
+    def flush_row_region():
+        info = cluster.master.locate("t", b"r1")
+        server = cluster.servers[info.server_name]
+        cluster.run(server.flush_region(server.regions[info.region_name]))
+
+    cluster.run(client.put("t", b"r1", {"c": b"v0"}))
+    flush_row_region()
+    cluster.run(client.put("t", b"r1", {"c": b"v1"}))   # RB reads v0 off disk
+    before = block_reads()
+    cluster.run(client.put("t", b"r1", {"c": b"v2"}))   # RB finds v1 in memory
+    assert block_reads() == before
+    flush_row_region()
+    cluster.run(client.put("t", b"r1", {"c": b"v3"}))
+    assert block_reads()[0] >= before[0] + 1
+    assert hits(cluster, client, b"v3") == [b"r1"]
+    assert check_index(cluster, "ix").is_consistent

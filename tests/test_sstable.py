@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.lsm import Cell, KeyRange, SSTableBuilder
+from repro.lsm.iterators import newest_run
 
 
 def build(cells, block_bytes=128):
@@ -16,10 +17,19 @@ def key(i):
     return f"k{i:04d}".encode()
 
 
+def versions(table, k, max_ts=None):
+    """A point lookup: the one block that could hold ``k``, then the run
+    at its newest admissible timestamp there."""
+    block_id = table.block_for_key(k)
+    return [] if block_id is None else list(
+        newest_run(table.get_block(block_id), k, max_ts))
+
+
 def test_build_and_point_lookup():
     table = build([Cell(key(i), 1, b"v") for i in range(10)])
-    assert table.cells_for(key(3))[0].key == key(3)
-    assert table.cells_for(b"absent") == []
+    assert versions(table, key(3))[0].key == key(3)
+    assert versions(table, b"absent") == []
+    assert versions(table, key(3) + b"-between") == []
 
 
 def test_out_of_order_keys_rejected():
@@ -38,8 +48,10 @@ def test_out_of_order_versions_rejected():
 
 def test_versions_newest_first_accepted():
     table = build([Cell(b"a", 5, b"new"), Cell(b"a", 1, b"old")])
-    assert [c.ts for c in table.cells_for(b"a")] == [5, 1]
-    assert [c.ts for c in table.cells_for(b"a", max_ts=4)] == [1]
+    assert [c.ts for c in table.all_cells()] == [5, 1]
+    assert [c.ts for c in versions(table, b"a")] == [5]
+    assert [c.ts for c in versions(table, b"a", max_ts=4)] == [1]
+    assert versions(table, b"a", max_ts=0) == []
 
 
 def test_empty_build_rejected():
