@@ -12,13 +12,19 @@ Fails CI when:
   must tell an operator where every subsystem's knobs live);
 * a user-facing doc names a module that does not exist — a dotted
   ``repro.<pkg>.<module>`` mention or a ``src/repro/.../*.py`` path left
-  behind by a deletion or a move.
+  behind by a deletion or a move;
+* a user-facing doc names a member that does not exist — a backticked
+  ``Class.attr`` or ``Class.attr()`` whose ``Class`` is defined under
+  ``src/repro`` but has no ``attr`` (a method, property or knob like
+  ``ServerConfig.auq_high_watermark`` that was renamed or deleted).
 
 Run as ``PYTHONPATH=src python scripts/docs_lint.py`` from the repo root.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import inspect
 import pathlib
 import re
@@ -29,6 +35,7 @@ SRC = REPO / "src" / "repro"
 USER_DOCS = ("README.md", "DESIGN.md", "OPERATIONS.md", "EXPERIMENTS.md")
 DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*){2,}")
 SRC_PATH = re.compile(r"\bsrc/repro/[\w/]+\.py\b")
+CLASS_ATTR = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)(?:\(\))?`")
 
 
 def repro_packages() -> list:
@@ -97,6 +104,51 @@ def check_module_references(errors: list) -> None:
                 errors.append(f"{doc} names `{path}`, which does not exist")
 
 
+def repro_classes() -> dict:
+    """Every class defined under src/repro: name → [(module, source)]."""
+    classes: dict = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        module = ".".join(p for p in parts if p != "__init__")
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, []).append(
+                    (module, ast.get_source_segment(text, node)))
+    return classes
+
+
+def _has_member(module: str, name: str, source: str, attr: str) -> bool:
+    """``attr`` is a (possibly inherited) class attribute, or appears in
+    the class body — instance attributes exist only once assigned."""
+    if re.search(rf"\b{re.escape(attr)}\b", source):
+        return True
+    cls = getattr(importlib.import_module(module), name, None)
+    return cls is not None and hasattr(cls, attr)
+
+
+def dead_class_attributes(text: str, classes: dict) -> list:
+    """Backticked ``Class.attr`` mentions in ``text`` naming a class of
+    ``classes`` that has no such member.  Classes not defined under
+    src/repro (``System.currentTimeMillis()``) are not checked."""
+    dead = []
+    for name, attr in sorted(set(CLASS_ATTR.findall(text))):
+        definitions = classes.get(name)
+        if definitions and not any(_has_member(module, name, source, attr)
+                                   for module, source in definitions):
+            dead.append(f"{name}.{attr}")
+    return dead
+
+
+def check_class_attributes(errors: list) -> None:
+    classes = repro_classes()
+    for doc in USER_DOCS:
+        for mention in dead_class_attributes((REPO / doc).read_text(),
+                                             classes):
+            errors.append(f"{doc} names `{mention}`, which that class "
+                          f"under src/repro does not have")
+
+
 def check_public_docstrings(errors: list) -> None:
     import repro
     for name in repro.__all__:
@@ -115,6 +167,7 @@ def main() -> int:
     check_readme_module_map(errors)
     check_operations_coverage(errors)
     check_module_references(errors)
+    check_class_attributes(errors)
     check_public_docstrings(errors)
     if errors:
         for error in errors:

@@ -15,9 +15,8 @@ from __future__ import annotations
 from typing import (Any, Dict, Generator, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING)
 
-from repro.errors import (IndexBuildingError, NoSuchIndexError,
-                          NoSuchRegionError, NoSuchTableError,
-                          ServerDownError, SimulationError)
+from repro.errors import (IndexBuildingError, NoSuchRegionError,
+                          NoSuchTableError, ServerDownError, SimulationError)
 from repro.core import reader as reader_mod
 from repro.core.encoding import IndexableValue
 from repro.core.index import IndexDescriptor
@@ -125,25 +124,31 @@ class Client:
                 return info
         raise NoSuchRegionError(f"{table!r} has no region for {row!r}")
 
-    def _routed(self, table: str, row: bytes, op_factory,
-                ) -> Generator[Any, Any, Any]:
-        """Route to the hosting server; on a stale route (dead server /
-        moved region) refresh the map and retry with backoff — the client
-        behaviour that rides out a region-server recovery."""
+    def _retrying(self, attempt) -> Generator[Any, Any, Any]:
+        """Run ``attempt()`` (a generator factory) to completion; on a
+        stale route (dead server / moved region) refresh the map and retry
+        with backoff — the client behaviour that rides out a region-server
+        recovery."""
         attempts = 0
         while True:
             try:
-                info = self._locate(table, row)
-                server = self.cluster.servers[info.server_name]
-                result = yield from self.cluster.network.call(
-                    server, lambda: op_factory(server))
-                return result
+                return (yield from attempt())
             except (ServerDownError, NoSuchRegionError):
                 attempts += 1
                 if attempts > self.max_route_retries:
                     raise
                 self.refresh_layout()
                 yield Timeout(self.retry_backoff_ms)
+
+    def _routed(self, table: str, row: bytes, op_factory,
+                ) -> Generator[Any, Any, Any]:
+        """One RPC to the server hosting ``row``, retried on stale routes."""
+        def attempt():
+            info = self._locate(table, row)
+            server = self.cluster.servers[info.server_name]
+            return self.cluster.network.call(server,
+                                             lambda: op_factory(server))
+        return self._retrying(attempt)
 
     # -- sessions ---------------------------------------------------------------
 
@@ -171,37 +176,38 @@ class Client:
             session: Optional[Session] = None,
             ) -> Generator[Any, Any, int]:
         """Insert/update columns of one row; returns the assigned ts."""
-        want_old = bool(session is not None and not session.disabled
-                        and self._session_indexes(table))
-        if session is not None:
-            session.touch(self.cluster.sim.now())
-        ts, old = yield from self._routed(
-            table, row,
-            lambda server: server.handle_put(table, row, values,
-                                             return_old=want_old))
-        if want_old:
-            old_values = {col: value
-                          for col, (value, _ts) in (old or {}).items()}
-            session.record_put(table, row, values, old_values, ts,
-                               self._session_indexes(table))
-        return ts
+        return self._mutate(table, row, values, None, session)
 
     def delete(self, table: str, row: bytes, columns: Sequence[str],
                session: Optional[Session] = None,
                ) -> Generator[Any, Any, int]:
+        """Delete columns of one row; returns the tombstones' ts."""
+        return self._mutate(table, row, None, list(columns), session)
+
+    def _mutate(self, table: str, row: bytes,
+                values: Optional[Dict[str, bytes]],
+                columns: Optional[List[str]], session: Optional[Session],
+                ) -> Generator[Any, Any, int]:
+        """The one single-row write body; ``values=None`` deletes
+        ``columns``."""
         want_old = bool(session is not None and not session.disabled
                         and self._session_indexes(table))
         if session is not None:
             session.touch(self.cluster.sim.now())
         ts, old = yield from self._routed(
             table, row,
-            lambda server: server.handle_delete(table, row, list(columns),
+            lambda server: server.handle_mutate(table, row, values, columns,
                                                 return_old=want_old))
         if want_old:
             old_values = {col: value
                           for col, (value, _ts) in (old or {}).items()}
-            session.record_delete(table, row, list(columns), old_values, ts,
-                                  self._session_indexes(table))
+            indexes = self._session_indexes(table)
+            if values is None:
+                session.record_delete(table, row, columns, old_values, ts,
+                                      indexes)
+            else:
+                session.record_put(table, row, values, old_values, ts,
+                                   indexes)
         return ts
 
     def batch_put(self, table: str,
@@ -358,36 +364,28 @@ class Client:
         """Bounded-staleness read: try followers round-robin, accept the
         first whose advertised lag is within the bound; otherwise the
         leader serves (staleness 0 — the bound still holds)."""
-        attempts = 0
-        while True:
-            try:
-                info = self._locate(table, row)
-                for follower in self._follower_targets(info):
-                    try:
-                        result, staleness = yield from self.cluster.network.call(
-                            follower,
-                            lambda f=follower: f.handle_replica_get(
-                                table, info.region_name, row, columns,
-                                max_ts),
-                            source=self.name)
-                    except (ServerDownError, NoSuchRegionError):
-                        continue   # next follower; leader is the backstop
-                    if staleness <= self.max_staleness_ms:
-                        self.last_read_staleness_ms = staleness
-                        return result
-                leader = self.cluster.servers[info.server_name]
-                result = yield from self.cluster.network.call(
-                    leader,
-                    lambda: leader.handle_get(table, row, columns, max_ts),
-                    source=self.name)
-                self.last_read_staleness_ms = 0.0
-                return result
-            except (ServerDownError, NoSuchRegionError):
-                attempts += 1
-                if attempts > self.max_route_retries:
-                    raise
-                self.refresh_layout()
-                yield Timeout(self.retry_backoff_ms)
+        def attempt():
+            info = self._locate(table, row)
+            for follower in self._follower_targets(info):
+                try:
+                    result, staleness = yield from self.cluster.network.call(
+                        follower,
+                        lambda f=follower: f.handle_replica_get(
+                            table, info.region_name, row, columns, max_ts),
+                        source=self.name)
+                except (ServerDownError, NoSuchRegionError):
+                    continue   # next follower; leader is the backstop
+                if staleness <= self.max_staleness_ms:
+                    self.last_read_staleness_ms = staleness
+                    return result
+            leader = self.cluster.servers[info.server_name]
+            result = yield from self.cluster.network.call(
+                leader,
+                lambda: leader.handle_get(table, row, columns, max_ts),
+                source=self.name)
+            self.last_read_staleness_ms = 0.0
+            return result
+        return (yield from self._retrying(attempt))
 
     def _quorum_get(self, table: str, row: bytes,
                     columns: Optional[List[str]],
@@ -399,68 +397,60 @@ class Client:
         newest-timestamp merging would resurrect tombstoned columns from
         a lagging follower — and followers whose answers lag it are
         read-repaired toward the leader's cells."""
-        attempts = 0
-        while True:
-            try:
-                info = self._locate(table, row)
-                leader = self.cluster.servers[info.server_name]
-                followers = [self.cluster.servers[name]
-                             for name in info.replica_servers
-                             if name in self.cluster.servers]
+        def attempt():
+            info = self._locate(table, row)
+            leader = self.cluster.servers[info.server_name]
+            followers = [self.cluster.servers[name]
+                         for name in info.replica_servers
+                         if name in self.cluster.servers]
 
-                def read_leader():
-                    result = yield from self.cluster.network.call(
-                        leader,
-                        lambda: leader.handle_get(table, row, columns,
-                                                  max_ts),
-                        source=self.name)
-                    return result
+            def read_leader():
+                result = yield from self.cluster.network.call(
+                    leader,
+                    lambda: leader.handle_get(table, row, columns, max_ts),
+                    source=self.name)
+                return result
 
-                def read_follower(follower):
-                    result, _staleness = yield from self.cluster.network.call(
-                        follower,
-                        lambda: follower.handle_replica_get(
-                            table, info.region_name, row, columns, max_ts),
-                        source=self.name)
-                    return result
+            def read_follower(follower):
+                result, _staleness = yield from self.cluster.network.call(
+                    follower,
+                    lambda: follower.handle_replica_get(
+                        table, info.region_name, row, columns, max_ts),
+                    source=self.name)
+                return result
 
-                answers = yield scatter_gather(
-                    self.cluster.sim,
-                    [read_leader] + [lambda f=f: read_follower(f)
-                                     for f in followers],
-                    max_fanout=self.max_fanout, collect_errors=True,
-                    name="quorum_get", metrics=self.cluster.metrics,
-                    site="quorum_get")
-                for answer in answers:
-                    if (isinstance(answer, BaseException)
-                            and not isinstance(answer, (ServerDownError,
-                                                        NoSuchRegionError))):
-                        raise answer
-                if isinstance(answers[0], BaseException):
-                    # No authoritative copy — surface the routing failure
-                    # and retry after recovery promotes a follower.
-                    raise answers[0]
-                quorum = (1 + len(info.replica_servers)) // 2 + 1
-                reachable = sum(1 for answer in answers
-                                if not isinstance(answer, BaseException))
-                if reachable < quorum:
-                    raise ServerDownError(
-                        f"quorum read of {table!r}/{row!r}: only "
-                        f"{reachable}/{quorum} replicas answered")
-                authoritative = answers[0]
-                yield from self._repair_followers(
-                    table, info.region_name, row, authoritative,
-                    [(follower, answer) for follower, answer
-                     in zip(followers, answers[1:])
-                     if not isinstance(answer, BaseException)])
-                self.last_read_staleness_ms = 0.0
-                return authoritative
-            except (ServerDownError, NoSuchRegionError):
-                attempts += 1
-                if attempts > self.max_route_retries:
-                    raise
-                self.refresh_layout()
-                yield Timeout(self.retry_backoff_ms)
+            answers = yield scatter_gather(
+                self.cluster.sim,
+                [read_leader] + [lambda f=f: read_follower(f)
+                                 for f in followers],
+                max_fanout=self.max_fanout, collect_errors=True,
+                name="quorum_get", metrics=self.cluster.metrics,
+                site="quorum_get")
+            for answer in answers:
+                if (isinstance(answer, BaseException)
+                        and not isinstance(answer, (ServerDownError,
+                                                    NoSuchRegionError))):
+                    raise answer
+            if isinstance(answers[0], BaseException):
+                # No authoritative copy — surface the routing failure
+                # and retry after recovery promotes a follower.
+                raise answers[0]
+            quorum = (1 + len(info.replica_servers)) // 2 + 1
+            reachable = sum(1 for answer in answers
+                            if not isinstance(answer, BaseException))
+            if reachable < quorum:
+                raise ServerDownError(
+                    f"quorum read of {table!r}/{row!r}: only "
+                    f"{reachable}/{quorum} replicas answered")
+            authoritative = answers[0]
+            yield from self._repair_followers(
+                table, info.region_name, row, authoritative,
+                [(follower, answer) for follower, answer
+                 in zip(followers, answers[1:])
+                 if not isinstance(answer, BaseException)])
+            self.last_read_staleness_ms = 0.0
+            return authoritative
+        return (yield from self._retrying(attempt))
 
     def _repair_followers(self, table: str, region_name: str, row: bytes,
                           authoritative: Dict[str, Tuple[bytes, int]],
@@ -600,37 +590,31 @@ class Client:
         rows = list(rows)
         if not rows:
             return {}
-        attempts = 0
-        while True:
-            try:
-                groups: Dict[str, List[bytes]] = {}
-                for row in rows:
-                    info = self._locate(table, row)
-                    groups.setdefault(info.server_name, []).append(row)
 
-                def one_server(server_name: str):
-                    server = self.cluster.servers[server_name]
-                    batch = groups[server_name]
-                    result = yield from self.cluster.network.call(
-                        server, lambda: server.handle_multi_get(
-                            table, batch, columns, max_ts))
-                    return result
+        def attempt():
+            groups: Dict[str, List[bytes]] = {}
+            for row in rows:
+                info = self._locate(table, row)
+                groups.setdefault(info.server_name, []).append(row)
 
-                per_server = yield scatter_gather(
-                    self.cluster.sim,
-                    [lambda n=name: one_server(n) for name in sorted(groups)],
-                    max_fanout=self.max_fanout, name="multiget",
-                    metrics=self.cluster.metrics, site="multiget")
-                merged: Dict[bytes, Dict[str, Tuple[bytes, int]]] = {}
-                for part in per_server:
-                    merged.update(part)
-                break
-            except (ServerDownError, NoSuchRegionError):
-                attempts += 1
-                if attempts > self.max_route_retries:
-                    raise
-                self.refresh_layout()
-                yield Timeout(self.retry_backoff_ms)
+            def one_server(server_name: str):
+                server = self.cluster.servers[server_name]
+                batch = groups[server_name]
+                result = yield from self.cluster.network.call(
+                    server, lambda: server.handle_multi_get(
+                        table, batch, columns, max_ts))
+                return result
+
+            per_server = yield scatter_gather(
+                self.cluster.sim,
+                [lambda n=name: one_server(n) for name in sorted(groups)],
+                max_fanout=self.max_fanout, name="multiget",
+                metrics=self.cluster.metrics, site="multiget")
+            merged: Dict[bytes, Dict[str, Tuple[bytes, int]]] = {}
+            for part in per_server:
+                merged.update(part)
+            return merged
+        merged = yield from self._retrying(attempt)
         if session is not None and not session.disabled:
             session.touch(self.cluster.sim.now())
             merged = {row: session.merge_base_row(table, row, data)
@@ -643,23 +627,16 @@ class Client:
                    limit: Optional[int] = None, is_index: bool = False,
                    ) -> Generator[Any, Any, List[Cell]]:
         """Scan ``key_range`` across every region it overlaps, in key order."""
-        attempts = 0
-        while True:
+        def attempt():
             infos = self._layout.get(table)
             if infos is None:
                 self.refresh_layout()
                 infos = self._layout.get(table)
                 if infos is None:
                     raise NoSuchTableError(table)
-            try:
-                return (yield from self._scan_attempt(
-                    table, infos, key_range, limit, is_index))
-            except (ServerDownError, NoSuchRegionError):
-                attempts += 1
-                if attempts > self.max_route_retries:
-                    raise
-                self.refresh_layout()
-                yield Timeout(self.retry_backoff_ms)
+            return self._scan_attempt(table, infos, key_range, limit,
+                                      is_index)
+        return (yield from self._retrying(attempt))
 
     def _scan_attempt(self, table, infos, key_range, limit, is_index,
                       ) -> Generator[Any, Any, List[Cell]]:
@@ -756,5 +733,6 @@ class Client:
         """Used by the sync-insert read-repair path (Algorithm 2)."""
         yield from self._routed(
             index_table, index_key,
-            lambda server: server.handle_index_delete(index_table, index_key,
-                                                      ts, background=False))
+            lambda server: server.handle_index_write(index_table, index_key,
+                                                     ts, None,
+                                                     background=False))

@@ -14,8 +14,7 @@ from typing import (Any, Dict, Generator, List, Optional, Tuple,
                     TYPE_CHECKING)
 
 from repro.errors import NoSuchIndexError, SimulationError
-from repro.core.index import (IndexDescriptor, IndexState,
-                              extract_index_values, row_index_key)
+from repro.core.index import IndexDescriptor, IndexState, row_index_entry
 from repro.core.observers import build_observers
 from repro.core.staleness import StalenessTracker
 from repro.lsm.policy import compaction_policy_from_label
@@ -27,7 +26,6 @@ from repro.cluster.counters import OpCounters
 from repro.cluster.hdfs import SimHDFS
 from repro.cluster.master import Master
 from repro.cluster.network import FaultPlan, Network
-from repro.cluster.region import compose_cell_key
 from repro.cluster.server import RegionServer, ServerConfig
 from repro.cluster.table import TableDescriptor, TableKind
 from repro.obs import MetricsRegistry, Tracer
@@ -315,7 +313,6 @@ class MiniCluster:
         Pending AUQ work from an async phase needs no special handling:
         deliveries are idempotent and timestamped, so they stay correct
         under the new scheme."""
-        from repro.core.schemes import IndexScheme
         index = self.index_descriptor(index_name)
         if index.scheme is new_scheme:
             return None
@@ -395,14 +392,10 @@ class MiniCluster:
             server = self.servers[info.server_name]
             region = server.regions[info.region_name]
             for row, row_data in region.iter_base_rows():
-                values = {col: value
-                          for col, (value, _ts) in row_data.items()}
-                tup = extract_index_values(index, values)
-                if tup is None:
+                derived = row_index_entry(index, row, row_data)
+                if derived is None:
                     continue
-                entry_ts = max(ts for col, (_v, ts) in row_data.items()
-                               if col in index.columns)
-                entry = Cell(row_index_key(index, tup, row), entry_ts, b"")
+                entry = Cell(*derived, b"")
                 target_info = self.master.locate(index.table_name, entry.key)
                 target = self.servers[target_info.server_name]
                 target_region = target.regions[target_info.region_name]
@@ -417,17 +410,11 @@ class MiniCluster:
             region = server.regions[info.region_name]
             entries = []
             for row, row_data in region.iter_base_rows():
-                values = {col: value
-                          for col, (value, _ts) in row_data.items()}
-                tup = extract_index_values(index, values)
-                if tup is None:
-                    continue
-                entry_ts = max(ts for col, (_v, ts) in row_data.items()
-                               if col in index.columns)
-                entries.append(Cell(
-                    local_entry_key(index.name,
-                                    row_index_key(index, tup, row)),
-                    entry_ts, b""))
+                derived = row_index_entry(index, row, row_data)
+                if derived is not None:
+                    key, ts = derived
+                    entries.append(Cell(local_entry_key(index.name, key), ts,
+                                        b""))
             if entries:
                 record = server.wal.append(info.region_name,
                                            index.base_table, tuple(entries))

@@ -30,15 +30,12 @@ from repro.core.auq import IndexTask, aps_worker, maintain_indexes
 from repro.core.coprocessor import IndexOpContext
 from repro.core.encoding import decode_index_key
 from repro.core.index import IndexState, extract_index_values
-from repro.core.local import (is_reserved_key, local_scan_range,
-                              plan_local_index_cells)
-from repro.core.observers import build_observers
+from repro.core.local import local_scan_range, plan_local_index_cells
 from repro.lsm.cache import BlockCache
 from repro.lsm.tree import ReadStats
 from repro.lsm.types import DELTA_MS, Cell, KeyRange
 from repro.lsm.wal import WriteAheadLog
 from repro.cluster.region import Region, compose_cell_key
-from repro.cluster.table import TableDescriptor
 from repro.replication.replica import FollowerReplica
 from repro.replication.ship import replication_ship_loop
 from repro.sim.kernel import Timeout
@@ -353,21 +350,6 @@ class RegionServer:
     # -- base-table writes -------------------------------------------------------
 
     @staticmethod
-    def _observer_hook(hook, span, *args) -> Generator[Any, Any, None]:
-        """Invoke a coprocessor hook, handing it the put/delete root span.
-
-        Third-party observers written before the observability subsystem
-        take no ``span`` parameter; a signature mismatch surfaces at
-        generator *creation* (before any body code runs), so falling back
-        on TypeError here cannot swallow an error from the hook itself.
-        """
-        try:
-            gen = hook(*args, span=span)
-        except TypeError:
-            gen = hook(*args)
-        yield from gen
-
-    @staticmethod
     def _check_row_key(row: bytes) -> None:
         """Row keys must stay out of the reserved (leading-0x00) keyspace
         that hosts local-index entries, and must not be empty."""
@@ -395,50 +377,61 @@ class RegionServer:
         self.put_inflight.increment()
         return True
 
-    def handle_put(self, table: str, row: bytes, values: Dict[str, bytes],
-                   return_old: bool = False,
-                   ) -> Generator[Any, Any, Tuple[int, Optional[Dict]]]:
+    def handle_mutate(self, table: str, row: bytes,
+                      values: Optional[Dict[str, bytes]],
+                      columns: Optional[List[str]] = None,
+                      return_old: bool = False,
+                      ) -> Generator[Any, Any, Tuple[int, Optional[Dict]]]:
         """The write path: WAL → memtable → coprocessors → ack (§2.2, Alg. 1/3).
 
-        Returns ``(ts, old_values)``; ``old_values`` is only read (and only
-        for the indexed columns) when ``return_old`` — the extra base read
-        session consistency pays for (§5.2).
+        ``values=None`` is a delete of ``columns``: a tombstone per column,
+        "handled similarly as put in LSM" (§4.3).  Returns
+        ``(ts, old_values)``; ``old_values`` is only read (and only for the
+        indexed columns) when ``return_old`` — the extra base read session
+        consistency pays for (§5.2).
         """
         self._check_row_key(row)
         gated = yield from self._gate_entry(table)
         try:
             return (yield from self._with_handler(
-                lambda: self._put_body(table, row, values, return_old)))
+                lambda: self._mutate_body(table, row, values, columns,
+                                          return_old)))
         finally:
             if gated:
                 self.put_inflight.decrement()
 
-    def _put_body(self, table: str, row: bytes, values: Dict[str, bytes],
-                  return_old: bool,
-                  ) -> Generator[Any, Any, Tuple[int, Optional[Dict]]]:
+    def _mutate_body(self, table: str, row: bytes,
+                     values: Optional[Dict[str, bytes]],
+                     columns: Optional[List[str]], return_old: bool,
+                     ) -> Generator[Any, Any, Tuple[int, Optional[Dict]]]:
         region = self._require_open_region(table, row)
         region.note_write()
         descriptor = region.table
         model = self.cluster.model
         yield region.locks.acquire(row)
-        span = self.tracer.start("put", server=self.name, table=table)
+        span = self.tracer.start("put" if values is not None else "delete",
+                                 server=self.name, table=table)
         try:
             ts = self.assign_timestamp()
 
             old_values: Optional[Dict[str, Tuple[bytes, int]]] = None
             if return_old:
-                columns = descriptor.indexed_columns()
-                if columns:
+                indexed = descriptor.indexed_columns()
+                if indexed:
                     old_values = yield from self.local_read_row(
-                        region, row, columns, max_ts=ts - 1, background=False)
+                        region, row, indexed, max_ts=ts - 1, background=False)
 
-            cells = tuple(Cell(compose_cell_key(row, col), ts, value)
-                          for col, value in sorted(values.items()))
+            if values is not None:
+                cells = tuple(Cell(compose_cell_key(row, col), ts, value)
+                              for col, value in sorted(values.items()))
+            else:
+                cells = tuple(Cell(compose_cell_key(row, col), ts, None)
+                              for col in sorted(columns))
             local_indexes = [ix for ix in descriptor.indexes.values()
                              if ix.is_local]
             if local_indexes:
                 # Local-index cells ride in the SAME WAL record as the base
-                # put: the index is crash-atomic with its row (§3.1 —
+                # mutation: the index is crash-atomic with its row (§3.1 —
                 # co-location pays off here).
                 extra = yield from plan_local_index_cells(
                     self, region, row, values, ts, local_indexes)
@@ -463,75 +456,8 @@ class RegionServer:
             self.cluster.counters.incr("base_put")
 
             for observer in self.cluster.observers_for(table):
-                yield from self._observer_hook(
-                    observer.post_put, span,
-                    self, descriptor, row, values, ts)
-            return ts, old_values
-        finally:
-            span.end()
-            region.locks.release(row)
-
-    def handle_delete(self, table: str, row: bytes, columns: List[str],
-                      return_old: bool = False,
-                      ) -> Generator[Any, Any, Tuple[int, Optional[Dict]]]:
-        """Row delete: a tombstone per column plus index maintenance —
-        "deletion is handled similarly as put in LSM" (§4.3)."""
-        self._check_row_key(row)
-        gated = yield from self._gate_entry(table)
-        try:
-            return (yield from self._with_handler(
-                lambda: self._delete_body(table, row, columns, return_old)))
-        finally:
-            if gated:
-                self.put_inflight.decrement()
-
-    def _delete_body(self, table: str, row: bytes, columns: List[str],
-                     return_old: bool,
-                     ) -> Generator[Any, Any, Tuple[int, Optional[Dict]]]:
-        region = self._require_open_region(table, row)
-        region.note_write()
-        descriptor = region.table
-        model = self.cluster.model
-        yield region.locks.acquire(row)
-        span = self.tracer.start("delete", server=self.name, table=table)
-        try:
-            ts = self.assign_timestamp()
-            old_values: Optional[Dict[str, Tuple[bytes, int]]] = None
-            if return_old:
-                indexed = descriptor.indexed_columns()
-                if indexed:
-                    old_values = yield from self.local_read_row(
-                        region, row, indexed, max_ts=ts - 1, background=False)
-            cells = tuple(Cell(compose_cell_key(row, col), ts, None)
-                          for col in sorted(columns))
-            local_indexes = [ix for ix in descriptor.indexes.values()
-                             if ix.is_local]
-            if local_indexes:
-                extra = yield from plan_local_index_cells(
-                    self, region, row, None, ts, local_indexes)
-                cells = cells + tuple(extra)
-            record = self.wal.append(region.name, table, cells,
-                                     indexed=descriptor.has_indexes)
-            wal_span = self.tracer.start("wal_append", parent=span,
-                                         server=self.name)
-            # ``use(self.log_device, ...)`` inlined: the put path is hot
-            # enough that the extra generator frame per write shows up.
-            log_device = self.log_device
-            wal_cost = model.wal_append()
-            yield log_device.acquire()
-            try:
-                if wal_cost > 0:
-                    yield Timeout(wal_cost)
-            finally:
-                log_device.release()
-            wal_span.end()
-            region.tree.add_many(cells, seqno=record.seqno)
-            yield Timeout(model.memtable_op() * len(cells))
-            self.cluster.counters.incr("base_put")
-
-            for observer in self.cluster.observers_for(table):
-                yield from self._observer_hook(
-                    observer.post_delete, span, self, descriptor, row, ts)
+                yield from observer.post_mutate(self, descriptor, row,
+                                                values, ts, span)
             return ts, old_values
         finally:
             span.end()
@@ -624,8 +550,8 @@ class RegionServer:
                 yield row_region[row].locks.acquire(row)
                 locked.append(row)
 
-            # (kind, row, values-or-None, ts) for the observer batch hook.
-            batch_rows: List[Tuple[str, bytes, Optional[Dict[str, bytes]],
+            # (row, values-or-None, ts) for the observer batch hook.
+            batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
                                    int]] = []
             for wave in waves:
                 planned = []     # (region, cells) aligned with the wave
@@ -654,7 +580,7 @@ class RegionServer:
                     wal_batch.append((region.name, table, cells,
                                       descriptor.has_indexes))
                     total_cells += len(cells)
-                    batch_rows.append((kind, row, new_values, ts))
+                    batch_rows.append((row, new_values, ts))
                     results[i] = ("ok", ts)
 
                 # Group commit: every mutation keeps its own WAL record
@@ -676,32 +602,13 @@ class RegionServer:
             # coalesced hooks plan ops per row timestamp, so wave
             # boundaries do not matter here.
             for observer in self.cluster.observers_for(table):
-                yield from self._observer_batch(observer, span,
-                                                descriptor, batch_rows)
+                yield from observer.post_batch(self, descriptor, batch_rows,
+                                               span)
             return results
         finally:
             span.end()
             for row in reversed(locked):
                 row_region[row].locks.release(row)
-
-    def _observer_batch(self, observer, span, descriptor,
-                        batch_rows) -> Generator[Any, Any, None]:
-        """Dispatch one batch of mutations to a coprocessor: the batch
-        hook when the observer has one, else the per-row hooks — so
-        third-party observers written against the single-put interface
-        keep working under multi_put."""
-        hook = getattr(observer, "post_batch", None)
-        if hook is not None:
-            yield from self._observer_hook(hook, span,
-                                           self, descriptor, batch_rows)
-            return
-        for kind, row, values, ts in batch_rows:
-            if kind == "put":
-                yield from self._observer_hook(
-                    observer.post_put, span, self, descriptor, row, values, ts)
-            else:
-                yield from self._observer_hook(
-                    observer.post_delete, span, self, descriptor, row, ts)
 
     # -- base-table reads -----------------------------------------------------
 
@@ -800,43 +707,26 @@ class RegionServer:
 
     # -- index-table operations ---------------------------------------------------
 
-    def handle_index_put(self, table: str, index_key: bytes, ts: int,
-                         background: bool = False,
-                         ) -> Generator[Any, Any, None]:
+    def handle_index_write(self, table: str, key: bytes, ts: int,
+                           value: Optional[bytes], background: bool = False,
+                           ) -> Generator[Any, Any, None]:
+        """One index entry: ``value=b""`` inserts it (PI), ``None``
+        tombstones it (DI)."""
         yield from self._with_handler(
-            lambda: self._index_put_body(table, index_key, ts, background),
+            lambda: self._index_write_body(table, key, ts, value, background),
             pool=self.index_handlers)
 
-    def _index_put_body(self, table, index_key, ts, background):
-        region = self._require_open_region(table, index_key)
+    def _index_write_body(self, table, key, ts, value, background):
+        region = self._require_open_region(table, key)
         region.note_write()
         model = self.cluster.model
-        record = self.wal.append(region.name, table,
-                                 (Cell(index_key, ts, b""),))
+        cell = Cell(key, ts, value)
+        record = self.wal.append(region.name, table, (cell,))
         yield from use(self.log_device, model.wal_append())
-        region.tree.add(Cell(index_key, ts, b""), seqno=record.seqno)
+        region.tree.add(cell, seqno=record.seqno)
         yield Timeout(model.memtable_op())
-        self.cluster.counters.incr(
-            "async_index_put" if background else "index_put")
-
-    def handle_index_delete(self, table: str, index_key: bytes, ts: int,
-                            background: bool = False,
-                            ) -> Generator[Any, Any, None]:
-        yield from self._with_handler(
-            lambda: self._index_delete_body(table, index_key, ts, background),
-            pool=self.index_handlers)
-
-    def _index_delete_body(self, table, index_key, ts, background):
-        region = self._require_open_region(table, index_key)
-        region.note_write()
-        model = self.cluster.model
-        record = self.wal.append(region.name, table,
-                                 (Cell(index_key, ts, None),))
-        yield from use(self.log_device, model.wal_append())
-        region.tree.add(Cell(index_key, ts, None), seqno=record.seqno)
-        yield Timeout(model.memtable_op())
-        self.cluster.counters.incr(
-            "async_index_delete" if background else "index_delete")
+        kind = "index_put" if value is not None else "index_delete"
+        self.cluster.counters.incr("async_" + kind if background else kind)
 
     def handle_index_ops(self, ops: List[Tuple[str, str, bytes, int]],
                          background: bool = True,
@@ -851,7 +741,7 @@ class RegionServer:
         # calling out.  Foreground (sync-scheme) deliveries come from a
         # put/multi_put handler that DOES hold its own slot, so they land
         # on the target's dedicated index pool, exactly like
-        # handle_index_put/delete.
+        # handle_index_write.
         pool = self.handlers if background else self.index_handlers
         yield from self._with_handler(
             lambda: self._index_ops_body(ops, background), pool=pool)
@@ -1052,8 +942,10 @@ class RegionServer:
 
     # -- AUQ ----------------------------------------------------------------------
 
-    def enqueue_index_task(self, task: IndexTask) -> Generator[Any, Any, None]:
-        """AU1 second half: queue the index work.
+    def enqueue_index_tasks(self, tasks: List[IndexTask],
+                            ) -> Generator[Any, Any, None]:
+        """AU1 second half: queue a mutation's (or a whole batch's) index
+        tasks under ONE enqueue charge and ONE watermark check.
 
         The intake gate is checked once, at put entry — a put that passed
         it must NOT wait here again (the drain barrier is already waiting
@@ -1061,20 +953,6 @@ class RegionServer:
         deadlock the flush).  The barrier ordering stays sound: the drain
         waits for in-flight puts *before* checking queue emptiness, so an
         entry enqueued by an admitted put is always seen."""
-        watermark = self.config.auq_high_watermark
-        if watermark is not None and len(self.auq) >= watermark:
-            yield from self._apply_degraded_sync(task)
-            return
-        yield Timeout(self.cluster.model._v(self.cluster.model.auq_enqueue_ms))
-        self.auq.put(task)
-        self.obs_auq_depth.set(len(self.auq))
-
-    def enqueue_index_tasks(self, tasks: List[IndexTask],
-                            ) -> Generator[Any, Any, None]:
-        """Batched AU1: queue one batch's index tasks under ONE enqueue
-        charge and ONE watermark check (the lock-hold coalescing of the
-        batched write path).  Same gate semantics as the single-task
-        form: the intake gate was already checked at multi_put entry."""
         if not tasks:
             return
         watermark = self.config.auq_high_watermark
@@ -1132,7 +1010,7 @@ class RegionServer:
             yield Timeout(self.config.maintenance_interval_ms)
             if not self.alive:
                 return
-            placement = getattr(self.cluster, "placement", None)
+            placement = self.cluster.placement
             for region in list(self.regions.values()):
                 if not self.alive:
                     return
@@ -1140,7 +1018,7 @@ class RegionServer:
                     yield from self.flush_region(region)
                 if region.tree.needs_compaction:
                     yield from self.compact_region(region)
-                if placement is not None and region.name in self.regions:
+                if region.name in self.regions:
                     # Split-policy check (synchronous: submits a master-
                     # side job at most; the close comes back as an RPC).
                     placement.consider_split(self, region)

@@ -18,7 +18,6 @@ from typing import Any, Dict, Generator, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import NoSuchRegionError, RpcError
 from repro.core.index import extract_index_values, row_index_key
-from repro.core.schemes import IndexScheme
 from repro.lsm.types import DELTA_MS
 from repro.sim.kernel import Timeout
 from repro.sim.scatter import scatter_gather
@@ -93,8 +92,7 @@ class IndexTask:
 def _skip_for_epoch(task: IndexTask, index: Any) -> bool:
     """True when the index was created after this task was enqueued (it
     belongs to a newer DDL epoch and this mutation must not touch it)."""
-    return (task.epoch is not None
-            and getattr(index, "created_epoch", 0) > task.epoch)
+    return task.epoch is not None and index.created_epoch > task.epoch
 
 
 def _touched_indexes(descriptor: Any, task: IndexTask) -> list:
@@ -135,6 +133,17 @@ def _fan_out(ctx: "IndexOpContext", thunks: list, site: str,
                          name=site, metrics=server.cluster.metrics, site=site)
 
 
+def _write_thunks(ctx: "IndexOpContext", ops: list, background: bool,
+                  span: Any) -> list:
+    """One single-entry index write per planned op (PI for a put, DI
+    for a del), each ready to fan out."""
+    return [(lambda op=op:
+             ctx.index_write(op[1], op[2], op[3],
+                             b"" if op[0] == "put" else None,
+                             background=background, span=span))
+            for op in ops]
+
+
 def maintain_indexes(ctx: "IndexOpContext", task: IndexTask,
                      background: bool, insert_first: bool,
                      span: Any = None) -> Generator[Any, Any, None]:
@@ -153,47 +162,14 @@ def maintain_indexes(ctx: "IndexOpContext", task: IndexTask,
     Raises :class:`RpcError` if any step ultimately fails — the caller
     decides whether to queue a retry (sync path) or back off (APS).
     """
-    touched = _touched_indexes(ctx.table_descriptor(task.table), task)
-    if not touched:
-        return
-
-    inserts = []
-    if task.new_values is not None:
-        for index in touched:
-            new_tuple = extract_index_values(index, task.new_values)
-            if new_tuple is not None:
-                inserts.append(
-                    (index, row_index_key(index, new_tuple, task.row)))
-
-    insert_thunks = [
-        (lambda index=index, key=key:
-         ctx.index_put(index.table_name, key, task.ts,
-                       background=background, span=span))
-        for index, key in inserts]
-
+    insert_thunks = _write_thunks(ctx, plan_insert_ops(ctx, task),
+                                  background, span)
     if insert_first:
         yield from _fan_out(ctx, insert_thunks, "index_pi")          # SU2
-
-    # One base read covers every index (Table 2: sync-full pays 1 Base Read).
-    columns = sorted({col for index in touched for col in index.columns})
-    old_row = yield from ctx.base_read(                              # SU3/BA2
-        task.table, task.row, columns, max_ts=task.ts - DELTA_MS,
-        background=background, span=span)
-    old_values = {col: value for col, (value, _ts) in old_row.items()}
-
-    delete_thunks = []                                               # SU4/BA3
-    for index in touched:
-        old_tuple = extract_index_values(index, old_values)
-        if old_tuple is None:
-            continue
-        old_key = row_index_key(index, old_tuple, task.row)
-        delete_thunks.append(
-            lambda index=index, old_key=old_key:
-            ctx.index_delete(index.table_name, old_key,
-                             task.ts - DELTA_MS,
-                             background=background, span=span))
-    yield from _fan_out(ctx, delete_thunks, "index_di")
-
+    dels = yield from plan_delete_ops(ctx, task, background,        # SU3/BA2
+                                      span=span)
+    yield from _fan_out(ctx, _write_thunks(ctx, dels, background, span),
+                        "index_di")                                  # SU4/BA3
     if not insert_first:
         yield from _fan_out(ctx, insert_thunks, "index_pi")          # BA4
 
@@ -203,26 +179,11 @@ def maintain_insert_only(ctx: "IndexOpContext", task: IndexTask,
     """The sync-insert update path: SU1+SU2 only, skipping SU3/SU4 (§4.2).
 
     Stale entries are left behind on purpose; the read path repairs them
-    (Algorithm 2 in :mod:`repro.core.reader`).
+    (Algorithm 2 in :mod:`repro.core.reader`).  A delete inserts nothing.
     """
-    if task.new_values is None:
-        return  # a delete inserts nothing; stale entries wait for read-repair
-    descriptor = ctx.table_descriptor(task.table)
-    for index in descriptor.indexes.values():
-        if index.is_local:
-            continue  # local indexes are maintained inside the put record
-        if task.index_names is not None and index.name not in task.index_names:
-            continue
-        if _skip_for_epoch(task, index):
-            continue
-        if not any(col in task.new_values for col in index.columns):
-            continue
-        new_tuple = extract_index_values(index, task.new_values)
-        if new_tuple is None:
-            continue
-        key = row_index_key(index, new_tuple, task.row)
-        yield from ctx.index_put(index.table_name, key, task.ts,
-                                 background=False, span=span)
+    for _kind, table, key, ts, _epoch in plan_insert_ops(ctx, task):
+        yield from ctx.index_write(table, key, ts, b"", background=False,
+                                   span=span)
 
 
 def plan_insert_ops(ctx: "IndexOpContext", task: IndexTask) -> list:
@@ -238,7 +199,7 @@ def plan_insert_ops(ctx: "IndexOpContext", task: IndexTask) -> list:
             ops.append(("put", index.table_name,
                         row_index_key(index, new_tuple, task.row),
                         task.ts,
-                        getattr(index, "created_epoch", 0)))
+                        index.created_epoch))
     return ops
 
 
@@ -263,7 +224,7 @@ def plan_delete_ops(ctx: "IndexOpContext", task: IndexTask,
             ops.append(("del", index.table_name,
                         row_index_key(index, old_tuple, task.row),
                         task.ts - DELTA_MS,
-                        getattr(index, "created_epoch", 0)))
+                        index.created_epoch))
     return ops
 
 
@@ -345,14 +306,12 @@ def live_index_ops(cluster: Any, ops: list) -> list:
     this, an in-flight op for a dropped index either spins forever
     (table gone → locate fails → infinite APS retry) or — worse — lands
     in a same-named recreated index and resurrects a pre-drop image."""
-    by_table = getattr(cluster, "index_by_table", None)
-    if by_table is None:
-        return ops
+    by_table = cluster.index_by_table
     kept = []
     for op in ops:
         if len(op) > 4:
             live = by_table.get(op[1])
-            if live is None or getattr(live, "created_epoch", 0) != op[4]:
+            if live is None or live.created_epoch != op[4]:
                 continue
         kept.append(op)
     return kept

@@ -3,13 +3,14 @@
 HBase coprocessors are the extension point Diff-Index is built on (§7):
 "they listen to and intercept each data entry made to the hosting table,
 and act based on the schemes they implement."  A :class:`RegionObserver`
-registers for ``post_put`` / ``post_delete`` (inside the put RPC, after
-the base write, before the ack) and ``pre_flush`` (the pause-and-drain
-hook of Figure 5).
+registers for ``post_mutate`` (inside the put/delete RPC, after the base
+write, before the ack; a delete is a mutation with ``values=None``, §4.3),
+``post_batch`` (the same for a multi_put batch) and ``pre_flush`` (the
+pause-and-drain hook of Figure 5).
 
 :class:`IndexOpContext` is the toolbox handed to observers and to the
-APS: routed index puts/deletes and versioned base reads, each charged to
-the simulated devices and tallied in the Table 2 counters.
+APS: routed index writes and versioned base reads, each charged to the
+simulated devices and tallied in the Table 2 counters.
 """
 
 from __future__ import annotations
@@ -31,21 +32,24 @@ class RegionObserver:
     ``span`` is the root tracing span of the enclosing put/delete RPC
     (see :mod:`repro.obs.tracing`); hooks parent their own spans to it so
     a mutation's full PI/RB/DI (or enqueue → APS-apply) story is one
-    trace tree.  Observers written without the parameter still work —
-    the server falls back to the span-less call form.
+    trace tree.
     """
 
-    def post_put(self, server: "RegionServer", table: TableDescriptor,
-                 row: bytes, values: Dict[str, bytes], ts: int,
-                 span: Any = None) -> Generator[Any, Any, None]:
+    def post_mutate(self, server: "RegionServer", table: TableDescriptor,
+                    row: bytes, values: Optional[Dict[str, bytes]], ts: int,
+                    span: Any = None) -> Generator[Any, Any, None]:
+        """One row written at ``ts``; ``values is None`` for a delete."""
         return
         yield  # pragma: no cover
 
-    def post_delete(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, ts: int, span: Any = None,
-                    ) -> Generator[Any, Any, None]:
-        return
-        yield  # pragma: no cover
+    def post_batch(self, server: "RegionServer", table: TableDescriptor,
+                   batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
+                                          int]],
+                   span: Any = None) -> Generator[Any, Any, None]:
+        """A multi_put batch as ``(row, values, ts)`` triples; by default
+        :meth:`post_mutate` once per row, in batch order."""
+        for row, values, ts in batch_rows:
+            yield from self.post_mutate(server, table, row, values, ts, span)
 
     def pre_flush(self, server: "RegionServer", region_name: str,
                   ) -> Generator[Any, Any, None]:
@@ -104,21 +108,23 @@ class IndexOpContext:
             from repro.errors import RpcError
             raise RpcError(f"no region for {index_table!r} (recovering)")
 
-    def index_put(self, index_table: str, key: bytes, ts: int,
-                  background: bool, span: Any = None,
-                  ) -> Generator[Any, Any, None]:
-        """PI: insert one key-only index entry, carrying the base ts."""
-        obs = self._span("PI", span)
+    def index_write(self, index_table: str, key: bytes, ts: int,
+                    value: Optional[bytes], background: bool,
+                    span: Any = None) -> Generator[Any, Any, None]:
+        """PI (``value=b""``: insert one key-only entry carrying the base
+        ts) or DI (``value=None``: tombstone it at ``ts`` = base
+        ``t_new − δ``)."""
+        obs = self._span("PI" if value is not None else "DI", span)
         try:
             target_server, _ = self._index_target(index_table, key)
             if target_server is self.server:
-                yield from self.server.handle_index_put(
-                    index_table, key, ts, background=background)
+                yield from self.server.handle_index_write(
+                    index_table, key, ts, value, background=background)
                 return
             yield from self.server.cluster.network.call(
                 target_server,
-                lambda: target_server.handle_index_put(index_table, key, ts,
-                                                       background=background))
+                lambda: target_server.handle_index_write(
+                    index_table, key, ts, value, background=background))
         finally:
             obs.end()
 
@@ -141,21 +147,3 @@ class IndexOpContext:
         yield from self.server.cluster.network.call(
             target,
             lambda: target.handle_index_ops(ops, background=background))
-
-    def index_delete(self, index_table: str, key: bytes, ts: int,
-                     background: bool, span: Any = None,
-                     ) -> Generator[Any, Any, None]:
-        """DI: tombstone one index entry at ``ts`` (= base ``t_new − δ``)."""
-        obs = self._span("DI", span)
-        try:
-            target_server, _ = self._index_target(index_table, key)
-            if target_server is self.server:
-                yield from self.server.handle_index_delete(
-                    index_table, key, ts, background=background)
-                return
-            yield from self.server.cluster.network.call(
-                target_server,
-                lambda: target_server.handle_index_delete(
-                    index_table, key, ts, background=background))
-        finally:
-            obs.end()

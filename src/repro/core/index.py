@@ -17,7 +17,8 @@ from repro.core.encoding import IndexableValue, encode_index_key
 from repro.core.schemes import IndexScheme
 
 __all__ = ["IndexDescriptor", "IndexScope", "IndexState", "row_index_key",
-           "extract_index_values", "INDEX_TABLE_PREFIX", "index_table_name"]
+           "row_index_entry", "extract_index_values", "INDEX_TABLE_PREFIX",
+           "index_table_name"]
 
 
 class IndexScope(enum.Enum):
@@ -140,3 +141,21 @@ def row_index_key(index: IndexDescriptor,
             f"index {index.name} expects {len(index.columns)} values, "
             f"got {len(values)}")
     return encode_index_key(values, rowkey)
+
+
+def row_index_entry(index: IndexDescriptor, rowkey: bytes,
+                    row_data: Dict[str, Tuple[Optional[bytes], int]],
+                    ) -> Optional[Tuple[bytes, int]]:
+    """The entry one stored row image derives, as ``(entry_key, base_ts)``
+    with ``base_ts`` the newest indexed cell's timestamp (the ts a
+    foreground put would have given the entry), or None when the row
+    contributes no entry (no indexed value, or no indexed cell)."""
+    values = {col: value for col, (value, _ts) in row_data.items()}
+    tup = extract_index_values(index, values)
+    if tup is None:
+        return None
+    indexed_ts = [ts for col, (_value, ts) in row_data.items()
+                  if col in index.columns]
+    if not indexed_ts:
+        return None
+    return row_index_key(index, tup, rowkey), max(indexed_ts)

@@ -17,10 +17,11 @@ they can be benchmarked like any other workload.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Generator, TYPE_CHECKING
+from typing import Any, Generator, TYPE_CHECKING
 
 from repro.core.encoding import decode_index_key
-from repro.core.index import IndexDescriptor, extract_index_values
+from repro.core.index import (IndexDescriptor, extract_index_values,
+                              row_index_entry)
 from repro.lsm.types import KeyRange
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,7 +73,6 @@ def scrub_index(cluster: "MiniCluster", client: "Client", index_name: str,
 
 def _repair_missing(cluster: "MiniCluster", client: "Client",
                     index: IndexDescriptor) -> Generator[Any, Any, int]:
-    from repro.core.index import row_index_key
     from repro.core.verify import actual_entries
 
     present = set(actual_entries(cluster, index))
@@ -83,13 +83,10 @@ def _repair_missing(cluster: "MiniCluster", client: "Client",
         if region is None:
             continue
         for row, row_data in region.iter_base_rows():
-            values = {col: value for col, (value, _ts) in row_data.items()}
-            tup = extract_index_values(index, values)
-            if tup is None:
+            derived = row_index_entry(index, row, row_data)
+            if derived is None or derived[0] in present:
                 continue
-            key = row_index_key(index, tup, row)
-            if key in present:
-                continue
+            key = derived[0]
             target_server, _region = cluster.locate(index.table_name, key)
             # A repair insert takes a FRESH timestamp: the entry's original
             # ts may be burned by a tombstone (that is why it is missing),
@@ -100,7 +97,7 @@ def _repair_missing(cluster: "MiniCluster", client: "Client",
             yield from cluster.network.call(
                 target_server,
                 lambda s=target_server, k=key, t=ts:
-                s.handle_index_put(index.table_name, k, t))
+                s.handle_index_write(index.table_name, k, t, b""))
             inserted += 1
     return inserted
 

@@ -47,28 +47,32 @@ def _owned_indexes(table: TableDescriptor,
                  if index.scheme in schemes and not index.is_local)
 
 
-def _span_id(span: Any) -> Any:
-    return getattr(span, "span_id", None)
+def _task(server: "RegionServer", table: TableDescriptor,
+          names: Tuple[str, ...], row: bytes,
+          values: Optional[Dict[str, bytes]], ts: int,
+          span: Any) -> IndexTask:
+    """The index work one mutation owes ``names``, stamped with the DDL
+    epoch and the mutation's root span."""
+    return IndexTask(table.name, row, values, ts,
+                     enqueued_at=server.sim.now(), index_names=names,
+                     span_id=getattr(span, "span_id", None),
+                     epoch=server.cluster.ddl_epoch)
 
 
 class SyncFullObserver(RegionObserver):
     SCHEMES = frozenset({IndexScheme.SYNC_FULL})
 
-    def _task(self, server: "RegionServer", table: TableDescriptor,
-              row: bytes, values, ts: int, span: Any) -> IndexTask:
-        return IndexTask(table.name, row, values, ts,
-                         enqueued_at=server.sim.now(),
-                         index_names=_owned_indexes(table, self.SCHEMES),
-                         span_id=_span_id(span),
-                         epoch=server.cluster.ddl_epoch)
-
-    def _maintain(self, server: "RegionServer", task: IndexTask,
-                  span: Any) -> Generator[Any, Any, None]:
+    def post_mutate(self, server: "RegionServer", table: TableDescriptor,
+                    row: bytes, values: Optional[Dict[str, bytes]], ts: int,
+                    span: Any = None) -> Generator[Any, Any, None]:
+        names = _owned_indexes(table, self.SCHEMES)
+        if not names:
+            return
+        task = _task(server, table, names, row, values, ts, span)
         # `fanout` tags how many indexes this mutation's PI/DI groups may
         # scatter across (the width of the parallel sync-full fan-out).
         obs = server.tracer.start("sync_index", parent=span, scheme="full",
-                                  server=server.name,
-                                  fanout=len(task.index_names or ()))
+                                  server=server.name, fanout=len(names))
         try:
             yield from maintain_indexes(server.op_context, task,
                                         background=False, insert_first=True,
@@ -81,34 +85,18 @@ class SyncFullObserver(RegionObserver):
         finally:
             obs.end()
 
-    def post_put(self, server: "RegionServer", table: TableDescriptor,
-                 row: bytes, values: Dict[str, bytes], ts: int,
-                 span: Any = None) -> Generator[Any, Any, None]:
-        task = self._task(server, table, row, values, ts, span)
-        if not task.index_names:
-            return
-        yield from self._maintain(server, task, span)
-
-    def post_delete(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, ts: int, span: Any = None,
-                    ) -> Generator[Any, Any, None]:
-        task = self._task(server, table, row, None, ts, span)
-        if not task.index_names:
-            return
-        yield from self._maintain(server, task, span)
-
     def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[str, bytes,
-                                          Optional[Dict[str, bytes]], int]],
+                   batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
+                                          int]],
                    span: Any = None) -> Generator[Any, Any, None]:
         """Coalesced Algorithm 1 for a whole multi_put batch: one PI
         phase (grouped per target region), a barrier, per-row RB, one
         grouped DI phase — §8.2's batching on the foreground path."""
-        tasks = [self._task(server, table, row, values, ts, span)
-                 for _kind, row, values, ts in batch_rows]
-        tasks = [task for task in tasks if task.index_names]
-        if not tasks:
+        names = _owned_indexes(table, self.SCHEMES)
+        if not names:
             return
+        tasks = [_task(server, table, names, row, values, ts, span)
+                 for row, values, ts in batch_rows]
         obs = server.tracer.start("sync_index_batch", parent=span,
                                   scheme="full", server=server.name,
                                   rows=len(tasks))
@@ -126,18 +114,18 @@ class SyncFullObserver(RegionObserver):
 
 
 class SyncInsertObserver(RegionObserver):
+    """SU1+SU2 only.  Deletes contribute nothing: the tombstoned row makes
+    existing entries stale, and reads repair them (Algorithm 2)."""
+
     SCHEMES = frozenset({IndexScheme.SYNC_INSERT})
 
-    def post_put(self, server: "RegionServer", table: TableDescriptor,
-                 row: bytes, values: Dict[str, bytes], ts: int,
-                 span: Any = None) -> Generator[Any, Any, None]:
-        task = IndexTask(table.name, row, values, ts,
-                         enqueued_at=server.sim.now(),
-                         index_names=_owned_indexes(table, self.SCHEMES),
-                         span_id=_span_id(span),
-                         epoch=server.cluster.ddl_epoch)
-        if not task.index_names:
+    def post_mutate(self, server: "RegionServer", table: TableDescriptor,
+                    row: bytes, values: Optional[Dict[str, bytes]], ts: int,
+                    span: Any = None) -> Generator[Any, Any, None]:
+        names = _owned_indexes(table, self.SCHEMES)
+        if values is None or not names:
             return
+        task = _task(server, table, names, row, values, ts, span)
         obs = server.tracer.start("sync_index", parent=span, scheme="insert",
                                   server=server.name)
         try:
@@ -147,36 +135,19 @@ class SyncInsertObserver(RegionObserver):
         finally:
             obs.end()
 
-    def post_delete(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, ts: int, span: Any = None,
-                    ) -> Generator[Any, Any, None]:
-        # Nothing to insert; the tombstoned row makes existing entries
-        # stale, and reads repair them (Algorithm 2).
-        return
-        yield  # pragma: no cover
-
     def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[str, bytes,
-                                          Optional[Dict[str, bytes]], int]],
+                   batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
+                                          int]],
                    span: Any = None) -> Generator[Any, Any, None]:
         """Coalesced SU1+SU2: the batch's inserts grouped per target
-        index region, one RPC + one group commit per group.  Deletes
-        contribute nothing (read-repair owns their stale entries)."""
+        index region, one RPC + one group commit per group."""
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
             return
-        tasks = [IndexTask(table.name, row, values, ts,
-                           enqueued_at=server.sim.now(), index_names=names,
-                           span_id=_span_id(span),
-                           epoch=server.cluster.ddl_epoch)
-                 for _kind, row, values, ts in batch_rows
-                 if values is not None]
-        if not tasks:
-            return
+        tasks = [_task(server, table, names, row, values, ts, span)
+                 for row, values, ts in batch_rows if values is not None]
         ctx = server.op_context
-        ops = []
-        for task in tasks:
-            ops.extend(plan_insert_ops(ctx, task))
+        ops = [op for task in tasks for op in plan_insert_ops(ctx, task)]
         if not ops:
             return
         obs = server.tracer.start("sync_index_batch", parent=span,
@@ -231,51 +202,25 @@ class ValidationObserver(RegionObserver):
 
         server.sim.spawn(deliver(), name=f"{server.name}:blind-ship")
 
-    def post_put(self, server: "RegionServer", table: TableDescriptor,
-                 row: bytes, values: Dict[str, bytes], ts: int,
-                 span: Any = None) -> Generator[Any, Any, None]:
-        task = IndexTask(table.name, row, values, ts,
-                         enqueued_at=server.sim.now(),
-                         index_names=_owned_indexes(table, self.SCHEMES),
-                         span_id=_span_id(span),
-                         epoch=server.cluster.ddl_epoch)
-        if not task.index_names:
-            return
-        ops = plan_insert_ops(server.op_context, task)
-        if ops:
-            self._ship_blind(server, [task], ops)
-        return
-        yield  # pragma: no cover
-
-    def post_delete(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, ts: int, span: Any = None,
-                    ) -> Generator[Any, Any, None]:
-        # Nothing to insert; stale entries fail validation at read time
-        # and are collected by the cleaner or the compaction purge.
-        return
-        yield  # pragma: no cover
+    def post_mutate(self, server: "RegionServer", table: TableDescriptor,
+                    row: bytes, values: Optional[Dict[str, bytes]], ts: int,
+                    span: Any = None) -> Generator[Any, Any, None]:
+        """A single mutation ships exactly as a batch of one."""
+        return self.post_batch(server, table, [(row, values, ts)], span)
 
     def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[str, bytes,
-                                          Optional[Dict[str, bytes]], int]],
+                   batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
+                                          int]],
                    span: Any = None) -> Generator[Any, Any, None]:
         """One blind ship for the whole batch's inserts, grouped per
         target index region inside ``ship_index_ops``."""
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
             return
-        tasks = [IndexTask(table.name, row, values, ts,
-                           enqueued_at=server.sim.now(), index_names=names,
-                           span_id=_span_id(span),
-                           epoch=server.cluster.ddl_epoch)
-                 for _kind, row, values, ts in batch_rows
-                 if values is not None]
-        if not tasks:
-            return
+        tasks = [_task(server, table, names, row, values, ts, span)
+                 for row, values, ts in batch_rows if values is not None]
         ctx = server.op_context
-        ops = []
-        for task in tasks:
-            ops.extend(plan_insert_ops(ctx, task))
+        ops = [op for task in tasks for op in plan_insert_ops(ctx, task)]
         if ops:
             self._ship_blind(server, tasks, ops)
         return
@@ -285,39 +230,22 @@ class ValidationObserver(RegionObserver):
 class AsyncObserver(RegionObserver):
     SCHEMES = frozenset({IndexScheme.ASYNC_SIMPLE, IndexScheme.ASYNC_SESSION})
 
-    def _enqueue(self, server: "RegionServer", task: IndexTask,
-                 span: Any) -> Generator[Any, Any, None]:
+    def post_mutate(self, server: "RegionServer", table: TableDescriptor,
+                    row: bytes, values: Optional[Dict[str, bytes]], ts: int,
+                    span: Any = None) -> Generator[Any, Any, None]:
+        names = _owned_indexes(table, self.SCHEMES)
+        if not names:
+            return
+        task = _task(server, table, names, row, values, ts, span)
         obs = server.tracer.start("enqueue", parent=span, server=server.name)
         try:
-            yield from server.enqueue_index_task(task)
+            yield from server.enqueue_index_tasks([task])
         finally:
             obs.end()
 
-    def post_put(self, server: "RegionServer", table: TableDescriptor,
-                 row: bytes, values: Dict[str, bytes], ts: int,
-                 span: Any = None) -> Generator[Any, Any, None]:
-        names = _owned_indexes(table, self.SCHEMES)
-        if not names:
-            return
-        yield from self._enqueue(server, IndexTask(
-            table.name, row, values, ts, enqueued_at=server.sim.now(),
-            index_names=names, span_id=_span_id(span),
-            epoch=server.cluster.ddl_epoch), span)
-
-    def post_delete(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, ts: int, span: Any = None,
-                    ) -> Generator[Any, Any, None]:
-        names = _owned_indexes(table, self.SCHEMES)
-        if not names:
-            return
-        yield from self._enqueue(server, IndexTask(
-            table.name, row, None, ts, enqueued_at=server.sim.now(),
-            index_names=names, span_id=_span_id(span),
-            epoch=server.cluster.ddl_epoch), span)
-
     def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[str, bytes,
-                                          Optional[Dict[str, bytes]], int]],
+                   batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
+                                          int]],
                    span: Any = None) -> Generator[Any, Any, None]:
         """Coalesced AU1: the whole batch enters the AUQ under one
         enqueue charge and one watermark check (Algorithm 3, amortised).
@@ -326,11 +254,8 @@ class AsyncObserver(RegionObserver):
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
             return
-        now = server.sim.now()
-        tasks = [IndexTask(table.name, row, values, ts, enqueued_at=now,
-                           index_names=names, span_id=_span_id(span),
-                           epoch=server.cluster.ddl_epoch)
-                 for _kind, row, values, ts in batch_rows]
+        tasks = [_task(server, table, names, row, values, ts, span)
+                 for row, values, ts in batch_rows]
         obs = server.tracer.start("enqueue_batch", parent=span,
                                   server=server.name, rows=len(tasks))
         try:

@@ -18,9 +18,9 @@ consistency table (§3.4), executable.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Set, TYPE_CHECKING
+from typing import Dict, Set, TYPE_CHECKING
 
-from repro.core.index import IndexDescriptor, extract_index_values, row_index_key
+from repro.core.index import IndexDescriptor, row_index_entry
 from repro.lsm.types import KeyRange
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,13 +61,9 @@ def expected_entries(cluster: "MiniCluster",
         if region is None:
             continue
         for row, row_data in region.iter_base_rows():
-            values = {col: value for col, (value, _ts) in row_data.items()}
-            tup = extract_index_values(index, values)
-            if tup is None:
-                continue
-            ts = max(ts for col, (_v, ts) in row_data.items()
-                     if col in index.columns)
-            out[row_index_key(index, tup, row)] = ts
+            derived = row_index_entry(index, row, row_data)
+            if derived is not None:
+                out[derived[0]] = derived[1]
     return out
 
 

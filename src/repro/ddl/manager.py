@@ -33,7 +33,7 @@ from repro.errors import (NoSuchIndexError, NoSuchRegionError,
 from repro.core.auq import live_index_ops
 from repro.core.encoding import decode_index_key
 from repro.core.index import (IndexDescriptor, IndexState,
-                              extract_index_values, row_index_key)
+                              extract_index_values, row_index_entry)
 from repro.core.schemes import IndexScheme
 from repro.lsm.types import Cell, KeyRange
 from repro.cluster.region import compose_cell_key, split_cell_key
@@ -420,21 +420,15 @@ class DdlManager:
         ops = []
         for row, row_data in rows:
             job.rows_scanned += 1
-            values = {col: value for col, (value, _ts) in row_data.items()}
-            tup = extract_index_values(index, values)
-            if tup is None:
-                continue
-            indexed_ts = [ts for col, (_v, ts) in row_data.items()
-                          if col in index.columns]
-            if not indexed_ts:
+            derived = row_index_entry(index, row, row_data)
+            if derived is None:
                 continue
             # The entry carries the BASE timestamp (max over the indexed
             # columns), so overlap with dual-writes is idempotent: a
             # foreground update at t_new has already deleted (or will
             # delete) this very key at t_new − δ ≥ this ts, whichever
             # order the cells land in.
-            ops.append(("put", index.table_name,
-                        row_index_key(index, tup, row), max(indexed_ts),
+            ops.append(("put", index.table_name, *derived,
                         index.created_epoch))
         self.obs_rows.inc(len(rows))
         yield from self._deliver_ops(ops)
@@ -565,16 +559,10 @@ class DdlManager:
             rows = _group_rows(cells)[:self.config.verify_rows_per_region]
             for row, row_data in rows:
                 job.verify_checked += 1
-                values = {col: value
-                          for col, (value, _ts) in row_data.items()}
-                tup = extract_index_values(index, values)
-                if tup is None:
+                derived = row_index_entry(index, row, row_data)
+                if derived is None:
                     continue
-                indexed_ts = [ts for col, (_v, ts) in row_data.items()
-                              if col in index.columns]
-                if not indexed_ts:
-                    continue
-                entry_key = row_index_key(index, tup, row)
+                entry_key, entry_ts = derived
                 try:
                     found = yield from self.client.scan_table(
                         index.table_name,
@@ -586,8 +574,8 @@ class DdlManager:
                     job.verify_missing += 1
                     self.obs_verify_missing.inc()
                     yield from self._deliver_ops(
-                        [("put", index.table_name, entry_key,
-                          max(indexed_ts), index.created_epoch)])
+                        [("put", index.table_name, entry_key, entry_ts,
+                          index.created_epoch)])
         # No save here: the caller fences on the owner token and persists
         # the verify counters through _finish.
 

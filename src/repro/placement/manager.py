@@ -74,11 +74,9 @@ def pick_placement_target(cluster: "MiniCluster",
                   if s.alive and s.name not in excluded]
     if not candidates:
         return None
-    placement = getattr(cluster, "placement", None)
-    if placement is not None:
-        return min(candidates,
-                   key=lambda s: (placement.score_server(s, rates), s.name))
-    return min(candidates, key=lambda s: (len(s.regions), s.name))
+    placement = cluster.placement
+    return min(candidates,
+               key=lambda s: (placement.score_server(s, rates), s.name))
 
 
 @dataclasses.dataclass

@@ -28,6 +28,7 @@ class _ClusterStub:
         self.sim = sim
         self.metrics = registry
         self.tracer = Tracer(clock=sim.now, registry=registry)
+        self.index_by_table = {}    # the stub's ops carry no epoch
         self._target = target
 
     def locate(self, table, key):

@@ -46,8 +46,8 @@ def test_index_put_routes_to_owner(cluster):
     index = cluster.index_descriptor("ix")
     some_server = next(iter(cluster.servers.values()))
     key = b"\x04hello\x00\x00row1"
-    cluster.run(some_server.op_context.index_put(
-        index.table_name, key, ts=123, background=False))
+    cluster.run(some_server.op_context.index_write(
+        index.table_name, key, ts=123, value=b"", background=False))
     owner, region_name = cluster.locate(index.table_name, key)
     region = owner.regions[region_name]
     assert region.tree.get(key) is not None
@@ -57,10 +57,10 @@ def test_index_delete_routes_and_masks(cluster):
     index = cluster.index_descriptor("ix")
     server = next(iter(cluster.servers.values()))
     key = b"\x04hello\x00\x00row1"
-    cluster.run(server.op_context.index_put(index.table_name, key, 10,
-                                            background=False))
-    cluster.run(server.op_context.index_delete(index.table_name, key, 10,
-                                               background=False))
+    cluster.run(server.op_context.index_write(index.table_name, key, 10,
+                                              b"", background=False))
+    cluster.run(server.op_context.index_write(index.table_name, key, 10,
+                                              None, background=False))
     owner, region_name = cluster.locate(index.table_name, key)
     assert owner.regions[region_name].tree.get(key) is None
 

@@ -3,7 +3,7 @@ three hooks, exactly as §7 describes the plug-in framework."""
 
 import pytest
 
-from repro import MiniCluster
+from repro import MiniCluster, MutationBatch
 from repro.core.coprocessor import RegionObserver
 
 
@@ -11,15 +11,15 @@ class RecordingObserver(RegionObserver):
     def __init__(self):
         self.puts = []
         self.deletes = []
+        self.mutations = []
         self.pre_flushes = []
 
-    def post_put(self, server, table, row, values, ts):
-        self.puts.append((row, dict(values), ts))
-        return
-        yield  # pragma: no cover
-
-    def post_delete(self, server, table, row, ts):
-        self.deletes.append((row, ts))
+    def post_mutate(self, server, table, row, values, ts, span=None):
+        self.mutations.append((row, values, ts))
+        if values is None:
+            self.deletes.append((row, ts))
+        else:
+            self.puts.append((row, dict(values), ts))
         return
         yield  # pragma: no cover
 
@@ -52,6 +52,27 @@ def test_post_delete_hook_fires(wired):
     cluster.run(client.put("t", b"r1", {"a": b"1"}))
     ts = cluster.run(client.delete("t", b"r1", columns=["a"]))
     assert observer.deletes == [(b"r1", ts)]
+
+
+def test_default_batch_hook_calls_post_mutate_per_row_in_order(wired):
+    """An observer defining only ``post_mutate`` sees every row of a
+    multi_put batch once, in batch order, deletes as ``values=None``."""
+    cluster, observer = wired
+    client = cluster.new_client()
+    cluster.run(client.put("t", b"r2", {"a": b"0"}))
+    batch = (MutationBatch("t")
+             .put(b"r3", {"a": b"1"})
+             .delete(b"r2", ["a"])
+             .put(b"r1", {"a": b"2", "b": b"3"})
+             .put(b"r3", {"a": b"4"}))
+    del observer.mutations[:]
+    timestamps = cluster.run(client.batch_mutate(batch))
+    assert observer.mutations == [
+        (b"r3", {"a": b"1"}, timestamps[0]),
+        (b"r2", None, timestamps[1]),
+        (b"r1", {"a": b"2", "b": b"3"}, timestamps[2]),
+        (b"r3", {"a": b"4"}, timestamps[3]),
+    ]
 
 
 def test_pre_flush_hook_fires(wired):
