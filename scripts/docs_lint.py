@@ -16,7 +16,11 @@ Fails CI when:
 * a user-facing doc names a member that does not exist — a backticked
   ``Class.attr`` or ``Class.attr()`` whose ``Class`` is defined under
   ``src/repro`` but has no ``attr`` (a method, property or knob like
-  ``ServerConfig.auq_high_watermark`` that was renamed or deleted).
+  ``ServerConfig.auq_high_watermark`` that was renamed or deleted);
+* a span table in DESIGN.md or OPERATIONS.md (a table whose first
+  header cell is ``Span`` or ``Site label``) lists a backticked name that
+  no ``tracer.start(...)`` / ``_span(...)`` call or ``site=`` keyword
+  under ``src/repro`` emits as a string literal.
 
 Run as ``PYTHONPATH=src python scripts/docs_lint.py`` from the repo root.
 """
@@ -36,6 +40,8 @@ USER_DOCS = ("README.md", "DESIGN.md", "OPERATIONS.md", "EXPERIMENTS.md")
 DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*){2,}")
 SRC_PATH = re.compile(r"\bsrc/repro/[\w/]+\.py\b")
 CLASS_ATTR = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)(?:\(\))?`")
+SPAN_DOCS = ("DESIGN.md", "OPERATIONS.md")
+SPAN_TABLE_HEADERS = ("Span", "Site label")
 
 
 def repro_packages() -> list:
@@ -149,6 +155,55 @@ def check_class_attributes(errors: list) -> None:
                           f"under src/repro does not have")
 
 
+def emitted_span_names() -> set:
+    """Every string literal in the name argument of a ``.start(...)`` or
+    ``._span(...)`` call, or in a ``site=`` keyword, under src/repro —
+    the span and scatter-site names the program can emit."""
+    names = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            exprs = [kw.value for kw in node.keywords if kw.arg == "site"]
+            if (isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("start", "_span")):
+                exprs += node.args[:1]
+            for expr in exprs:
+                names.update(leaf.value for leaf in ast.walk(expr)
+                             if isinstance(leaf, ast.Constant)
+                             and isinstance(leaf.value, str))
+    return names
+
+
+def span_table_names(text: str) -> list:
+    """Backticked names in the first column of every markdown table whose
+    first header cell is one of ``SPAN_TABLE_HEADERS``."""
+    names: list = []
+    in_table = in_span_table = False
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        first = line.strip("|").split("|")[0].strip()
+        if not in_table:
+            in_table, in_span_table = True, first in SPAN_TABLE_HEADERS
+        elif in_span_table:
+            names += re.findall(r"`([^`]+)`", first)
+    return names
+
+
+def dead_span_names(text: str, emitted: set) -> list:
+    return sorted(set(span_table_names(text)) - emitted)
+
+
+def check_span_names(errors: list) -> None:
+    emitted = emitted_span_names()
+    for doc in SPAN_DOCS:
+        for name in dead_span_names((REPO / doc).read_text(), emitted):
+            errors.append(f"{doc} lists span or site `{name}`, which "
+                          f"nothing under src/repro emits")
+
+
 def check_public_docstrings(errors: list) -> None:
     import repro
     for name in repro.__all__:
@@ -168,6 +223,7 @@ def main() -> int:
     check_operations_coverage(errors)
     check_module_references(errors)
     check_class_attributes(errors)
+    check_span_names(errors)
     check_public_docstrings(errors)
     if errors:
         for error in errors:

@@ -188,16 +188,25 @@ class Client:
                 values: Optional[Dict[str, bytes]],
                 columns: Optional[List[str]], session: Optional[Session],
                 ) -> Generator[Any, Any, int]:
-        """The one single-row write body; ``values=None`` deletes
-        ``columns``."""
+        """The one single-row write body: a one-row mutation list through
+        the batch RPC; ``values=None`` deletes ``columns``."""
         want_old = bool(session is not None and not session.disabled
                         and self._session_indexes(table))
         if session is not None:
             session.touch(self.cluster.sim.now())
-        ts, old = yield from self._routed(
-            table, row,
-            lambda server: server.handle_mutate(table, row, values, columns,
-                                                return_old=want_old))
+        mutation = (("put", row, values) if values is not None
+                    else ("del", row, columns))
+
+        def write(server):
+            (outcome,) = yield from server.handle_mutate(
+                table, [mutation], return_old=want_old)
+            if outcome[0] != "ok":
+                # A stale route, as if the server had raised it: _routed
+                # refreshes the layout and retries.
+                raise NoSuchRegionError(outcome[1])
+            return outcome
+
+        _ok, ts, old = yield from self._routed(table, row, write)
         if want_old:
             old_values = {col: value
                           for col, (value, _ts) in (old or {}).items()}
@@ -213,8 +222,9 @@ class Client:
     def batch_put(self, table: str,
                   items: Sequence[Tuple[bytes, Dict[str, bytes]]],
                   ) -> Generator[Any, Any, List[int]]:
-        """Batched put: apply ``(row, values)`` pairs via the multi_put
-        RPC path; returns the assigned timestamps in input order."""
+        """Batched put: apply ``(row, values)`` pairs via
+        :meth:`batch_mutate`; returns the assigned timestamps in input
+        order."""
         batch = MutationBatch(table)
         for row, values in items:
             batch.put(row, values)
@@ -224,7 +234,7 @@ class Client:
     def batch_mutate(self, batch: MutationBatch,
                      ) -> Generator[Any, Any, List[int]]:
         """Apply a :class:`MutationBatch`: group the rows by hosting
-        server from the cached layout, issue ONE ``handle_multi_put`` RPC
+        server from the cached layout, issue ONE ``handle_mutate`` RPC
         per server (scatter), and return the per-row timestamps in input
         order.
 
@@ -269,7 +279,7 @@ class Client:
                 server = self.cluster.servers[server_name]
                 sub = [mutations[i] for i in groups[server_name]]
                 outcomes = yield from self.cluster.network.call(
-                    server, lambda: server.handle_multi_put(table, sub))
+                    server, lambda: server.handle_mutate(table, sub))
                 return outcomes
 
             # collect_errors: one group hitting a stale route must not
@@ -290,9 +300,9 @@ class Client:
                     continue
                 if isinstance(outcomes, BaseException):
                     raise outcomes
-                for i, (status, payload) in zip(indices, outcomes):
-                    if status == "ok":
-                        results[i] = payload
+                for i, outcome in zip(indices, outcomes):
+                    if outcome[0] == "ok":
+                        results[i] = outcome[1]
                     else:          # ("retry", reason): only this row
                         retry.append(i)
             pending = sorted(retry)
@@ -733,6 +743,5 @@ class Client:
         """Used by the sync-insert read-repair path (Algorithm 2)."""
         yield from self._routed(
             index_table, index_key,
-            lambda server: server.handle_index_write(index_table, index_key,
-                                                     ts, None,
-                                                     background=False))
+            lambda server: server.handle_index_ops(
+                [("del", index_table, index_key, ts)], background=False))

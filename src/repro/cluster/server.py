@@ -26,7 +26,8 @@ from typing import (Any, Dict, Generator, List, Optional, Set, Tuple,
 
 from repro.errors import (EncodingError, NoSuchRegionError, RpcError,
                           ServerDownError)
-from repro.core.auq import IndexTask, aps_worker, maintain_indexes
+from repro.core.auq import (IndexTask, aps_worker, live_index_ops,
+                            maintain_indexes)
 from repro.core.coprocessor import IndexOpContext
 from repro.core.encoding import decode_index_key
 from repro.core.index import IndexState, extract_index_values
@@ -377,107 +378,24 @@ class RegionServer:
         self.put_inflight.increment()
         return True
 
-    def handle_mutate(self, table: str, row: bytes,
-                      values: Optional[Dict[str, bytes]],
-                      columns: Optional[List[str]] = None,
+    def handle_mutate(self, table: str,
+                      mutations: List[Tuple[str, bytes, Any]],
                       return_old: bool = False,
-                      ) -> Generator[Any, Any, Tuple[int, Optional[Dict]]]:
-        """The write path: WAL → memtable → coprocessors → ack (§2.2, Alg. 1/3).
-
-        ``values=None`` is a delete of ``columns``: a tombstone per column,
-        "handled similarly as put in LSM" (§4.3).  Returns
-        ``(ts, old_values)``; ``old_values`` is only read (and only for the
-        indexed columns) when ``return_old`` — the extra base read session
-        consistency pays for (§5.2).
-        """
-        self._check_row_key(row)
-        gated = yield from self._gate_entry(table)
-        try:
-            return (yield from self._with_handler(
-                lambda: self._mutate_body(table, row, values, columns,
-                                          return_old)))
-        finally:
-            if gated:
-                self.put_inflight.decrement()
-
-    def _mutate_body(self, table: str, row: bytes,
-                     values: Optional[Dict[str, bytes]],
-                     columns: Optional[List[str]], return_old: bool,
-                     ) -> Generator[Any, Any, Tuple[int, Optional[Dict]]]:
-        region = self._require_open_region(table, row)
-        region.note_write()
-        descriptor = region.table
-        model = self.cluster.model
-        yield region.locks.acquire(row)
-        span = self.tracer.start("put" if values is not None else "delete",
-                                 server=self.name, table=table)
-        try:
-            ts = self.assign_timestamp()
-
-            old_values: Optional[Dict[str, Tuple[bytes, int]]] = None
-            if return_old:
-                indexed = descriptor.indexed_columns()
-                if indexed:
-                    old_values = yield from self.local_read_row(
-                        region, row, indexed, max_ts=ts - 1, background=False)
-
-            if values is not None:
-                cells = tuple(Cell(compose_cell_key(row, col), ts, value)
-                              for col, value in sorted(values.items()))
-            else:
-                cells = tuple(Cell(compose_cell_key(row, col), ts, None)
-                              for col in sorted(columns))
-            local_indexes = [ix for ix in descriptor.indexes.values()
-                             if ix.is_local]
-            if local_indexes:
-                # Local-index cells ride in the SAME WAL record as the base
-                # mutation: the index is crash-atomic with its row (§3.1 —
-                # co-location pays off here).
-                extra = yield from plan_local_index_cells(
-                    self, region, row, values, ts, local_indexes)
-                cells = cells + tuple(extra)
-            record = self.wal.append(region.name, table, cells,
-                                     indexed=descriptor.has_indexes)
-            wal_span = self.tracer.start("wal_append", parent=span,
-                                         server=self.name)
-            # ``use(self.log_device, ...)`` inlined: the put path is hot
-            # enough that the extra generator frame per write shows up.
-            log_device = self.log_device
-            wal_cost = model.wal_append()
-            yield log_device.acquire()
-            try:
-                if wal_cost > 0:
-                    yield Timeout(wal_cost)
-            finally:
-                log_device.release()
-            wal_span.end()
-            region.tree.add_many(cells, seqno=record.seqno)
-            yield Timeout(model.memtable_op() * len(cells))
-            self.cluster.counters.incr("base_put")
-
-            for observer in self.cluster.observers_for(table):
-                yield from observer.post_mutate(self, descriptor, row,
-                                                values, ts, span)
-            return ts, old_values
-        finally:
-            span.end()
-            region.locks.release(row)
-
-    # -- batched base-table writes ---------------------------------------------
-
-    def handle_multi_put(self, table: str,
-                         mutations: List[Tuple[str, bytes, Any]],
-                         ) -> Generator[Any, Any, List[Tuple[str, Any]]]:
-        """Batched write path: apply several row mutations under ONE
-        handler slot and ONE group-committed WAL write (§8.2's batching,
-        foregrounded).
+                      ) -> Generator[Any, Any, List[Tuple]]:
+        """The write path: WAL → memtable → coprocessors → ack (§2.2,
+        Alg. 1/3), for one row or a batch under ONE handler slot and ONE
+        group-committed WAL write (§8.2's batching, foregrounded).
 
         ``mutations`` is a list of ``("put", row, values_dict)`` or
-        ``("del", row, columns_list)``.  Returns a result per mutation, in
-        input order: ``("ok", ts)`` for applied rows, ``("retry", reason)``
-        for rows this server cannot serve (region moved, or closing for a
-        split) — a partial batch never fails the whole RPC, the client
-        re-routes just the rejected rows.
+        ``("del", row, columns_list)``; a delete is a tombstone per column,
+        "handled similarly as put in LSM" (§4.3).  Returns a result per
+        mutation, in input order: ``("ok", ts, old_values)`` for applied
+        rows, ``("retry", reason)`` for rows this server cannot serve
+        (region moved, or closing for a split) — a partial batch never
+        fails the whole RPC, the client re-routes just the rejected rows.
+        ``old_values`` is read (only for the indexed columns, at ts − 1)
+        only when ``return_old`` — the extra base read session
+        consistency pays for (§5.2); otherwise it is None.
 
         Lock-ordering rule: row locks are taken in sorted key order (each
         row from its own region's lock table) and released in reverse, so
@@ -488,17 +406,18 @@ class RegionServer:
         gated = yield from self._gate_entry(table)
         try:
             return (yield from self._with_handler(
-                lambda: self._multi_put_body(table, mutations)))
+                lambda: self._apply_mutations(table, mutations, return_old)))
         finally:
             if gated:
                 self.put_inflight.decrement()
 
-    def _multi_put_body(self, table: str,
-                        mutations: List[Tuple[str, bytes, Any]],
-                        ) -> Generator[Any, Any, List[Tuple[str, Any]]]:
+    def _apply_mutations(self, table: str,
+                         mutations: List[Tuple[str, bytes, Any]],
+                         return_old: bool,
+                         ) -> Generator[Any, Any, List[Tuple]]:
         model = self.cluster.model
         descriptor = self.cluster.descriptor(table)
-        results: List[Optional[Tuple[str, Any]]] = [None] * len(mutations)
+        results: List[Optional[Tuple]] = [None] * len(mutations)
 
         # Admission: route every row to a hosted OPEN region; rejected
         # rows answer ("retry", ...) individually instead of poisoning
@@ -516,40 +435,39 @@ class RegionServer:
 
         local_indexes = [ix for ix in descriptor.indexes.values()
                          if ix.is_local]
-        # Wave split: local-index planning reads the old row at ts−δ, so
-        # a duplicate row inside one batch must see its earlier mutation
-        # already in the memtable — each wave holds distinct rows and gets
-        # its own group commit.  Without local indexes no such read
-        # happens and the whole batch is one wave.
-        waves: List[List[Tuple[int, str, bytes, Any, Region]]]
-        if local_indexes:
-            waves = []
-            current: List[Tuple[int, str, bytes, Any, Region]] = []
-            seen: set = set()
+        indexed = descriptor.indexed_columns() if return_old else None
+        # Wave split: local-index planning and the session's old-row read
+        # look at the row below its new ts, so a duplicate row inside one
+        # batch must see its earlier mutation already in the memtable —
+        # each wave holds distinct rows and gets its own group commit.
+        # Without such a read the whole batch is one wave.
+        waves = [admitted]
+        if (local_indexes or indexed) and len(admitted) > 1:
+            waves, seen = [[]], set()
             for item in admitted:
                 if item[2] in seen:
-                    waves.append(current)
-                    current, seen = [], set()
-                current.append(item)
+                    waves.append([])
+                    seen = set()
+                waves[-1].append(item)
                 seen.add(item[2])
-            if current:
-                waves.append(current)
-        else:
-            waves = [admitted]
 
         # Row locks: sorted unique key order, duplicates share one
-        # acquisition, reverse-order release (see handle_multi_put).
+        # acquisition, reverse-order release (see handle_mutate).
         row_region: Dict[bytes, Region] = {}
         for item in admitted:
             row_region.setdefault(item[2], item[4])
         locked: List[bytes] = []
-        span = self.tracer.start("multi_put", server=self.name, table=table,
-                                 rows=len(mutations))
+        span = None
         try:
             for row in sorted(row_region):
                 yield row_region[row].locks.acquire(row)
                 locked.append(row)
-
+            # The root span starts once the rows are locked, so a put's
+            # span times its write, not its wait for the row lock.
+            span = self.tracer.start(
+                "multi_put" if len(mutations) > 1
+                else "put" if mutations[0][0] == "put" else "delete",
+                server=self.name, table=table, rows=len(mutations))
             # (row, values-or-None, ts) for the observer batch hook.
             batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
                                    int]] = []
@@ -560,6 +478,11 @@ class RegionServer:
                 for i, kind, row, payload, region in wave:
                     region.note_write()
                     ts = self.assign_timestamp()
+                    old_values = None
+                    if indexed:
+                        old_values = yield from self.local_read_row(
+                            region, row, indexed, max_ts=ts - 1,
+                            background=False)
                     if kind == "put":
                         cells = tuple(
                             Cell(compose_cell_key(row, col), ts, value)
@@ -571,8 +494,9 @@ class RegionServer:
                             for col in sorted(payload))
                         new_values = None
                     if local_indexes:
-                        # Same-record local index cells: crash-atomic with
-                        # the base row, exactly as the single-put path.
+                        # Local-index cells ride in the SAME WAL record as
+                        # the base mutation: the index is crash-atomic with
+                        # its row (§3.1 — co-location pays off here).
                         extra = yield from plan_local_index_cells(
                             self, region, row, new_values, ts, local_indexes)
                         cells = cells + tuple(extra)
@@ -581,16 +505,24 @@ class RegionServer:
                                       descriptor.has_indexes))
                     total_cells += len(cells)
                     batch_rows.append((row, new_values, ts))
-                    results[i] = ("ok", ts)
+                    results[i] = ("ok", ts, old_values)
 
                 # Group commit: every mutation keeps its own WAL record
                 # and seqno; the log device is charged ONCE per wave.
                 records = self.wal.append_batch(wal_batch)
-                wal_span = self.tracer.start("wal_group_append", parent=span,
+                wal_span = self.tracer.start("wal_append", parent=span,
                                              server=self.name,
                                              records=len(records))
-                yield from use(self.log_device,
-                               model.wal_group_append(len(records)))
+                # ``use(self.log_device, ...)`` inlined: the put path is
+                # hot enough that the extra generator frame shows up.
+                log_device = self.log_device
+                wal_cost = model.wal_group_append(len(records))
+                yield log_device.acquire()
+                try:
+                    if wal_cost > 0:
+                        yield Timeout(wal_cost)
+                finally:
+                    log_device.release()
                 wal_span.end()
                 self.obs_wal_group.observe(len(records))
                 for (region, cells), record in zip(planned, records):
@@ -599,14 +531,15 @@ class RegionServer:
             self.cluster.counters.incr("base_put", len(admitted))
 
             # Index maintenance over the WHOLE batch (all waves): the
-            # coalesced hooks plan ops per row timestamp, so wave
-            # boundaries do not matter here.
+            # hooks plan ops per row timestamp, so wave boundaries do not
+            # matter here.
             for observer in self.cluster.observers_for(table):
                 yield from observer.post_batch(self, descriptor, batch_rows,
                                                span)
             return results
         finally:
-            span.end()
+            if span is not None:
+                span.end()
             for row in reversed(locked):
                 row_region[row].locks.release(row)
 
@@ -707,92 +640,62 @@ class RegionServer:
 
     # -- index-table operations ---------------------------------------------------
 
-    def handle_index_write(self, table: str, key: bytes, ts: int,
-                           value: Optional[bytes], background: bool = False,
-                           ) -> Generator[Any, Any, None]:
-        """One index entry: ``value=b""`` inserts it (PI), ``None``
-        tombstones it (DI)."""
-        yield from self._with_handler(
-            lambda: self._index_write_body(table, key, ts, value, background),
-            pool=self.index_handlers)
-
-    def _index_write_body(self, table, key, ts, value, background):
-        region = self._require_open_region(table, key)
-        region.note_write()
-        model = self.cluster.model
-        cell = Cell(key, ts, value)
-        record = self.wal.append(region.name, table, (cell,))
-        yield from use(self.log_device, model.wal_append())
-        region.tree.add(cell, seqno=record.seqno)
-        yield Timeout(model.memtable_op())
-        kind = "index_put" if value is not None else "index_delete"
-        self.cluster.counters.incr("async_" + kind if background else kind)
-
     def handle_index_ops(self, ops: List[Tuple[str, str, bytes, int]],
                          background: bool = True,
                          ) -> Generator[Any, Any, None]:
-        """Apply a batch of index puts/deletes under one handler slot and
-        one group-committed WAL write (APS batching, and the coalesced
-        index maintenance of the batched foreground path)."""
-        # Pool selection mirrors the single-op handlers: background
-        # (APS) deliveries compete for the REGULAR handler pool — the
-        # "background AUQ competes for system resource" effect of §8.2 —
-        # which is deadlock-safe because the APS holds no handler while
-        # calling out.  Foreground (sync-scheme) deliveries come from a
-        # put/multi_put handler that DOES hold its own slot, so they land
-        # on the target's dedicated index pool, exactly like
-        # handle_index_write.
+        """The index write path: apply ``("put"|"del", index_table, key,
+        ts[, epoch])`` ops under one handler slot and one group-committed
+        WAL write.  A put inserts a key-only entry carrying the base ts
+        (PI); a del tombstones it (DI).  Every index entry lands here —
+        sync maintenance, blind ships, APS deliveries and repairs alike."""
+        # Background (APS, blind-ship) deliveries compete for the REGULAR
+        # handler pool — the "background AUQ competes for system resource"
+        # effect of §8.2 — which is deadlock-safe because their caller
+        # holds no handler while calling out.  Foreground deliveries come
+        # from a put handler that DOES hold its own slot, so they land on
+        # the target's dedicated index pool.
         pool = self.handlers if background else self.index_handlers
         yield from self._with_handler(
             lambda: self._index_ops_body(ops, background), pool=pool)
 
     def _index_ops_body(self, ops, background):
         model = self.cluster.model
-        counters = self.cluster.counters
-        # Plan the whole batch FIRST, then append it as one group commit:
-        # a mid-batch routing error (region split/moved under us) leaves
-        # nothing applied, so the caller's whole-delivery retry cannot
-        # double-count — and the counters below only ever see ops that
-        # actually landed.
-        planned: List[Tuple[Region, str, Cell]] = []
-        puts = dels = 0
-        for op in ops:
-            kind, table, key, ts = op[0], op[1], op[2], op[3]
-            if len(op) > 4:
-                # Epoch-tagged op (APS / DDL backfill): drop it if the
-                # target index was dropped — or dropped and recreated —
-                # since the op was planned.  Applying it anyway would
-                # resurrect a pre-drop image in the new index.
-                live = self.cluster.index_by_table.get(table)
-                if live is None or live.created_epoch != op[4]:
-                    continue
-            region = self._require_open_region(table, key)
-            value = b"" if kind == "put" else None
-            planned.append((region, table, Cell(key, ts, value)))
-            if kind == "put":
-                puts += 1
-            else:
-                dels += 1
-        if not planned:
+        # Re-checked on arrival: an index dropped (or dropped and
+        # recreated) while the ops were in flight must not get them.
+        live = live_index_ops(self.cluster, ops)
+        if not live:
             return
-        # Group commit: one sequential write covers the whole batch; the
-        # per-record cost beyond the first is the marginal buffer copy.
-        records = self.wal.append_batch(
-            [(region.name, table, (cell,), False)
-             for region, table, cell in planned])
-        for (region, _table, cell), record in zip(planned, records):
+        # One group commit covers the batch: the first record pays the
+        # sequential write, the rest the marginal buffer copy.  A
+        # foreground caller's entries become visible once logged; a
+        # background delivery's as soon as they land.  Either way the ops
+        # are routed and applied in ONE step with no yield in between, so
+        # a region that moves during the log charge is never written, and a
+        # mid-batch routing error leaves nothing applied — the caller's
+        # whole-delivery retry cannot double-count.
+        wal_cost = model.wal_group_append(len(live))
+        if not background:
+            yield from use(self.log_device, wal_cost)
+        routed = [(self._require_open_region(op[1], op[2]), op)
+                  for op in live]
+        puts = 0
+        for region, (kind, table, key, ts, *_epoch) in routed:
+            cell = Cell(key, ts, b"" if kind == "put" else None)
+            record = self.wal.append(region.name, table, (cell,))
             region.note_write()
             region.tree.add(cell, seqno=record.seqno)
-        applied = len(planned)
-        yield from use(self.log_device, model.wal_group_append(applied))
-        self.obs_wal_group.observe(applied)
-        yield Timeout(model.memtable_op() * applied)
+            puts += kind == "put"
+        if background:
+            yield from use(self.log_device, wal_cost)
+        self.obs_wal_group.observe(len(live))
+        yield Timeout(model.memtable_op() * len(live))
+        counters = self.cluster.counters
         if puts:
             counters.incr("async_index_put" if background else "index_put",
                           puts)
-        if dels:
+        if puts < len(live):
             counters.incr("async_index_delete" if background
-                          else "index_delete", dels)
+                          else "index_delete", len(live) - puts)
 
     def handle_index_scan(self, table: str, key_range: KeyRange,
                           limit: Optional[int] = None,
@@ -968,14 +871,16 @@ class RegionServer:
     def _apply_degraded_sync(self, task: IndexTask) -> Generator[Any, Any, None]:
         """AUQ overflow fallback: at the high watermark the enqueue runs
         the maintenance synchronously (Algorithm 4 order, §4's bounded-queue
-        degradation) instead of deepening the backlog.  Deadlock-safe for
-        the same reason the sync-full path is: remote index ops land on the
-        target's dedicated index-handler pool.  On RPC failure the task
-        falls back into the queue — correctness over backpressure."""
+        degradation) instead of deepening the backlog.  It runs inside the
+        put, before the ack, so it is foreground work: its index ops land on
+        the target's dedicated index-handler pool (deadlock-safe for the
+        same reason the sync-full path is) and count as synchronous ops in
+        Table 2.  On RPC failure the task falls back into the queue —
+        correctness over backpressure."""
         self.obs_auq_degraded.inc()
         try:
-            yield from maintain_indexes(self.op_context, task,
-                                        background=True, insert_first=False)
+            yield from maintain_indexes(self.op_context, [task],
+                                        background=False, insert_first=False)
         except (NoSuchRegionError, RpcError):
             # NoSuchRegionError: the target index region moved (split or
             # migration) between locate and delivery — same retry story as

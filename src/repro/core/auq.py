@@ -8,8 +8,11 @@ receives *failed* synchronous index operations — the paper's §6.2
 durability degradation: a sync-full put whose index RPC fails is not
 rolled back, its maintenance is retried here until it succeeds.
 
-The shared maintenance routine :func:`maintain_indexes` is used by both
-the synchronous observers and the APS so the two paths cannot drift.
+Every path plans with the same :func:`plan_insert_ops` /
+:func:`plan_delete_ops` and lands through ``handle_index_ops``:
+:func:`maintain_indexes` (sync-full, and the AUQ's degraded apply) and
+the validation blind ship via :func:`ship_index_ops`, the APS via its
+own per-target retry loop — so the paths cannot drift.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from repro.sim.scatter import scatter_gather
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.coprocessor import IndexOpContext
 
-__all__ = ["IndexTask", "maintain_indexes", "maintain_indexes_batch",
-           "aps_worker", "live_index_ops", "plan_insert_ops",
-           "plan_delete_ops", "ship_index_ops",
+__all__ = ["IndexTask", "maintain_indexes", "aps_worker", "live_index_ops",
+           "plan_insert_ops", "plan_delete_ops", "ship_index_ops",
            "APS_RETRY_BACKOFF_MS", "APS_RETRY_BACKOFF_CAP_MS"]
 
 APS_RETRY_BACKOFF_MS = 5.0
@@ -113,77 +115,43 @@ def _touched_indexes(descriptor: Any, task: IndexTask) -> list:
     return touched
 
 
-def _fan_out(ctx: "IndexOpContext", thunks: list, site: str,
-             ) -> Generator[Any, Any, None]:
-    """Run one statement group (all PIs, or all DIs) in parallel.
-
-    The group members target *distinct* index tables (one op per index),
-    so they commute; the group boundary is a barrier, which is what keeps
-    the per-index SU2→SU3→SU4 (or BA2→BA3→BA4) statement order intact.
-    A single op skips the scatter machinery entirely.
-    """
-    if not thunks:
-        return
-    if len(thunks) == 1:
-        yield from thunks[0]()
-        return
-    server = ctx.server
-    yield scatter_gather(server.sim, thunks,
-                         max_fanout=server.config.scatter_max_fanout,
-                         name=site, metrics=server.cluster.metrics, site=site)
-
-
-def _write_thunks(ctx: "IndexOpContext", ops: list, background: bool,
-                  span: Any) -> list:
-    """One single-entry index write per planned op (PI for a put, DI
-    for a del), each ready to fan out."""
-    return [(lambda op=op:
-             ctx.index_write(op[1], op[2], op[3],
-                             b"" if op[0] == "put" else None,
-                             background=background, span=span))
-            for op in ops]
-
-
-def maintain_indexes(ctx: "IndexOpContext", task: IndexTask,
-                     background: bool, insert_first: bool,
+def maintain_indexes(ctx: "IndexOpContext", tasks: list, background: bool,
+                     insert_first: bool,
                      span: Any = None) -> Generator[Any, Any, None]:
-    """Run PI / RB / DI for every index the mutation touches.
+    """Run PI / RB / DI for every index the tasks' mutations touch, as
+    three phases over the whole list (§8.2's batching; one task is a
+    batch of one):
+
+    1. PI ops for every task, shipped by :func:`ship_index_ops` — one
+       RPC and one group commit per target server;
+    2. one versioned base read per task at its own ``ts − δ``;
+    3. DI ops, shipped the same way.
 
     ``insert_first`` selects the statement order: the synchronous path
-    follows Algorithm 1 (SU2 insert, SU3 read, SU4 delete); the APS
-    follows Algorithm 4 (BA2 read, BA3 delete, BA4 insert).  Both orders
-    converge because entries carry base timestamps.
+    follows Algorithm 1 (SU2 insert, SU3 read, SU4 delete); the degraded
+    AUQ apply follows Algorithm 4 (BA2 read, BA3 delete, BA4 insert).
+    Both orders converge because entries carry base timestamps.  Each
+    phase boundary is a barrier, so the statement order holds for every
+    row at once; no timestamp is assigned inside a phase (every entry
+    carries the base ts fixed at SU1), so parallel landing order cannot
+    perturb the δ arithmetic of §4.3.
 
-    Ops within one statement group fan out to their (distinct) index
-    regions in parallel; no timestamp is assigned inside the group (every
-    entry carries the base ts fixed at SU1), so parallel landing order
-    cannot perturb the δ arithmetic of §4.3.
-
-    Raises :class:`RpcError` if any step ultimately fails — the caller
-    decides whether to queue a retry (sync path) or back off (APS).
+    Raises on a stale route (``NoSuchRegionError``) or a lost RPC — the
+    caller decides whether to queue a retry.
     """
-    insert_thunks = _write_thunks(ctx, plan_insert_ops(ctx, task),
-                                  background, span)
-    if insert_first:
-        yield from _fan_out(ctx, insert_thunks, "index_pi")          # SU2
-    dels = yield from plan_delete_ops(ctx, task, background,        # SU3/BA2
-                                      span=span)
-    yield from _fan_out(ctx, _write_thunks(ctx, dels, background, span),
-                        "index_di")                                  # SU4/BA3
-    if not insert_first:
-        yield from _fan_out(ctx, insert_thunks, "index_pi")          # BA4
-
-
-def maintain_insert_only(ctx: "IndexOpContext", task: IndexTask,
-                         span: Any = None) -> Generator[Any, Any, None]:
-    """The sync-insert update path: SU1+SU2 only, skipping SU3/SU4 (§4.2).
-
-    Stale entries are left behind on purpose; the read path repairs them
-    (Algorithm 2 in :mod:`repro.core.reader`).  A delete inserts nothing.
-    """
-    for _kind, table, key, ts, _epoch in plan_insert_ops(ctx, task):
-        yield from ctx.index_write(table, key, ts, b"", background=False,
-                                   span=span)
+    inserts = [op for task in tasks for op in plan_insert_ops(ctx, task)]
+    if insert_first:                                                 # SU2
+        yield from ship_index_ops(ctx, inserts, background, site="PI",
+                                  span=span)
+    deletes = []
+    for task in tasks:                                               # SU3/BA2
+        deletes += yield from plan_delete_ops(ctx, task, background,
+                                              span=span)
+    yield from ship_index_ops(ctx, deletes, background, site="DI",  # SU4/BA3
+                              span=span)
+    if not insert_first:                                             # BA4
+        yield from ship_index_ops(ctx, inserts, background, site="PI",
+                                  span=span)
 
 
 def plan_insert_ops(ctx: "IndexOpContext", task: IndexTask) -> list:
@@ -241,13 +209,15 @@ def plan_index_ops(ctx: "IndexOpContext", task: IndexTask,
 
 def ship_index_ops(ctx: "IndexOpContext", ops: list, background: bool,
                    site: str, span: Any = None) -> Generator[Any, Any, None]:
-    """Deliver ONE statement group's ops as per-target batched RPCs.
+    """Deliver ONE statement group's ops (all PIs, or all DIs) as
+    per-target batched RPCs, under one span named ``site``.
 
     Ops bound for the same region server travel in one
     ``handle_index_ops`` call and share one group-committed WAL write;
-    distinct targets fan out in parallel.  The call returns only when
-    every delivery landed — it is the statement-group barrier of the
-    batched foreground path (all PIs before any DI leaves).
+    distinct targets fan out in parallel (a single target skips the
+    scatter machinery).  The call returns only when every delivery
+    landed — it is the statement-group barrier that keeps the
+    SU2→SU3→SU4 (or BA2→BA3→BA4) order intact.
 
     Raises on a stale route (``NoSuchRegionError``) or lost RPC; the
     caller owns the retry/degrade policy.
@@ -255,47 +225,26 @@ def ship_index_ops(ctx: "IndexOpContext", ops: list, background: bool,
     ops = live_index_ops(ctx.server.cluster, ops)
     if not ops:
         return
+    server = ctx.server
     groups: Dict[Any, list] = {}
     for op in ops:
-        target, _region = ctx.server.cluster.locate(op[1], op[2])
+        target, _region = server.cluster.locate(op[1], op[2])
         groups.setdefault(target, []).append(op)
     obs = ctx._span(site, span)
     try:
-        thunks = [(lambda t=target, group=group:
-                   ctx.index_ops_batch(t, group, background=background))
-                  for target, group in groups.items()]
-        yield from _fan_out(ctx, thunks, site)
+        if len(groups) == 1:
+            [(target, group)] = groups.items()
+            yield from ctx.index_ops_batch(target, group, background)
+            return
+        yield scatter_gather(
+            server.sim,
+            [(lambda t=target, group=group:
+              ctx.index_ops_batch(t, group, background))
+             for target, group in groups.items()],
+            max_fanout=server.config.scatter_max_fanout,
+            name=site, metrics=server.cluster.metrics, site=site)
     finally:
         obs.end()
-
-
-def maintain_indexes_batch(ctx: "IndexOpContext", tasks: list,
-                           span: Any = None) -> Generator[Any, Any, None]:
-    """§8.2's batching applied to the FOREGROUND sync-full path: run
-    Algorithm 1 for a whole multi_put batch as three phases —
-
-    1. SU2: PI ops for EVERY row, grouped per target index region, one
-       RPC + one group commit per group;
-    2. SU3: one versioned base read per row at its own ``ts − δ``;
-    3. SU4: DI ops grouped and shipped the same way.
-
-    The phase boundary is a barrier, so the PI-before-DI statement-group
-    order holds for every row at once; each row keeps the timestamps
-    fixed at its SU1, so coalescing cannot perturb the δ arithmetic or
-    the per-row staleness semantics.
-    """
-    insert_ops = []
-    for task in tasks:
-        insert_ops.extend(plan_insert_ops(ctx, task))
-    yield from ship_index_ops(ctx, insert_ops, background=False,    # SU2
-                              site="index_pi", span=span)
-    delete_ops = []
-    for task in tasks:                                              # SU3
-        dels = yield from plan_delete_ops(ctx, task, background=False,
-                                          span=span)
-        delete_ops.extend(dels)
-    yield from ship_index_ops(ctx, delete_ops, background=False,    # SU4
-                              site="index_di", span=span)
 
 
 def live_index_ops(cluster: Any, ops: list) -> list:
@@ -307,14 +256,9 @@ def live_index_ops(cluster: Any, ops: list) -> list:
     (table gone → locate fails → infinite APS retry) or — worse — lands
     in a same-named recreated index and resurrects a pre-drop image."""
     by_table = cluster.index_by_table
-    kept = []
-    for op in ops:
-        if len(op) > 4:
-            live = by_table.get(op[1])
-            if live is None or live.created_epoch != op[4]:
-                continue
-        kept.append(op)
-    return kept
+    return [op for op in ops
+            if len(op) < 5 or ((live := by_table.get(op[1])) is not None
+                               and live.created_epoch == op[4])]
 
 
 def aps_worker(server: Any, worker_id: int) -> Generator[Any, Any, None]:

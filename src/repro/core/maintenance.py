@@ -97,7 +97,8 @@ def _repair_missing(cluster: "MiniCluster", client: "Client",
             yield from cluster.network.call(
                 target_server,
                 lambda s=target_server, k=key, t=ts:
-                s.handle_index_write(index.table_name, k, t, b""))
+                s.handle_index_ops([("put", index.table_name, k, t)],
+                                   background=False))
             inserted += 1
     return inserted
 

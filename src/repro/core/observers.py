@@ -27,9 +27,8 @@ from typing import Any, Dict, FrozenSet, Generator, List, Optional, Tuple, \
     TYPE_CHECKING
 
 from repro.errors import NoSuchRegionError, RpcError
-from repro.core.auq import (IndexTask, maintain_indexes,
-                            maintain_indexes_batch, maintain_insert_only,
-                            plan_insert_ops, ship_index_ops)
+from repro.core.auq import (IndexTask, maintain_indexes, plan_insert_ops,
+                            ship_index_ops)
 from repro.core.coprocessor import RegionObserver
 from repro.core.schemes import IndexScheme
 
@@ -59,54 +58,37 @@ def _task(server: "RegionServer", table: TableDescriptor,
                      epoch=server.cluster.ddl_epoch)
 
 
+_Rows = List[Tuple[bytes, Optional[Dict[str, bytes]], int]]
+
+
 class SyncFullObserver(RegionObserver):
     SCHEMES = frozenset({IndexScheme.SYNC_FULL})
 
-    def post_mutate(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, values: Optional[Dict[str, bytes]], ts: int,
-                    span: Any = None) -> Generator[Any, Any, None]:
-        names = _owned_indexes(table, self.SCHEMES)
-        if not names:
-            return
-        task = _task(server, table, names, row, values, ts, span)
-        # `fanout` tags how many indexes this mutation's PI/DI groups may
-        # scatter across (the width of the parallel sync-full fan-out).
-        obs = server.tracer.start("sync_index", parent=span, scheme="full",
-                                  server=server.name, fanout=len(names))
-        try:
-            yield from maintain_indexes(server.op_context, task,
-                                        background=False, insert_first=True,
-                                        span=obs)
-        except (NoSuchRegionError, RpcError):
-            # Stale route from a concurrent split/move counts as a
-            # transient failure: hand the task to the AUQ, whose retry
-            # loop re-resolves the owner.
-            server.degrade_to_auq(task)
-        finally:
-            obs.end()
-
     def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
-                                          int]],
+                   batch_rows: _Rows,
                    span: Any = None) -> Generator[Any, Any, None]:
-        """Coalesced Algorithm 1 for a whole multi_put batch: one PI
-        phase (grouped per target region), a barrier, per-row RB, one
-        grouped DI phase — §8.2's batching on the foreground path."""
+        """Algorithm 1 for every row: one PI phase (grouped per target
+        server), a barrier, per-row RB, one grouped DI phase."""
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
             return
         tasks = [_task(server, table, names, row, values, ts, span)
                  for row, values, ts in batch_rows]
-        obs = server.tracer.start("sync_index_batch", parent=span,
-                                  scheme="full", server=server.name,
+        # `fanout` tags how many indexes each row's PI/DI groups may
+        # scatter across (the width of the parallel sync-full fan-out).
+        obs = server.tracer.start("sync_index", parent=span, scheme="full",
+                                  server=server.name, fanout=len(names),
                                   rows=len(tasks))
         try:
-            yield from maintain_indexes_batch(server.op_context, tasks,
-                                              span=obs)
+            yield from maintain_indexes(server.op_context, tasks,
+                                        background=False, insert_first=True,
+                                        span=obs)
         except (NoSuchRegionError, RpcError):
-            # Degrade the WHOLE batch to the AUQ (§6.2): every op carries
-            # its row's base timestamps, so re-running deliveries that
-            # already landed is idempotent — the APS converges the rest.
+            # A stale route from a concurrent split/move counts as a
+            # transient failure (§6.2): the WHOLE batch degrades to the
+            # AUQ, whose retry loop re-resolves the owner.  Every op
+            # carries its row's base timestamps, so re-running deliveries
+            # that already landed is idempotent.
             for task in tasks:
                 server.degrade_to_auq(task)
         finally:
@@ -119,43 +101,25 @@ class SyncInsertObserver(RegionObserver):
 
     SCHEMES = frozenset({IndexScheme.SYNC_INSERT})
 
-    def post_mutate(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, values: Optional[Dict[str, bytes]], ts: int,
-                    span: Any = None) -> Generator[Any, Any, None]:
-        names = _owned_indexes(table, self.SCHEMES)
-        if values is None or not names:
-            return
-        task = _task(server, table, names, row, values, ts, span)
-        obs = server.tracer.start("sync_index", parent=span, scheme="insert",
-                                  server=server.name)
-        try:
-            yield from maintain_insert_only(server.op_context, task, span=obs)
-        except (NoSuchRegionError, RpcError):
-            server.degrade_to_auq(task)
-        finally:
-            obs.end()
-
     def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
-                                          int]],
+                   batch_rows: _Rows,
                    span: Any = None) -> Generator[Any, Any, None]:
-        """Coalesced SU1+SU2: the batch's inserts grouped per target
-        index region, one RPC + one group commit per group."""
+        """The batch's inserts grouped per target server, one RPC + one
+        group commit per group."""
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
             return
         tasks = [_task(server, table, names, row, values, ts, span)
                  for row, values, ts in batch_rows if values is not None]
-        ctx = server.op_context
-        ops = [op for task in tasks for op in plan_insert_ops(ctx, task)]
-        if not ops:
+        if not tasks:
             return
-        obs = server.tracer.start("sync_index_batch", parent=span,
-                                  scheme="insert", server=server.name,
-                                  rows=len(tasks))
+        obs = server.tracer.start("sync_index", parent=span, scheme="insert",
+                                  server=server.name, rows=len(tasks))
+        ctx = server.op_context
         try:
-            yield from ship_index_ops(ctx, ops, background=False,
-                                      site="index_pi", span=obs)
+            ops = [op for task in tasks for op in plan_insert_ops(ctx, task)]
+            yield from ship_index_ops(ctx, ops, background=False, site="PI",
+                                      span=obs)
         except (NoSuchRegionError, RpcError):
             for task in tasks:
                 server.degrade_to_auq(task)
@@ -202,18 +166,11 @@ class ValidationObserver(RegionObserver):
 
         server.sim.spawn(deliver(), name=f"{server.name}:blind-ship")
 
-    def post_mutate(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, values: Optional[Dict[str, bytes]], ts: int,
-                    span: Any = None) -> Generator[Any, Any, None]:
-        """A single mutation ships exactly as a batch of one."""
-        return self.post_batch(server, table, [(row, values, ts)], span)
-
     def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
-                                          int]],
+                   batch_rows: _Rows,
                    span: Any = None) -> Generator[Any, Any, None]:
         """One blind ship for the whole batch's inserts, grouped per
-        target index region inside ``ship_index_ops``."""
+        target server inside ``ship_index_ops``."""
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
             return
@@ -230,33 +187,19 @@ class ValidationObserver(RegionObserver):
 class AsyncObserver(RegionObserver):
     SCHEMES = frozenset({IndexScheme.ASYNC_SIMPLE, IndexScheme.ASYNC_SESSION})
 
-    def post_mutate(self, server: "RegionServer", table: TableDescriptor,
-                    row: bytes, values: Optional[Dict[str, bytes]], ts: int,
-                    span: Any = None) -> Generator[Any, Any, None]:
-        names = _owned_indexes(table, self.SCHEMES)
-        if not names:
-            return
-        task = _task(server, table, names, row, values, ts, span)
-        obs = server.tracer.start("enqueue", parent=span, server=server.name)
-        try:
-            yield from server.enqueue_index_tasks([task])
-        finally:
-            obs.end()
-
     def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
-                                          int]],
+                   batch_rows: _Rows,
                    span: Any = None) -> Generator[Any, Any, None]:
-        """Coalesced AU1: the whole batch enters the AUQ under one
-        enqueue charge and one watermark check (Algorithm 3, amortised).
-        Every row still becomes its own IndexTask — APS batching,
-        staleness tracking, and crash-replay granularity are unchanged."""
+        """AU1: the whole batch enters the AUQ under one enqueue charge
+        and one watermark check (Algorithm 3, amortised).  Every row
+        still becomes its own IndexTask — APS batching, staleness
+        tracking, and crash-replay granularity are per row."""
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
             return
         tasks = [_task(server, table, names, row, values, ts, span)
                  for row, values, ts in batch_rows]
-        obs = server.tracer.start("enqueue_batch", parent=span,
+        obs = server.tracer.start("enqueue", parent=span,
                                   server=server.name, rows=len(tasks))
         try:
             yield from server.enqueue_index_tasks(tasks)

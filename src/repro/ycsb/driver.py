@@ -74,7 +74,7 @@ def load_via_client(cluster: MiniCluster, client: Client,
                     batch_size: int = 1) -> Generator[Any, Any, int]:
     """Load through ordinary puts (index maintenance runs normally).
 
-    ``batch_size > 1`` loads through the batched multi_put path instead:
+    ``batch_size > 1`` loads through ``Client.batch_put`` instead:
     identical rows and values, ~1/batch_size the round trips and WAL
     group commits amortised across each batch."""
     rng = RandomStream(seed)

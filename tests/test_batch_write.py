@@ -1,4 +1,4 @@
-"""The batched foreground write path (DESIGN.md §11): multi_put with WAL
+"""The batched foreground write path (DESIGN.md §11): batch_mutate with WAL
 group commit and coalesced index maintenance.
 
 Invariants under test:
@@ -111,7 +111,7 @@ def test_batch_equivalent_to_sequential(scheme):
 
 
 def test_batch_groups_share_wal_commits():
-    """One multi_put charges the log device once per wave: the
+    """One batched write RPC charges the log device once per wave: the
     wal_group_commit_size histogram must record multi-record groups."""
     cluster, client = build(IndexScheme.SYNC_FULL)
     apply_batched(cluster, client)
@@ -126,7 +126,7 @@ def test_batch_groups_share_wal_commits():
 def test_sync_full_batching_doubles_sim_throughput():
     """The §8.2 batching win on the foreground path: fresh-row inserts
     under sync-full (each pays PI + RB + DI) through ``batch_put`` at
-    width 32 must beat width 1 — the classic one-row multi_put — by at
+    width 32 must beat width 1 — a batch of one, i.e. a plain put — by at
     least 2x in simulated rows/s."""
     items = [(b"%s%03d" % (half, i), {"c": VALUES[i % 3]})
              for half in (b"a", b"z") for i in range(32)]

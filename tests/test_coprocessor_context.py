@@ -1,10 +1,11 @@
-"""IndexOpContext: routing of primitive index ops, including the remote
-base-read fallback used when a region moved away from the APS's server."""
+"""IndexOpContext: routing of primitive index ops — index writes land
+through the owner's ``handle_index_ops`` — including the remote base-read
+fallback used when a region moved away from the APS's server."""
 
 import pytest
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster
-from repro.core.auq import IndexTask, maintain_indexes
+from repro.core.auq import IndexTask, maintain_indexes, ship_index_ops
 from repro.errors import RpcError
 
 
@@ -42,25 +43,29 @@ def test_base_read_remote_fallback(cluster):
     assert cluster.network.rpc_count == rpc_before + 1
 
 
+def _ship(server, ops):
+    return ship_index_ops(server.op_context, ops, background=False,
+                          site="PI")
+
+
 def test_index_put_routes_to_owner(cluster):
     index = cluster.index_descriptor("ix")
     some_server = next(iter(cluster.servers.values()))
     key = b"\x04hello\x00\x00row1"
-    cluster.run(some_server.op_context.index_write(
-        index.table_name, key, ts=123, value=b"", background=False))
+    base = cluster.counters.snapshot()
+    cluster.run(_ship(some_server, [("put", index.table_name, key, 123)]))
     owner, region_name = cluster.locate(index.table_name, key)
     region = owner.regions[region_name]
     assert region.tree.get(key) is not None
+    assert cluster.counters.since(base).index_put == 1
 
 
 def test_index_delete_routes_and_masks(cluster):
     index = cluster.index_descriptor("ix")
     server = next(iter(cluster.servers.values()))
     key = b"\x04hello\x00\x00row1"
-    cluster.run(server.op_context.index_write(index.table_name, key, 10,
-                                              b"", background=False))
-    cluster.run(server.op_context.index_write(index.table_name, key, 10,
-                                              None, background=False))
+    cluster.run(_ship(server, [("put", index.table_name, key, 10)]))
+    cluster.run(_ship(server, [("del", index.table_name, key, 10)]))
     owner, region_name = cluster.locate(index.table_name, key)
     assert owner.regions[region_name].tree.get(key) is None
 
@@ -77,7 +82,7 @@ def test_maintain_indexes_skips_untouched_columns(cluster):
     server, _region = cluster.locate("t", b"aa")
     base = cluster.counters.snapshot()
     task = IndexTask("t", b"aa", {"unrelated": b"1"}, ts=100)
-    cluster.run(maintain_indexes(server.op_context, task,
+    cluster.run(maintain_indexes(server.op_context, [task],
                                  background=False, insert_first=True))
     diff = cluster.counters.since(base)
     assert diff.index_put == 0 and diff.base_read == 0

@@ -17,8 +17,25 @@ def _load_lint():
 def test_dead_class_attribute_is_flagged_and_live_ones_pass():
     lint = _load_lint()
     text = ("`ValidationObserver.post_put` ships blindly; "
-            "`ValidationObserver.post_mutate`, `ValidationObserver.pre_flush`, "
+            "`ValidationObserver.post_batch`, `ValidationObserver.pre_flush`, "
             "`ServerConfig.auq_high_watermark`, `IndexTask.visible_at`, "
             "`Client.put()` and `System.currentTimeMillis()` all resolve.")
     assert lint.dead_class_attributes(text, lint.repro_classes()) == [
         "ValidationObserver.post_put"]
+
+
+def test_span_table_names_must_be_emitted():
+    lint = _load_lint()
+    text = ("| Span | Emitted by |\n|---|---|\n"
+            "| `put` / `delete` | write RPC |\n"
+            "| `sync_index_batch` | retired |\n"
+            "| `wal_group_append`, `enqueue_batch` | retired |\n"
+            "\n"
+            "| Site label | Path |\n|---|---|\n"
+            "| `PI` / `DI` | sync index ships |\n"
+            "| `index_pi` / `index_di` | blind ship / retired |\n"
+            "\n"
+            "| Metric | Layer |\n|---|---|\n"
+            "| `not_a_span` | ignored: not a span table |\n")
+    assert lint.dead_span_names(text, lint.emitted_span_names()) == [
+        "enqueue_batch", "index_di", "sync_index_batch", "wal_group_append"]

@@ -1,5 +1,5 @@
-"""The coprocessor extension points themselves: custom observers get all
-three hooks, exactly as §7 describes the plug-in framework."""
+"""The coprocessor extension points themselves: custom observers get
+both hooks, exactly as §7 describes the plug-in framework."""
 
 import pytest
 
@@ -12,14 +12,17 @@ class RecordingObserver(RegionObserver):
         self.puts = []
         self.deletes = []
         self.mutations = []
+        self.batches = []
         self.pre_flushes = []
 
-    def post_mutate(self, server, table, row, values, ts, span=None):
-        self.mutations.append((row, values, ts))
-        if values is None:
-            self.deletes.append((row, ts))
-        else:
-            self.puts.append((row, dict(values), ts))
+    def post_batch(self, server, table, batch_rows, span=None):
+        self.batches.append(len(batch_rows))
+        for row, values, ts in batch_rows:
+            self.mutations.append((row, values, ts))
+            if values is None:
+                self.deletes.append((row, ts))
+            else:
+                self.puts.append((row, dict(values), ts))
         return
         yield  # pragma: no cover
 
@@ -54,12 +57,13 @@ def test_post_delete_hook_fires(wired):
     assert observer.deletes == [(b"r1", ts)]
 
 
-def test_default_batch_hook_calls_post_mutate_per_row_in_order(wired):
-    """An observer defining only ``post_mutate`` sees every row of a
-    multi_put batch once, in batch order, deletes as ``values=None``."""
+def test_post_batch_sees_every_row_of_one_rpc_in_batch_order(wired):
+    """A single put is a batch of one; a batch RPC hands the hook every
+    row once, in batch order, deletes as ``values=None``."""
     cluster, observer = wired
     client = cluster.new_client()
     cluster.run(client.put("t", b"r2", {"a": b"0"}))
+    assert observer.batches == [1]
     batch = (MutationBatch("t")
              .put(b"r3", {"a": b"1"})
              .delete(b"r2", ["a"])
@@ -67,6 +71,7 @@ def test_default_batch_hook_calls_post_mutate_per_row_in_order(wired):
              .put(b"r3", {"a": b"4"}))
     del observer.mutations[:]
     timestamps = cluster.run(client.batch_mutate(batch))
+    assert observer.batches == [1, 4]
     assert observer.mutations == [
         (b"r3", {"a": b"1"}, timestamps[0]),
         (b"r2", None, timestamps[1]),

@@ -181,7 +181,7 @@ def test_kill_leader_mid_batch_put():
     items = [(b"b%03d" % i, {"c": b"v%d" % i}) for i in range(150)]
     proc = cluster.sim.spawn(client.batch_put("t", items), name="batch")
     proc._waited_on = True
-    cluster.advance(0.5)                 # multi_put RPCs are in flight
+    cluster.advance(0.5)                 # batch write RPCs are in flight
     victim = leader_of(cluster, "t", b"b000")
     cluster.kill_server(victim)
     while not proc.future.done():
