@@ -20,7 +20,12 @@ Fails CI when:
 * a span table in DESIGN.md or OPERATIONS.md (a table whose first
   header cell is ``Span`` or ``Site label``) lists a backticked name that
   no ``tracer.start(...)`` / ``_span(...)`` call or ``site=`` keyword
-  under ``src/repro`` emits as a string literal.
+  under ``src/repro`` emits as a string literal;
+* DESIGN.md or OPERATIONS.md names a metric that nothing registers — a
+  backticked ``name{labels}``, ``name_total`` or ``name`` followed by
+  ``counter``/``gauge``/``histogram`` that no ``counter(...)`` /
+  ``gauge(...)`` / ``histogram(...)`` call under ``src/repro`` takes as
+  its name literal.
 
 Run as ``PYTHONPATH=src python scripts/docs_lint.py`` from the repo root.
 """
@@ -42,6 +47,12 @@ SRC_PATH = re.compile(r"\bsrc/repro/[\w/]+\.py\b")
 CLASS_ATTR = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)(?:\(\))?`")
 SPAN_DOCS = ("DESIGN.md", "OPERATIONS.md")
 SPAN_TABLE_HEADERS = ("Span", "Site label")
+# What a metric mention looks like: `replication_lag_ms{region}`,
+# `promotions_total`, or a name followed by its kind ("`remix_build_ms`
+# histogram").  Any other bare `*_ms` is left alone: knobs end that way too.
+METRIC = re.compile(r"`([a-z][a-z0-9_]*)\{[^`]*\}`"
+                    r"|`([a-z][a-z0-9_]*_total)`"
+                    r"|`([a-z][a-z0-9_]*)` (?:counter|gauge|histogram)")
 
 
 def repro_packages() -> list:
@@ -204,6 +215,34 @@ def check_span_names(errors: list) -> None:
                           f"nothing under src/repro emits")
 
 
+def registered_metric_names() -> set:
+    """The string literal naming the metric in every ``counter(...)``,
+    ``gauge(...)`` or ``histogram(...)`` call under src/repro."""
+    names = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("counter", "gauge", "histogram")
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                names.add(node.args[0].value)
+    return names
+
+
+def dead_metric_names(text: str, registered: set) -> list:
+    mentioned = {"".join(groups) for groups in METRIC.findall(text)}
+    return sorted(mentioned - registered)
+
+
+def check_metric_names(errors: list) -> None:
+    registered = registered_metric_names()
+    for doc in SPAN_DOCS:
+        for name in dead_metric_names((REPO / doc).read_text(), registered):
+            errors.append(f"{doc} names metric `{name}`, which nothing "
+                          f"under src/repro registers")
+
+
 def check_public_docstrings(errors: list) -> None:
     import repro
     for name in repro.__all__:
@@ -224,6 +263,7 @@ def main() -> int:
     check_module_references(errors)
     check_class_attributes(errors)
     check_span_names(errors)
+    check_metric_names(errors)
     check_public_docstrings(errors)
     if errors:
         for error in errors:

@@ -13,10 +13,17 @@ rebuild a lost AUQ entry (§5.3 requirement (1)).
 Storage layout: records are kept **per region** (the durable backing is a
 ``{region_name: [WalRecord]}`` dict owned by SimHDFS) with a running byte
 counter, so the per-flush ``roll_forward`` and the recovery-time
-``records_for_region``/``split`` never scan other regions' records — a
-server hosting many regions pays O(own records) per flush, not
-O(total WAL).  Seqnos are still assigned from one global counter, so the
-interleaved total order (``records()``) is recoverable by sorting.
+``split`` never scan other regions' records — a server hosting many
+regions pays O(own records) per flush, not O(total WAL).  Seqnos are
+assigned from one global counter and every append takes a fresh one, so
+each region's list is seqno-ascending and the interleaved total order
+(``records()``) is recoverable by sorting.
+
+Both cuts on a region's list are one bisect on that order:
+``roll_forward`` drops the prefix at or below a flush point, and
+``records_after(region, seqno, limit)`` — the replication ship's read —
+slices at most ``limit`` records above a channel's watermark, so a ship
+costs O(log tail + batch), never a walk of the un-rolled tail.
 
 ``append_batch`` logs several mutations in one call — the group-commit
 entry point of the batched foreground write path.  Each mutation keeps
@@ -29,6 +36,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.lsm.types import Cell
@@ -36,6 +45,7 @@ from repro.lsm.types import Cell
 __all__ = ["WalRecord", "WriteAheadLog"]
 
 _record_seq = itertools.count(1)
+_seqno = attrgetter("seqno")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,10 +129,17 @@ class WriteAheadLog:
         out.sort(key=lambda r: r.seqno)
         return out
 
-    def records_for_region(self, region_name: str) -> List[WalRecord]:
-        """WAL split: the replay stream for one region (recovery §5.3).
-        O(records of that region) — no scan of the rest of the log."""
-        return list(self._regions.get(region_name, ()))
+    def records_after(self, region_name: str, seqno: int, limit: int,
+                      ) -> Tuple[List[WalRecord], bool]:
+        """The oldest ``limit`` records of ``region_name`` with seqno >
+        ``seqno``, and whether that is all of them.  One bisect and one
+        slice: O(log tail + limit), whatever the tail's length."""
+        records = self._regions.get(region_name)
+        if not records:
+            return [], True
+        start = bisect_right(records, seqno, key=_seqno)
+        return (records[start:start + limit],
+                len(records) - start <= limit)
 
     def split(self) -> Dict[str, List[WalRecord]]:
         """Split the whole log per region, as ZooKeeper-driven recovery does."""
@@ -137,20 +154,13 @@ class WriteAheadLog:
         records = self._regions.get(region_name)
         if not records:
             return 0
-        # Per-region lists are append-ordered, so seqnos are ascending:
-        # the survivors are a suffix.
-        keep = len(records)
-        for i, record in enumerate(records):
-            if record.seqno > up_to_seqno:
-                keep = i
-                break
-        else:
-            keep = len(records)
-        if keep == 0:
+        # Seqnos ascend within a region: the flushed records are a prefix.
+        flushed = bisect_right(records, up_to_seqno, key=_seqno)
+        if flushed == 0:
             return 0
-        dropped = records[:keep]
+        dropped = records[:flushed]
         # In-place so the durable backing (SimHDFS) observes the roll.
-        del records[:keep]
+        del records[:flushed]
         if not records:
             self._regions.pop(region_name, None)
         self._count -= len(dropped)

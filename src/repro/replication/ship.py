@@ -6,7 +6,9 @@ event identical).  Every ``ship_interval_ms`` the loop walks the regions
 this server currently leads and, per follower, sends one
 ``handle_replica_append`` RPC carrying:
 
-* the WAL tail above the follower's acked ship watermark, reusing the
+* the WAL tail above the follower's acked ship watermark, at most
+  ``ship_batch_size`` records read by one bisect of the region's
+  seqno-ascending log (``WriteAheadLog.records_after``), reusing the
   PR-5 group-commit framing (the whole batch is one log-shaped unit and
   the follower charges one group apply for it);
 * the region's latest *flush point* ``(rolled_seqno, prepare_time)``,
@@ -55,12 +57,9 @@ def _ship_channel(server: "RegionServer", table: str, region_name: str,
         # Snapshot tail + flush point + send time in ONE synchronous
         # step (no yields): the coverage claim `leader_time` is only
         # valid for the exact instant this tail was read.
-        shipped = server.ship_state.get(key, 0)
-        records = server.wal.records_for_region(region_name)
-        pending = [r for r in records if r.seqno > shipped]
-        complete = len(pending) <= config.ship_batch_size
-        if not complete:
-            pending = pending[:config.ship_batch_size]
+        pending, complete = server.wal.records_after(
+            region_name, server.ship_state.get(key, 0),
+            config.ship_batch_size)
         batch = tuple(pending)
         flush_point = server.flush_points.get(region_name)
         leader_time = server.sim.now() if complete else None

@@ -24,6 +24,18 @@ def test_dead_class_attribute_is_flagged_and_live_ones_pass():
         "ValidationObserver.post_put"]
 
 
+def test_metric_names_must_be_registered():
+    lint = _load_lint()
+    text = ("`replication_lag_ms{region}` and `scatter_errors{site=…}` "
+            "histograms, the `promotions_total` and `remix_build_ms` "
+            "histogram all resolve; `ship_bytes_total`, "
+            "`wal_tail_walks{server}` and the `stale_served` counter do "
+            "not; knobs like `ship_interval_ms` and `ship_batch_size` are "
+            "not metric mentions.")
+    assert lint.dead_metric_names(text, lint.registered_metric_names()) == [
+        "ship_bytes_total", "stale_served", "wal_tail_walks"]
+
+
 def test_span_table_names_must_be_emitted():
     lint = _load_lint()
     text = ("| Span | Emitted by |\n|---|---|\n"

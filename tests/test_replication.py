@@ -137,6 +137,103 @@ def test_follower_survives_leader_flush():
         assert row["c"][0] == (b"pre" if i < 15 else b"post")
 
 
+class CountingList(list):
+    """A WAL region list that counts full walks and sliced elements."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        self.walks = 0
+        self.sliced = []
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def __getitem__(self, index):
+        got = super().__getitem__(index)
+        if isinstance(index, slice):
+            self.sliced.append(len(got))
+        return got
+
+
+def test_ship_reads_only_records_above_the_watermark():
+    """A ship costs O(log tail + batch): it bisects the leader's
+    seqno-ascending log at the channel's watermark and slices at most
+    ``ship_batch_size`` records, never copying or filtering the whole
+    un-flushed tail (which made every tick quadratic between flushes)."""
+    cluster = MiniCluster(
+        num_servers=4, seed=13,
+        replication=ReplicationConfig(replication_factor=3)).start()
+    cluster.create_table("t", split_keys=[], flush_threshold_bytes=64 << 20)
+    client = cluster.new_client()
+
+    def load(prefix, rows):
+        for start in range(0, rows, 100):
+            cluster.run(client.batch_put("t", [
+                (b"%s%05d" % (prefix, i), {"c": b"v"})
+                for i in range(start, min(rows, start + 100))]))
+
+    load(b"a", 5000)
+    cluster.advance(600.0)               # every channel ships the backlog
+    [info] = cluster.master.layout["t"]
+    leader = cluster.servers[info.server_name]
+    tail = CountingList(leader.wal._regions[info.region_name])
+    assert len(tail) >= 5000             # nothing flushed or rolled
+    leader.wal._regions[info.region_name] = tail
+    followers = [cluster.servers[name].follower_regions[info.region_name]
+                 for name in info.replica_servers]
+    assert [f.applied_seqno for f in followers] == [tail[-1].seqno] * 2
+
+    load(b"b", 300)                      # watermarks now 300 from the end
+    cluster.advance(100.0)
+    batch_size = cluster.replication.ship_batch_size
+    assert tail.walks == 0
+    assert tail.sliced and max(tail.sliced) <= batch_size
+    assert batch_size in tail.sliced     # the backlog shipped truncated
+    assert leader.wal._regions[info.region_name] is tail
+    assert [f.applied_seqno for f in followers] == [tail[-1].seqno] * 2
+
+
+@pytest.mark.parametrize("replication_factor", [1, 3])
+def test_wal_region_lists_stay_seqno_ascending_through_failover(
+        replication_factor):
+    """The ship's bisect and roll_forward's cut both rely on every
+    per-region WAL list being strictly seqno-ascending.  Recovery replay
+    (rf=1) and promotion (rf=3) re-log a dead leader's slice into a live
+    server's WAL beside that server's own traffic; the order must hold on
+    every live server afterwards."""
+    cluster = build(replication_factor)
+    client = cluster.new_client()
+
+    def driver():
+        for i in range(120):
+            yield from client.put("t", b"o%03d" % i, {"c": b"v"})
+
+    proc = cluster.sim.spawn(driver(), name="workload")
+    proc._waited_on = True
+    cluster.advance(20.0)                # partway through the workload
+    victim = leader_of(cluster, "t", b"o000")
+    victim_regions = {info.region_name
+                      for info in cluster.master.regions_on(victim)}
+    cluster.kill_server(victim)
+    while not proc.future.done():
+        cluster.advance(50.0)
+    wait_recovered(cluster, victim)
+    for i in range(20):
+        cluster.run(client.put("t", b"z%02d" % i, {"c": b"w"}))
+    promotions = cluster.metrics.counter("promotions_total").value
+    assert (promotions > 0) == (replication_factor > 1)
+
+    relogged = 0
+    for server in cluster.alive_servers():
+        for region_name, records in server.wal.split().items():
+            seqnos = [r.seqno for r in records]
+            assert all(a < b for a, b in zip(seqnos, seqnos[1:])), (
+                server.name, region_name)
+            relogged += region_name in victim_regions
+    assert relogged                      # the re-logged slices were checked
+
+
 # -- promotion-based failover ----------------------------------------------
 
 
