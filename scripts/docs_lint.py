@@ -25,7 +25,10 @@ Fails CI when:
   backticked ``name{labels}``, ``name_total`` or ``name`` followed by
   ``counter``/``gauge``/``histogram`` that no ``counter(...)`` /
   ``gauge(...)`` / ``histogram(...)`` call under ``src/repro`` takes as
-  its name literal.
+  its name literal;
+* DESIGN.md, OPERATIONS.md or README.md names a bare backticked
+  ``handle_*`` RPC (no ``RegionServer.`` in front, so the member check
+  above cannot see it) that no ``RegionServer`` method defines.
 
 Run as ``PYTHONPATH=src python scripts/docs_lint.py`` from the repo root.
 """
@@ -53,6 +56,10 @@ SPAN_TABLE_HEADERS = ("Span", "Site label")
 METRIC = re.compile(r"`([a-z][a-z0-9_]*)\{[^`]*\}`"
                     r"|`([a-z][a-z0-9_]*_total)`"
                     r"|`([a-z][a-z0-9_]*)` (?:counter|gauge|histogram)")
+# A bare RPC mention opens its backticks on the name: `handle_scan`,
+# `handle_index_ops(background=True)`.
+HANDLER = re.compile(r"`(handle_\w+)")
+HANDLER_DOCS = ("DESIGN.md", "OPERATIONS.md", "README.md")
 
 
 def repro_packages() -> list:
@@ -243,6 +250,24 @@ def check_metric_names(errors: list) -> None:
                           f"under src/repro registers")
 
 
+def region_server_rpcs() -> set:
+    """Every ``handle_*`` method of ``RegionServer``."""
+    from repro.cluster.server import RegionServer
+    return {name for name in dir(RegionServer) if name.startswith("handle_")}
+
+
+def dead_handler_names(text: str, rpcs: set) -> list:
+    return sorted(set(HANDLER.findall(text)) - rpcs)
+
+
+def check_handler_names(errors: list) -> None:
+    rpcs = region_server_rpcs()
+    for doc in HANDLER_DOCS:
+        for name in dead_handler_names((REPO / doc).read_text(), rpcs):
+            errors.append(f"{doc} names `{name}`, which no RegionServer "
+                          f"method defines")
+
+
 def check_public_docstrings(errors: list) -> None:
     import repro
     for name in repro.__all__:
@@ -264,6 +289,7 @@ def main() -> int:
     check_class_attributes(errors)
     check_span_names(errors)
     check_metric_names(errors)
+    check_handler_names(errors)
     check_public_docstrings(errors)
     if errors:
         for error in errors:

@@ -17,6 +17,9 @@ diff touched.  Run it on both commits and diff the outputs:
 ``--workload`` picks some, and ``--names`` adds one line per counter and
 histogram so the diff names the metric that moved.  The numbers come
 from ``ledger.measure.run_repeat``, the same repeat the ledger times.
+``--scenarios`` adds one digest per ``--quick`` scenario report
+(``python -m repro.scenario``) with its ``meta`` block, the host wall
+clock, dropped — so one command per commit covers both.
 """
 
 from __future__ import annotations
@@ -32,11 +35,20 @@ sys.path[:0] = [str(REPO), str(REPO / "src")]
 
 from ledger.measure import HOST_TIMED_HISTOGRAMS, run_repeat  # noqa: E402
 from ledger.workloads import SPECS  # noqa: E402
+from repro.scenario.runner import ScenarioRunner  # noqa: E402
+from repro.scenario.scenarios import SCENARIOS  # noqa: E402
 
 
 def _digest(value) -> str:
     return hashlib.sha256(
         json.dumps(value, sort_keys=True).encode()).hexdigest()[:12]
+
+
+def scenario_digest(report: dict) -> str:
+    """Digest of a scenario report minus ``meta``, the one block that is
+    host wall time rather than a function of (code, seed)."""
+    return _digest({key: value for key, value in report.items()
+                    if key != "meta"})
 
 
 def components(repeat) -> dict:
@@ -79,11 +91,20 @@ def main(argv=None) -> int:
                         help="repeatable; default: every workload")
     parser.add_argument("--names", action="store_true",
                         help="also print every counter and histogram")
+    parser.add_argument("--scenarios", action="store_true",
+                        help="also print a digest of every --quick "
+                             "scenario report, meta dropped")
     args = parser.parse_args(argv)
     for name in args.workload or list(SPECS):
         parts = components(run_repeat(SPECS[name], args.seed, args.scale))
         for line in report(name, parts, args.names):
             print(line, flush=True)
+    if args.scenarios:
+        for name in sorted(SCENARIOS):
+            result = ScenarioRunner(SCENARIOS[name](quick=True),
+                                    seed=args.seed).run()
+            print(f"scenario {name} {scenario_digest(result.to_dict())}",
+                  flush=True)
     return 0
 
 

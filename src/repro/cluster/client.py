@@ -317,8 +317,9 @@ class Client:
             session: Optional[Session] = None,
             read_mode: Any = None,
             ) -> Generator[Any, Any, Dict[str, Tuple[bytes, int]]]:
-        """Read one row.  ``read_mode`` (default: the client's) picks a
-        point on the consistency/latency spectrum:
+        """Read one row: one ``handle_read`` of ``[row]`` in every read
+        mode.  ``read_mode`` (default: the client's) picks a point on the
+        consistency/latency spectrum:
 
         * ``"leader"`` — strong: the region leader answers.
         * ``"follower"`` — bounded staleness: a follower answers iff its
@@ -335,18 +336,18 @@ class Client:
         """
         mode = self.read_mode if read_mode is None else read_mode
         if isinstance(mode, LatencyBound):
-            result = yield from self._latency_bound_get(table, row, columns,
-                                                        max_ts, mode)
+            read = self._latency_bound_get(table, row, columns, max_ts, mode)
         elif mode == ReadMode.FOLLOWER:
-            result = yield from self._follower_get(table, row, columns,
-                                                   max_ts)
+            read = self._follower_get(table, row, columns, max_ts)
         elif mode == ReadMode.QUORUM:
-            result = yield from self._quorum_get(table, row, columns, max_ts)
+            read = self._quorum_get(table, row, columns, max_ts)
         else:
-            result = yield from self._routed(
-                table, row,
-                lambda server: server.handle_get(table, row, columns, max_ts))
-            self.last_read_staleness_ms = 0.0
+            # A plain routed call, not a scatter of one, which would add a
+            # spawn and a scatter_fanout observation to every get.
+            read = self._routed(table, row, lambda server: server.handle_read(
+                table, [row], columns, max_ts))
+        row_map, self.last_read_staleness_ms = yield from read
+        result = row_map[row]
         if session is not None and not session.disabled:
             session.touch(self.cluster.sim.now())
             result = session.merge_base_row(table, row, result)
@@ -367,10 +368,22 @@ class Client:
         self._follower_rr += 1
         return servers[start:] + servers[:start]
 
+    def _read_one(self, server, table: str, row: bytes,
+                  columns: Optional[List[str]], max_ts: Optional[int],
+                  replica: Optional[str],
+                  ) -> Generator[Any, Any, Tuple[Dict, float]]:
+        """One ``handle_read`` of ``row`` on ``server`` — on its follower
+        copy of region ``replica`` when one is named — sent as this
+        client, so per-link degradation applies."""
+        return self.cluster.network.call(
+            server, lambda: server.handle_read(table, [row], columns, max_ts,
+                                               replica=replica),
+            source=self.name)
+
     def _follower_get(self, table: str, row: bytes,
                       columns: Optional[List[str]],
                       max_ts: Optional[int],
-                      ) -> Generator[Any, Any, Dict[str, Tuple[bytes, int]]]:
+                      ) -> Generator[Any, Any, Tuple[Dict, float]]:
         """Bounded-staleness read: try followers round-robin, accept the
         first whose advertised lag is within the bound; otherwise the
         leader serves (staleness 0 — the bound still holds)."""
@@ -378,29 +391,22 @@ class Client:
             info = self._locate(table, row)
             for follower in self._follower_targets(info):
                 try:
-                    result, staleness = yield from self.cluster.network.call(
-                        follower,
-                        lambda f=follower: f.handle_replica_get(
-                            table, info.region_name, row, columns, max_ts),
-                        source=self.name)
+                    answer = yield from self._read_one(
+                        follower, table, row, columns, max_ts,
+                        info.region_name)
                 except (ServerDownError, NoSuchRegionError):
                     continue   # next follower; leader is the backstop
-                if staleness <= self.max_staleness_ms:
-                    self.last_read_staleness_ms = staleness
-                    return result
+                if answer[1] <= self.max_staleness_ms:
+                    return answer
             leader = self.cluster.servers[info.server_name]
-            result = yield from self.cluster.network.call(
-                leader,
-                lambda: leader.handle_get(table, row, columns, max_ts),
-                source=self.name)
-            self.last_read_staleness_ms = 0.0
-            return result
-        return (yield from self._retrying(attempt))
+            return (yield from self._read_one(leader, table, row, columns,
+                                              max_ts, None))
+        return self._retrying(attempt)
 
     def _quorum_get(self, table: str, row: bytes,
                     columns: Optional[List[str]],
                     max_ts: Optional[int],
-                    ) -> Generator[Any, Any, Dict[str, Tuple[bytes, int]]]:
+                    ) -> Generator[Any, Any, Tuple[Dict, float]]:
         """Quorum read: scatter over the leader and every follower, wait
         for all (collect_errors), require a majority of the replica set to
         have answered.  The leader's answer is authoritative — naive
@@ -413,26 +419,13 @@ class Client:
             followers = [self.cluster.servers[name]
                          for name in info.replica_servers
                          if name in self.cluster.servers]
-
-            def read_leader():
-                result = yield from self.cluster.network.call(
-                    leader,
-                    lambda: leader.handle_get(table, row, columns, max_ts),
-                    source=self.name)
-                return result
-
-            def read_follower(follower):
-                result, _staleness = yield from self.cluster.network.call(
-                    follower,
-                    lambda: follower.handle_replica_get(
-                        table, info.region_name, row, columns, max_ts),
-                    source=self.name)
-                return result
-
             answers = yield scatter_gather(
                 self.cluster.sim,
-                [read_leader] + [lambda f=f: read_follower(f)
-                                 for f in followers],
+                [lambda: self._read_one(leader, table, row, columns, max_ts,
+                                        None)]
+                + [lambda f=f: self._read_one(f, table, row, columns, max_ts,
+                                              info.region_name)
+                   for f in followers],
                 max_fanout=self.max_fanout, collect_errors=True,
                 name="quorum_get", metrics=self.cluster.metrics,
                 site="quorum_get")
@@ -454,13 +447,12 @@ class Client:
                     f"{reachable}/{quorum} replicas answered")
             authoritative = answers[0]
             yield from self._repair_followers(
-                table, info.region_name, row, authoritative,
-                [(follower, answer) for follower, answer
+                table, info.region_name, row, authoritative[0][row],
+                [(follower, answer[0][row]) for follower, answer
                  in zip(followers, answers[1:])
                  if not isinstance(answer, BaseException)])
-            self.last_read_staleness_ms = 0.0
             return authoritative
-        return (yield from self._retrying(attempt))
+        return self._retrying(attempt)
 
     def _repair_followers(self, table: str, region_name: str, row: bytes,
                           authoritative: Dict[str, Tuple[bytes, int]],
@@ -500,89 +492,63 @@ class Client:
     def _latency_bound_get(self, table: str, row: bytes,
                            columns: Optional[List[str]],
                            max_ts: Optional[int], bound: LatencyBound,
-                           ) -> Generator[Any, Any, Dict[str, Tuple[bytes, int]]]:
+                           ) -> Generator[Any, Any, Tuple[Dict, float]]:
         """Latency-bound read: scatter to the leader AND every live
         follower at once, poll, and return the first admissible answer —
         a follower within ``bound.max_staleness_ms``, or the leader
         (always admissible).  When ``bound.budget_ms`` runs out with no
         admissible answer yet, block on the leader: the budget buys
-        speculation, not weaker consistency."""
-        attempts = 0
-        while True:
-            try:
-                info = self._locate(table, row)
-            except NoSuchRegionError:
-                attempts += 1
-                if attempts > self.max_route_retries:
-                    raise
-                self.refresh_layout()
-                yield Timeout(self.retry_backoff_ms)
-                continue
-            leader = self.cluster.servers[info.server_name]
-            leader_proc = self.cluster.sim.spawn(
-                self.cluster.network.call(
-                    leader,
-                    lambda: leader.handle_get(table, row, columns, max_ts),
-                    source=self.name),
-                name=f"{self.name}/lb-leader")
-            leader_proc._waited_on = True      # polled below
+        speculation, not weaker consistency.  A round where every read
+        failed, or came back inadmissible with the leader down, is a
+        stale route and retries like any other read."""
+        sim = self.cluster.sim
+
+        def spawn_read(server, label, replica):
+            proc = sim.spawn(self._read_one(server, table, row, columns,
+                                            max_ts, replica),
+                             name=f"{self.name}/lb-{label}")
+            proc._waited_on = True      # polled below
+            return proc
+
+        def attempt():
+            info = self._locate(table, row)
+            leader_proc = spawn_read(self.cluster.servers[info.server_name],
+                                     "leader", None)
             follower_procs = []
             for name in info.replica_servers:
                 follower = self.cluster.servers.get(name)
-                if follower is None or not follower.alive:
-                    continue
-                proc = self.cluster.sim.spawn(
-                    self.cluster.network.call(
-                        follower,
-                        lambda f=follower: f.handle_replica_get(
-                            table, info.region_name, row, columns, max_ts),
-                        source=self.name),
-                    name=f"{self.name}/lb-{name}")
-                proc._waited_on = True
-                follower_procs.append(proc)
-            deadline = self.cluster.sim.now() + bound.budget_ms
+                if follower is not None and follower.alive:
+                    follower_procs.append(
+                        spawn_read(follower, name, info.region_name))
+            deadline = sim.now() + bound.budget_ms
             while True:
                 if (leader_proc.future.done()
                         and leader_proc.future.exception() is None):
-                    self.last_read_staleness_ms = 0.0
                     return leader_proc.future.result()
                 admissible = None
                 for proc in follower_procs:
                     if not proc.future.done() or proc.future.exception():
                         continue
-                    result, staleness = proc.future.result()
-                    if staleness <= bound.max_staleness_ms and (
-                            admissible is None or staleness < admissible[1]):
-                        admissible = (result, staleness)
+                    answer = proc.future.result()
+                    if answer[1] <= bound.max_staleness_ms and (
+                            admissible is None or answer[1] < admissible[1]):
+                        admissible = answer
                 if admissible is not None:
-                    self.last_read_staleness_ms = admissible[1]
-                    return admissible[0]
+                    return admissible
                 still_running = [p for p in ([leader_proc] + follower_procs)
                                  if not p.future.done()]
-                if not still_running or (self.cluster.sim.now() >= deadline
+                if not still_running or (sim.now() >= deadline
                                          and leader_proc.future.done()):
                     break
-                if self.cluster.sim.now() >= deadline:
+                if sim.now() >= deadline:
                     # Budget spent with nothing admissible: commit to the
                     # leader (strong) instead of polling on.
-                    try:
-                        result = yield leader_proc
-                        self.last_read_staleness_ms = 0.0
-                        return result
-                    except (ServerDownError, NoSuchRegionError):
-                        break
+                    return (yield leader_proc)
                 yield Timeout(0.5)
-            # Every speculative read failed (or came back inadmissible
-            # and the leader errored): classic refresh-and-retry.
-            attempts += 1
-            if attempts > self.max_route_retries:
-                leader_exc = (leader_proc.future.exception()
-                              if leader_proc.future.done() else None)
-                raise leader_exc or ServerDownError(
-                    f"latency-bound read of {table!r}/{row!r}: no replica "
-                    f"answered admissibly")
-            self.refresh_layout()
-            yield Timeout(self.retry_backoff_ms)
+            raise ServerDownError(
+                f"latency-bound read of {table!r}/{row!r}: no replica "
+                f"answered admissibly") from leader_proc.future.exception()
+        return self._retrying(attempt)
 
     def multi_get(self, table: str, rows: Sequence[bytes],
                   columns: Optional[List[str]] = None,
@@ -610,10 +576,10 @@ class Client:
             def one_server(server_name: str):
                 server = self.cluster.servers[server_name]
                 batch = groups[server_name]
-                result = yield from self.cluster.network.call(
-                    server, lambda: server.handle_multi_get(
+                rows_read, _staleness = yield from self.cluster.network.call(
+                    server, lambda: server.handle_read(
                         table, batch, columns, max_ts))
-                return result
+                return rows_read
 
             per_server = yield scatter_gather(
                 self.cluster.sim,
@@ -634,9 +600,10 @@ class Client:
     # -- scans ------------------------------------------------------------------
 
     def scan_table(self, table: str, key_range: KeyRange,
-                   limit: Optional[int] = None, is_index: bool = False,
+                   limit: Optional[int] = None,
                    ) -> Generator[Any, Any, List[Cell]]:
-        """Scan ``key_range`` across every region it overlaps, in key order."""
+        """Scan ``key_range`` across every region it overlaps, in key
+        order: a base table's cells or an index table's entries (RI)."""
         def attempt():
             infos = self._layout.get(table)
             if infos is None:
@@ -644,11 +611,10 @@ class Client:
                 infos = self._layout.get(table)
                 if infos is None:
                     raise NoSuchTableError(table)
-            return self._scan_attempt(table, infos, key_range, limit,
-                                      is_index)
+            return self._scan_attempt(table, infos, key_range, limit)
         return (yield from self._retrying(attempt))
 
-    def _scan_attempt(self, table, infos, key_range, limit, is_index,
+    def _scan_attempt(self, table, infos, key_range, limit,
                       ) -> Generator[Any, Any, List[Cell]]:
         """Scatter the scan across every overlapping region in parallel.
 
@@ -668,15 +634,11 @@ class Client:
         def one_region(info):
             server = self.cluster.servers[info.server_name]
             clamped = key_range.clamp(info.key_range)
-            if is_index:
-                cells = yield from self.cluster.network.call(
-                    server, lambda: server.handle_index_scan(table, clamped,
-                                                             limit))
-            else:
-                cells = yield from self.cluster.network.call(
-                    server, lambda: server.handle_scan(table, clamped, limit))
+            cells = yield from self.cluster.network.call(
+                server, lambda: server.handle_scan(table, clamped, limit))
             return cells
 
+        is_index = self.cluster.descriptor(table).is_index
         per_region = yield scatter_gather(
             self.cluster.sim,
             [lambda i=info: one_region(i) for info in overlapping],

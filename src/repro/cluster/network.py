@@ -101,7 +101,7 @@ class Network:
         ``target`` is any object with ``alive`` (bool) and ``name`` (str);
         the handler coroutine is produced lazily so a dead server never
         executes it.  Usage: ``result = yield from network.call(server,
-        lambda: server.handle_get(...))``.  Callers that name their
+        lambda: server.handle_read(...))``.  Callers that name their
         ``source`` server additionally pay any per-link degradation the
         :class:`FaultPlan` has configured for that (source, target) pair.
         """

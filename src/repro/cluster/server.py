@@ -543,56 +543,66 @@ class RegionServer:
             for row in reversed(locked):
                 row_region[row].locks.release(row)
 
-    # -- base-table reads -----------------------------------------------------
+    # -- reads ------------------------------------------------------------------
 
-    def handle_get(self, table: str, row: bytes,
-                   columns: Optional[List[str]] = None,
-                   max_ts: Optional[int] = None, background: bool = False,
-                   ) -> Generator[Any, Any, Dict[str, Tuple[bytes, int]]]:
+    def handle_read(self, table: str, rows: List[bytes],
+                    columns: Optional[List[str]] = None,
+                    max_ts: Optional[int] = None, background: bool = False,
+                    replica: Optional[str] = None,
+                    ) -> Generator[Any, Any, Tuple[Dict[bytes, Dict], float]]:
+        """The one row-read RPC: ``rows`` under ONE handler slot, one
+        ``local_read_row`` per listed row in list order.  Duplicates stay
+        duplicated and each is charged and counted as one base read, so
+        Table 2 op counts match the equivalent sequence of single gets.
+
+        Rows resolve against the led ``regions`` or, when ``replica``
+        names a region, against this server's follower copy of it.
+        Returns ``(row_map, staleness_ms)``: 0.0 from the leader, the
+        follower's measured lag otherwise — every write acknowledged at
+        least that long ago is guaranteed visible in the result."""
         return (yield from self._with_handler(
-            lambda: self._get_body(table, row, columns, max_ts, background)))
+            lambda: self._read_body(table, rows, columns, max_ts, background,
+                                    replica)))
 
-    def _get_body(self, table, row, columns, max_ts, background):
-        region = self._require_region(table, row)
-        result = yield from self.local_read_row(region, row, columns, max_ts,
-                                                background=background)
-        return result
-
-    def handle_multi_get(self, table: str, rows: List[bytes],
-                         columns: Optional[List[str]] = None,
-                         max_ts: Optional[int] = None,
-                         background: bool = False,
-                         ) -> Generator[Any, Any, Dict[bytes, Dict]]:
-        """Multiget: read several rows under ONE handler slot / round trip
-        — the HBase ``multi`` RPC the parallel double-check scatters per
-        server.  Each listed row is charged and counted as one base read
-        (duplicates included), so Table 2 op counts match the equivalent
-        sequence of single gets exactly."""
-        return (yield from self._with_handler(
-            lambda: self._multi_get_body(table, rows, columns, max_ts,
-                                         background)))
-
-    def _multi_get_body(self, table, rows, columns, max_ts, background):
+    def _read_body(self, table, rows, columns, max_ts, background, replica):
+        follower = (None if replica is None
+                    else self._require_follower(table, replica))
         out: Dict[bytes, Dict[str, Tuple[bytes, int]]] = {}
         for row in rows:
-            region = self._require_region(table, row)
+            if follower is None:
+                region = self._require_region(table, row)
+            else:
+                region = follower.region
+                if not region.contains_row(row):
+                    raise NoSuchRegionError(
+                        f"follower {replica} on {self.name} does not cover "
+                        f"{row!r}")
             out[row] = yield from self.local_read_row(
                 region, row, columns, max_ts, background=background)
-        return out
+        if follower is None:
+            return out, 0.0
+        self.obs_follower_reads.inc(len(rows))
+        staleness = follower.staleness_at(self.sim.now())
+        self.cluster.metrics.histogram(
+            "follower_read_staleness_ms", server=self.name).observe(staleness)
+        return out, staleness
 
     def handle_scan(self, table: str, key_range: KeyRange,
                     limit: Optional[int] = None,
                     max_ts: Optional[int] = None,
                     ) -> Generator[Any, Any, List[Cell]]:
-        """Range scan over one region's slice of ``key_range``.
+        """The one scan RPC: this server's slice of ``key_range`` in a base
+        or an index table (RI), counted as a ``base_read`` or an
+        ``index_read`` by the table's kind.
 
         ``max_ts`` bounds visibility to cells at or below that timestamp —
-        the snapshot scan the online backfill uses so rows written after
-        the DDL snapshot (already dual-written) are not double-handled."""
+        the snapshot scan the online backfill and scrub use so rows
+        written after the DDL snapshot (already dual-written) are not
+        double-handled."""
         return (yield from self._with_handler(
             lambda: self._scan_body(table, key_range, limit, max_ts)))
 
-    def _scan_body(self, table, key_range, limit, max_ts=None):
+    def _scan_body(self, table, key_range, limit, max_ts):
         regions = [r for r in self.regions.values()
                    if r.table.name == table
                    and r.key_range.overlaps(key_range)]
@@ -614,8 +624,9 @@ class RegionServer:
             if limit is not None and len(out) >= limit:
                 out = out[:limit]
                 break
-        if not self.cluster.descriptor(table).is_index:
-            self.cluster.counters.incr("base_read")
+        self.cluster.counters.incr(
+            "index_read" if self.cluster.descriptor(table).is_index
+            else "base_read")
         return out
 
     def _check_scan_coverage(self, table: str, regions: List[Region],
@@ -697,19 +708,6 @@ class RegionServer:
             counters.incr("async_index_delete" if background
                           else "index_delete", len(live) - puts)
 
-    def handle_index_scan(self, table: str, key_range: KeyRange,
-                          limit: Optional[int] = None,
-                          max_ts: Optional[int] = None,
-                          ) -> Generator[Any, Any, List[Cell]]:
-        """RI: read matching index entries (key-only cells with base ts)."""
-        return (yield from self._with_handler(
-            lambda: self._index_scan_body(table, key_range, limit, max_ts)))
-
-    def _index_scan_body(self, table, key_range, limit, max_ts=None):
-        result = yield from self._scan_body(table, key_range, limit, max_ts)
-        self.cluster.counters.incr("index_read")
-        return result
-
     def handle_local_index_scan(self, table: str, index_name: str,
                                 inner_range: KeyRange,
                                 limit: Optional[int] = None,
@@ -717,7 +715,9 @@ class RegionServer:
         """Scan one server's slice of a LOCAL index: every hosted region
         of the base table contributes its reserved-keyspace entries.
         The broadcast nature of local-index reads (§3.1) comes from the
-        client having to call this on EVERY region."""
+        client having to call this on EVERY region.  Not a
+        ``handle_scan``: it walks many regions' reserved keyspace on the
+        index pool and trims only after all of them (DESIGN.md §17.1)."""
         return (yield from self._with_handler(
             lambda: self._local_index_scan_body(table, index_name,
                                                 inner_range, limit),
@@ -793,36 +793,6 @@ class RegionServer:
             "replication_lag_ms", region=region_name).observe(
             replica.staleness_at(self.sim.now()))
         return replica.applied_seqno
-
-    def handle_replica_get(self, table: str, region_name: str, row: bytes,
-                           columns: Optional[List[str]] = None,
-                           max_ts: Optional[int] = None,
-                           ) -> Generator[Any, Any, Tuple[Dict, float]]:
-        """Bounded-staleness read from a follower replica: returns
-        ``(row_data, staleness_ms)`` where the advertised staleness is
-        the replica's measured lag — every write acknowledged at least
-        that long ago is guaranteed visible in the result."""
-        return (yield from self._with_handler(
-            lambda: self._replica_get_body(table, region_name, row,
-                                           columns, max_ts)))
-
-    def _replica_get_body(self, table, region_name, row, columns, max_ts):
-        replica = self._require_follower(table, region_name)
-        region = replica.region
-        if not region.contains_row(row):
-            raise NoSuchRegionError(
-                f"follower {region_name} on {self.name} does not cover "
-                f"{row!r}")
-        region.note_read()
-        stats = ReadStats()
-        result = region.read_row(row, columns, max_ts=max_ts, stats=stats)
-        yield from self.charge_read(stats)
-        self.obs_follower_reads.inc()
-        self.cluster.counters.incr("base_read")
-        staleness = replica.staleness_at(self.sim.now())
-        self.cluster.metrics.histogram(
-            "follower_read_staleness_ms", server=self.name).observe(staleness)
-        return result, staleness
 
     def handle_replica_repair(self, table: str, region_name: str,
                               cells: Tuple[Cell, ...],

@@ -86,11 +86,12 @@ class IndexOpContext:
             target_server, _region_name = self.server.cluster.locate(table,
                                                                      row)
             network = self.server.cluster.network
-            result = yield from network.call(
+            rows, _staleness = yield from network.call(
                 target_server,
-                lambda: target_server.handle_get(table, row, columns, max_ts,
-                                                 background=background))
-            return result
+                lambda: target_server.handle_read(table, [row], columns,
+                                                  max_ts,
+                                                  background=background))
+            return rows[row]
         finally:
             obs.end()
 

@@ -51,8 +51,7 @@ def scrub_index(cluster: "MiniCluster", client: "Client", index_name: str,
     index = cluster.index_descriptor(index_name)
     report = ScrubReport(index_name)
 
-    cells = yield from client.scan_table(index.table_name, KeyRange(),
-                                         is_index=True)
+    cells = yield from client.scan_table(index.table_name, KeyRange())
     for cell in cells:
         report.entries_checked += 1
         values, rowkey = decode_index_key(cell.key, len(index.columns))
@@ -122,8 +121,7 @@ def rebuild_index(cluster: "MiniCluster", client: "Client", index_name: str,
     """Tombstone every existing entry, then re-derive all entries from
     the base table.  Returns the number of entries rebuilt."""
     index = cluster.index_descriptor(index_name)
-    cells = yield from client.scan_table(index.table_name, KeyRange(),
-                                         is_index=True)
+    cells = yield from client.scan_table(index.table_name, KeyRange())
     for cell in cells:
         yield from client.delete_index_entry(index.table_name, cell.key,
                                              cell.ts)

@@ -112,7 +112,7 @@ def get_by_index(client: "Client", index: IndexDescriptor,
 
     # SR1 / the single index read of sync-full and async.
     cells = yield from client.scan_table(index.table_name, key_range,
-                                         limit=limit, is_index=True)
+                                         limit=limit)
     hits = _decode_hits(index, cells)
 
     # Algorithm 2 double-check: always for sync-insert, and temporarily

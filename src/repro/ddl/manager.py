@@ -455,7 +455,7 @@ class DdlManager:
         started = self.sim.now()
         server = cluster.servers[info.server_name]
         cells = yield from cluster.network.call(
-            server, lambda: server.handle_index_scan(
+            server, lambda: server.handle_scan(
                 job.index_table, chunk_range, limit=limit,
                 max_ts=job.snapshot_ts))
         if len(cells) >= limit:
@@ -566,8 +566,7 @@ class DdlManager:
                 try:
                     found = yield from self.client.scan_table(
                         index.table_name,
-                        KeyRange(entry_key, entry_key + b"\x00"),
-                        limit=1, is_index=True)
+                        KeyRange(entry_key, entry_key + b"\x00"), limit=1)
                 except (RpcError, NoSuchRegionError, NoSuchTableError):
                     continue
                 if not found:

@@ -51,3 +51,13 @@ def test_span_table_names_must_be_emitted():
             "| `not_a_span` | ignored: not a span table |\n")
     assert lint.dead_span_names(text, lint.emitted_span_names()) == [
         "enqueue_batch", "index_di", "sync_index_batch", "wal_group_append"]
+
+
+def test_bare_handler_names_must_be_region_server_rpcs():
+    lint = _load_lint()
+    text = ("`handle_read`, `handle_scan` with `max_ts`, "
+            "`handle_index_ops(background=True)` and "
+            "`RegionServer.handle_mutate` resolve; `handle_index_scan` and "
+            "`handle_get` are gone.")
+    assert lint.dead_handler_names(text, lint.region_server_rpcs()) == [
+        "handle_get", "handle_index_scan"]

@@ -35,3 +35,13 @@ def test_reports_every_component_and_is_deterministic(capsys):
     # lets two commits' outputs be diffed.
     assert sim_diff.main(argv) == 0
     assert capsys.readouterr().out.splitlines() == first
+
+
+def test_scenario_digest_drops_only_meta():
+    sim_diff = _load()
+    report = {"scenario": "s", "tenants": {"a": {"compliance": 1.0}},
+              "meta": {"wall_seconds": 1.5}}
+    digest = sim_diff.scenario_digest(report)
+    assert digest == sim_diff.scenario_digest(
+        dict(report, meta={"wall_seconds": 9.0}))
+    assert digest != sim_diff.scenario_digest(dict(report, scenario="t"))
