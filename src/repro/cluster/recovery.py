@@ -135,6 +135,7 @@ def recover_server(cluster: "MiniCluster", dead: "RegionServer",
                 if task is not None:
                     task.enqueued_at = cluster.sim.now()
                     target.auq.put(task)
+            target.adopt_timestamps(region)
             yield Timeout(len(wal_slice) * _REPLAY_COST_PER_RECORD_MS)
 
         master.reassign(info, target.name)

@@ -208,6 +208,18 @@ class RegionServer:
         region.tree.cache = self.cache
         region.tree.bind_metrics(self.cluster.metrics, server=self.name)
         self.regions[region.name] = region
+        self.adopt_timestamps(region)
+
+    def adopt_timestamps(self, region: Region) -> None:
+        """Raise this server's stamp clock to ``region``'s newest
+        timestamp.  Clocks are per server, and one that stamped faster
+        than once per ms (a bulk load, > 1000 puts/s) runs ahead of the
+        sim clock: a region arriving from such a host would otherwise
+        take later writes BELOW its existing versions, and an acked put
+        would read back as lost.  Runs on every ownership change, and
+        again once recovery or promotion has replayed the WAL into the
+        region (DESIGN.md §10.6)."""
+        self._last_ts = max(self._last_ts, region.tree.newest_ts())
 
     def remove_region(self, region_name: str) -> Optional[Region]:
         self.flush_points.pop(region_name, None)

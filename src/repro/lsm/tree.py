@@ -196,6 +196,17 @@ class LSMTree:
         if seqno > self.last_applied_seqno:
             self.last_applied_seqno = seqno
 
+    def newest_ts(self) -> int:
+        """The largest timestamp any component holds (0 when empty): the
+        memtables' cells and each SSTable's recorded ``max_ts``."""
+        newest = max((sstable.max_ts for sstable in self._sstables),
+                     default=0)
+        for memtable in [self._memtable] + [h.memtable for h in self._flushing]:
+            for cell in memtable.all_cells():
+                if cell.ts > newest:
+                    newest = cell.ts
+        return newest
+
     @property
     def memtable_bytes(self) -> int:
         return self._memtable.approximate_bytes

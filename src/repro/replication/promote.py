@@ -158,6 +158,7 @@ def promote_follower(cluster: "MiniCluster", info: "RegionInfo",
         # the high-watermark jumps to the freshest re-logged seqno even
         # when the tail was empty.
         region.tree.last_applied_seqno = new_records[-1].seqno
+        target.adopt_timestamps(region)
         if tail:
             yield Timeout(len(tail) * _REPLAY_COST_PER_RECORD_MS)
 
