@@ -20,6 +20,14 @@ from ``ledger.measure.run_repeat``, the same repeat the ledger times.
 ``--scenarios`` adds one digest per ``--quick`` scenario report
 (``python -m repro.scenario``) with its ``meta`` block, the host wall
 clock, dropped — so one command per commit covers both.
+
+``--compare BEFORE AFTER`` reads two saved reports instead of running
+anything.  For each workload it prints every simulated end-to-end metric
+both summary lines carry, its relative change, and the ``bound`` and
+``better`` that BENCHMARK.json gives it, and exits 1 if any metric got
+worse by more than its bound:
+
+    python scripts/sim_diff.py --compare before.txt after.txt
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import pathlib
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+BENCHMARK = REPO / "BENCHMARK.json"
 sys.path[:0] = [str(REPO), str(REPO / "src")]
 
 from ledger.measure import HOST_TIMED_HISTOGRAMS, run_repeat  # noqa: E402
@@ -83,6 +92,44 @@ def report(name: str, parts: dict, names: bool = False) -> list:
     return lines
 
 
+def summaries(text: str) -> dict:
+    """``{workload: {field: text}}`` from a report's summary lines (the
+    unindented lines that are not scenario digests)."""
+    out = {}
+    for line in text.splitlines():
+        if not line or line[0].isspace() or line.startswith("scenario "):
+            continue
+        name, *fields = line.split()
+        out[name] = dict(field.split("=", 1) for field in fields)
+    return out
+
+
+def compare(before: dict, after: dict, end_to_end: list) -> tuple:
+    """Printable lines and the number of metrics worse than their bound,
+    for every (workload, BENCHMARK.json end-to-end metric) both reports
+    carry."""
+    lines, worse = [], 0
+    for workload, old_fields in before.items():
+        new_fields = after.get(workload)
+        if new_fields is None:
+            continue
+        for metric in end_to_end:
+            name = metric["name"]
+            if name not in old_fields or name not in new_fields:
+                continue
+            old, new = float(old_fields[name]), float(new_fields[name])
+            change = (new - old) / old if old else float(new != old)
+            loss = change if metric["better"] == "lower" else -change
+            verdict = "ok"
+            if loss > metric["bound"]:
+                verdict = "WORSE"
+                worse += 1
+            lines.append(f"{workload} {name} {old:.6g} -> {new:.6g} "
+                         f"{change:+.1%} (bound {metric['bound']:.0%}, "
+                         f"better {metric['better']}) {verdict}")
+    return lines, worse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=42)
@@ -94,7 +141,18 @@ def main(argv=None) -> int:
     parser.add_argument("--scenarios", action="store_true",
                         help="also print a digest of every --quick "
                              "scenario report, meta dropped")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two saved reports against the "
+                             "BENCHMARK.json bounds instead of running")
     args = parser.parse_args(argv)
+    if args.compare:
+        before, after = (summaries(pathlib.Path(path).read_text())
+                         for path in args.compare)
+        end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
+        lines, worse = compare(before, after, end_to_end)
+        for line in lines:
+            print(line)
+        return 1 if worse else 0
     for name in args.workload or list(SPECS):
         parts = components(run_repeat(SPECS[name], args.seed, args.scale))
         for line in report(name, parts, args.names):

@@ -554,14 +554,17 @@ class Client:
                   columns: Optional[List[str]] = None,
                   max_ts: Optional[int] = None,
                   session: Optional[Session] = None,
-                  ) -> Generator[Any, Any, Dict[bytes, Dict[str, Tuple[bytes, int]]]]:
+                  timestamps_only: bool = False,
+                  ) -> Generator[Any, Any, Dict[bytes, Dict[str, Tuple]]]:
         """Parallel multiget: group ``rows`` by hosting server, issue one
         RPC per server (scatter), merge the per-server answers.
 
         K rows land in ~1 round trip instead of K; each listed row is
         still charged/counted as one base read server-side, so op counts
         are identical to K single gets.  Duplicate rows are deliberately
-        NOT deduplicated for that same reason.
+        NOT deduplicated for that same reason.  ``timestamps_only`` asks
+        for each listed column's newest ``(ts, is_tombstone) | None``
+        instead of its value (see ``RegionServer.handle_read``).
         """
         rows = list(rows)
         if not rows:
@@ -578,7 +581,8 @@ class Client:
                 batch = groups[server_name]
                 rows_read, _staleness = yield from self.cluster.network.call(
                     server, lambda: server.handle_read(
-                        table, batch, columns, max_ts))
+                        table, batch, columns, max_ts,
+                        timestamps_only=timestamps_only))
                 return rows_read
 
             per_server = yield scatter_gather(

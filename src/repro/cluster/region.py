@@ -178,6 +178,15 @@ class Region:
                     out[qualifier] = (cell.value, cell.ts)
         return out
 
+    def read_timestamps(self, row: bytes, columns: List[str],
+                        stats: Optional[ReadStats] = None,
+                        ) -> Dict[str, Optional[Tuple[int, bool]]]:
+        """Newest cell per column as ``{qualifier: (ts, is_tombstone) |
+        None}``, read off the timestamp sidecars (``LSMTree.probe_ts``)."""
+        return {qualifier: self.tree.probe_ts(compose_cell_key(row, qualifier),
+                                              stats=stats)
+                for qualifier in columns}
+
     def scan_rows(self, key_range: KeyRange, limit: Optional[int] = None,
                   max_ts: Optional[int] = None,
                   stats: Optional[ReadStats] = None) -> List[Cell]:

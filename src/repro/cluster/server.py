@@ -334,11 +334,18 @@ class RegionServer:
 
     def local_read_row(self, region: Region, row: bytes,
                        columns: Optional[List[str]], max_ts: Optional[int],
-                       background: bool,
-                       ) -> Generator[Any, Any, Dict[str, Tuple[bytes, int]]]:
+                       background: bool, timestamps_only: bool = False,
+                       ) -> Generator[Any, Any, Dict[str, Tuple]]:
+        """One charged base read of ``row``: its visible ``(value, ts)``
+        per column, or with ``timestamps_only`` its newest
+        ``(ts, is_tombstone) | None`` per listed column (``max_ts`` does
+        not apply), read off the timestamp sidecars."""
         region.note_read()
         stats = ReadStats()
-        result = region.read_row(row, columns, max_ts=max_ts, stats=stats)
+        if timestamps_only:
+            result = region.read_timestamps(row, columns, stats=stats)
+        else:
+            result = region.read_row(row, columns, max_ts=max_ts, stats=stats)
         yield from self.charge_read(stats)
         counters = self.cluster.counters
         counters.incr("async_base_read" if background else "base_read")
@@ -561,6 +568,7 @@ class RegionServer:
                     columns: Optional[List[str]] = None,
                     max_ts: Optional[int] = None, background: bool = False,
                     replica: Optional[str] = None,
+                    timestamps_only: bool = False,
                     ) -> Generator[Any, Any, Tuple[Dict[bytes, Dict], float]]:
         """The one row-read RPC: ``rows`` under ONE handler slot, one
         ``local_read_row`` per listed row in list order.  Duplicates stay
@@ -569,17 +577,21 @@ class RegionServer:
 
         Rows resolve against the led ``regions`` or, when ``replica``
         names a region, against this server's follower copy of it.
+        ``timestamps_only`` answers each row's newest ``(ts, is_tombstone)
+        | None`` per listed column instead of its values: the validation
+        read's timestamp check (DESIGN.md §14.2).
         Returns ``(row_map, staleness_ms)``: 0.0 from the leader, the
         follower's measured lag otherwise — every write acknowledged at
         least that long ago is guaranteed visible in the result."""
         return (yield from self._with_handler(
             lambda: self._read_body(table, rows, columns, max_ts, background,
-                                    replica)))
+                                    replica, timestamps_only)))
 
-    def _read_body(self, table, rows, columns, max_ts, background, replica):
+    def _read_body(self, table, rows, columns, max_ts, background, replica,
+                   timestamps_only):
         follower = (None if replica is None
                     else self._require_follower(table, replica))
-        out: Dict[bytes, Dict[str, Tuple[bytes, int]]] = {}
+        out: Dict[bytes, Dict[str, Tuple]] = {}
         for row in rows:
             if follower is None:
                 region = self._require_region(table, row)
@@ -590,7 +602,7 @@ class RegionServer:
                         f"follower {replica} on {self.name} does not cover "
                         f"{row!r}")
             out[row] = yield from self.local_read_row(
-                region, row, columns, max_ts, background=background)
+                region, row, columns, max_ts, background, timestamps_only)
         if follower is None:
             return out, 0.0
         self.obs_follower_reads.inc(len(rows))

@@ -17,8 +17,8 @@ from repro.core.encoding import IndexableValue, encode_index_key
 from repro.core.schemes import IndexScheme
 
 __all__ = ["IndexDescriptor", "IndexScope", "IndexState", "row_index_key",
-           "row_index_entry", "extract_index_values", "INDEX_TABLE_PREFIX",
-           "index_table_name"]
+           "row_index_entry", "entry_is_current", "extract_index_values",
+           "INDEX_TABLE_PREFIX", "index_table_name"]
 
 
 class IndexScope(enum.Enum):
@@ -159,3 +159,18 @@ def row_index_entry(index: IndexDescriptor, rowkey: bytes,
     if not indexed_ts:
         return None
     return row_index_key(index, tup, rowkey), max(indexed_ts)
+
+
+def entry_is_current(entry_ts: int,
+                     stamps: Dict[str, Optional[Tuple[int, bool]]]) -> bool:
+    """The validation read's timestamp check (DESIGN.md §14.2): is an
+    index entry written at ``entry_ts`` still its row's entry, given the
+    newest ``(ts, is_tombstone)`` of each indexed column?
+
+    Every entry carries the newest indexed-column ts of the row image it
+    was derived from (the blind ship's put ts, ``row_index_entry`` for a
+    backfill), so the entry is current exactly when no indexed cell is
+    newer than it and the newest one is a value, not a tombstone."""
+    newest = max((stamp for stamp in stamps.values() if stamp is not None),
+                 default=None)
+    return newest is not None and not newest[1] and newest[0] <= entry_ts

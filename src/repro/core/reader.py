@@ -5,8 +5,10 @@
 * sync-insert — Algorithm 2: after the index scan, each candidate rowkey
   is double-checked against the base table; stale entries are filtered
   out *and repaired* (deleted at their own timestamp);
-* validation — the same base-row check, but filter-only: stale entries
-  are handed to the background cleaner instead of being repaired inline;
+* validation — each candidate is checked against its row's newest
+  indexed-column timestamps (the SSTables' timestamp sidecars), not its
+  values; stale entries are filtered and handed to the background
+  cleaner instead of being repaired inline;
 * async-session — the server results are merged with the session's
   private index view before returning (read-your-writes).
 
@@ -22,7 +24,8 @@ from repro.errors import NoSuchIndexError
 from repro.core.encoding import (IndexableValue, decode_index_key,
                                  encode_value, index_prefix,
                                  prefix_upper_bound)
-from repro.core.index import IndexDescriptor, extract_index_values
+from repro.core.index import (IndexDescriptor, entry_is_current,
+                              extract_index_values)
 from repro.core.schemes import IndexScheme
 from repro.core.session import Session
 from repro.lsm.types import KeyRange
@@ -232,11 +235,11 @@ def _double_check(client: "Client", index: IndexDescriptor,
 def _validate(client: "Client", index: IndexDescriptor,
               hits: List[IndexHit],
               ) -> Generator[Any, Any, List[IndexHit]]:
-    """The validation scheme's read path (DESIGN.md §14): the same K
-    parallel base reads as Algorithm 2's double-check, but stale entries
-    are only *filtered*, never repaired inline — the read stays one
-    scatter round trip, and the discovered entries are handed to the
-    background cleaner for deferred deletion.
+    """The validation scheme's read path (DESIGN.md §14.2): K parallel
+    timestamps-only base reads — one scatter round trip, each row counted
+    as one base read — and :func:`entry_is_current` per hit.  Stale
+    entries are only *filtered*, never repaired inline; they are handed
+    to the background cleaner for deferred deletion.
     """
     if not hits:
         return []
@@ -246,15 +249,13 @@ def _validate(client: "Client", index: IndexDescriptor,
                                 index=index.name)
     filtered = metrics.counter("validation_hits_filtered_total",
                                index=index.name)
-    row_map = yield from client.multi_get(
+    stamps = yield from client.multi_get(
         index.base_table, [hit.rowkey for hit in hits],
-        columns=list(index.columns))
+        columns=list(index.columns), timestamps_only=True)
     now = cluster.sim.now()
     confirmed: List[IndexHit] = []
     for hit in hits:
-        row_data = row_map.get(hit.rowkey, {})
-        current = {col: value for col, (value, _ts) in row_data.items()}
-        if extract_index_values(index, current) == hit.values:
+        if entry_is_current(hit.ts, stamps[hit.rowkey]):
             validated.inc()
             confirmed.append(hit)
         else:

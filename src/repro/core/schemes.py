@@ -6,8 +6,8 @@ enum also encodes the paper's selection principles (§3.4) in
 workload's requirements.  The fifth scheme — VALIDATION — follows
 Luo & Carey's validation strategy for LSM secondary indexes: updates
 ship blindly with no read-before-write, reads filter stale hits against
-the base table, and a background cleaner garbage-collects the entries
-the filter discovers (DESIGN.md §14).
+the base rows' indexed-column timestamps, and a background cleaner
+garbage-collects the entries the filter discovers (DESIGN.md §14).
 """
 
 from __future__ import annotations

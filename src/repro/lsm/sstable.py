@@ -1,9 +1,16 @@
 """Immutable on-disk sorted runs (HBase HFiles).
 
 An SSTable is a list of *blocks*, each holding a contiguous run of cells
-sorted by ``(key asc, ts desc)``, plus a sparse block index and a bloom
-filter.  The builder never splits one key's versions across blocks, so a
-point lookup touches at most one block.
+sorted by ``(key asc, ts desc)``, plus a sparse block index, a bloom
+filter and a timestamp sidecar.  The builder never splits one key's
+versions across blocks, so a point lookup touches at most one block.
+
+The **timestamp sidecar** (DESIGN.md §14.6) holds each key's newest
+timestamp and a tombstone bit, sorted by ``(qualifier, row)`` so one
+column's entries sit in a few dense blocks: a reader that needs only
+"how new is this cell?" opens one small sidecar block instead of a data
+block.  Sidecar block ``n`` (from 1) has the negative block id ``-n``,
+which keeps it apart from the data blocks in the shared block cache.
 
 SSTables carry no timing themselves; the LSM tree charges block reads to
 the block cache or the simulated disk, which is where the paper's
@@ -14,10 +21,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.errors import StorageError
 from repro.lsm.bloom import BloomFilter
+from repro.lsm.iterators import newest_run
 from repro.lsm.types import Cell, KeyRange, cell_size
 
 __all__ = ["SSTable", "SSTableBuilder", "DEFAULT_BLOCK_BYTES",
@@ -52,11 +61,20 @@ def compressed_block_bytes(block: Sequence[Cell]) -> int:
     return total
 
 
+def sidecar_order(key: bytes) -> Tuple[bytes, bytes, bytes]:
+    """Where a cell key ``row ⊕ 0x00 ⊕ qualifier`` sits in a sidecar: by
+    qualifier, then row.  The separator is kept, so distinct keys never
+    tie (a key without one, e.g. an index entry, sorts first)."""
+    row, sep, qualifier = key.partition(b"\x00")
+    return qualifier, sep, row
+
+
 class SSTable:
     """Sealed sorted run.  Construct through :class:`SSTableBuilder`."""
 
     def __init__(self, blocks: List[List[Cell]], bloom: BloomFilter,
-                 name: str = "", prefix_compressed: bool = False):
+                 name: str = "", prefix_compressed: bool = False,
+                 block_bytes: int = DEFAULT_BLOCK_BYTES):
         if not blocks:
             raise StorageError("SSTable must contain at least one block")
         self.sstable_id = next(_sstable_ids)
@@ -77,9 +95,17 @@ class SSTable:
         all_ts = [c.ts for block in blocks for c in block]
         self.min_ts = min(all_ts)
         self.max_ts = max(all_ts)
+        self._target_block_bytes = block_bytes
+        # The sidecar's layout: each block's first entry in sidecar order
+        # and each block's accounted bytes.  Built on the first probe.
+        self._sidecar_first: Optional[List[Tuple[bytes, bytes, bytes]]] = None
+        self._sidecar_sizes: List[int] = []
 
     def block_bytes(self, block_id: int) -> int:
-        """Accounted (possibly compressed) size of one block."""
+        """Accounted size of one block: a data block (possibly compressed)
+        or, for a negative id, a sidecar block."""
+        if block_id < 0:
+            return self._sidecar_sizes[-block_id - 1]
         return self._block_sizes[block_id]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -137,6 +163,54 @@ class SSTable:
         # holds only keys >= end and must not be opened.
         end_idx = bisect_left(first_keys, key_range.end, start_idx)
         return range(start_idx, min(end_idx, len(self._blocks)))
+
+    # -- timestamp sidecar ----------------------------------------------------
+
+    def probe_ts(self, key: bytes) -> Tuple[Optional[Tuple[int, bool]], int]:
+        """``key``'s newest timestamp here and whether a tombstone sits at
+        it, or None, plus the id of the sidecar block that holds (or, for a
+        bloom false positive, would hold) its entry.  Callers run
+        :meth:`may_contain` first, as before a data-block read."""
+        if self._sidecar_first is None:
+            self._build_sidecar()
+        position = bisect_right(self._sidecar_first, sidecar_order(key))
+        block_id = self.block_for_key(key)
+        run = () if block_id is None else newest_run(self._blocks[block_id],
+                                                     key)
+        entry = None
+        if run:
+            entry = (run[0].ts, any(cell.value is None for cell in run))
+        return entry, -max(position, 1)
+
+    def _build_sidecar(self) -> None:
+        """Lay the sidecar out: one value-less cell per key (key + the
+        24-byte header, :func:`cell_size`), in sidecar order, packed into
+        blocks the way the builder packs data blocks, except that a block
+        never holds two qualifiers: a probe of one column never pulls
+        another column's entries into the cache.  The simulation keeps
+        every cell in memory, so the entries themselves are read off the
+        data blocks; only the layout is materialised."""
+        # One bucket per qualifier.  A key's row part ends at its first
+        # 0x00, so a bucket filled in data order is already in row order.
+        columns: Dict[Tuple[bytes, bytes], List[bytes]] = {}
+        last = None
+        for block in self._blocks:
+            for cell in block:
+                if cell.key != last:
+                    last = cell.key
+                    qualifier, sep, _row = sidecar_order(last)
+                    columns.setdefault((qualifier, sep), []).append(last)
+        header = cell_size(Cell(b"", 0, None))   # an entry is key + header
+        first: List[Tuple[bytes, bytes, bytes]] = []
+        sizes: List[int] = []
+        for _column, keys in sorted(columns.items()):
+            for n, key in enumerate(keys):
+                if n == 0 or sizes[-1] >= self._target_block_bytes:
+                    first.append(sidecar_order(key))
+                    sizes.append(0)
+                sizes[-1] += len(key) + header
+        self._sidecar_first = first
+        self._sidecar_sizes = sizes
 
     # -- direct (cost-free) access for compaction & tests ---------------------
 
@@ -208,4 +282,5 @@ class SSTableBuilder:
         bloom = BloomFilter.build(self._keys, expected_items=len(self._keys),
                                   false_positive_rate=self.bloom_fp_rate)
         return SSTable(self._blocks, bloom, name=self.name,
-                       prefix_compressed=self.prefix_compression)
+                       prefix_compressed=self.prefix_compression,
+                       block_bytes=self.block_bytes)

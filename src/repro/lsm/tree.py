@@ -393,6 +393,37 @@ class LSMTree:
                 cells.extend(run)
         return resolve_get(cells)
 
+    def probe_ts(self, key: bytes, stats: Optional[ReadStats] = None,
+                 ) -> Optional[Tuple[int, bool]]:
+        """``key``'s newest cell as ``(ts, is_tombstone)``, or None: the
+        timestamp check of the validation read (DESIGN.md §14.6).
+
+        The same timestamp-bounded walk as :meth:`get` (memtables, then
+        SSTables newest first, skipping a file whose ``max_ts`` is below
+        the best ts in hand, then its bloom filter), but each file it opens
+        charges one sidecar block and no data block.  At equal ts a
+        tombstone outranks a value, as it masks it."""
+        best: Optional[Tuple[int, bool]] = None
+        for memtable in [self._memtable] + [h.memtable for h in self._flushing]:
+            if stats is not None:
+                stats.memtable_probes += 1
+            run = newest_run(memtable.cells_for(key), key)
+            if run:
+                entry = (run[0].ts, any(c.value is None for c in run))
+                if best is None or entry > best:
+                    best = entry
+        for sstable in self._sstables:
+            if best is not None and sstable.max_ts < best[0]:
+                continue
+            if stats is not None:
+                stats.bloom_probes += 1
+            if sstable.may_contain(key):
+                entry, block_id = sstable.probe_ts(key)
+                self._charge_block(sstable, block_id, stats)
+                if entry is not None and (best is None or entry > best):
+                    best = entry
+        return best
+
     def get_versions(self, key: bytes, n: int, max_ts: Optional[int] = None,
                      stats: Optional[ReadStats] = None) -> List[Cell]:
         return resolve_versions(self._collect_cells(key, max_ts, stats),

@@ -13,6 +13,7 @@ import dataclasses
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.index import IndexDescriptor
+from repro.core.schemes import IndexScheme
 from repro.query.predicates import Eq, Range
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,9 +35,13 @@ class QueryPlan:
                     f"ON {self.table}({self.index.columns[0]})")
             # Lazy schemes hide a per-hit base-table check behind the
             # lookup; surface it so EXPLAIN output reflects the real read
-            # cost (sync-insert repairs, validation only filters).
-            if self.index.scheme.is_lazy:
-                plan += f" WITH BASE CHECK ({self.index.scheme.value})"
+            # cost: sync-insert reads each row and repairs, validation
+            # reads each row's timestamps and only filters.
+            scheme = self.index.scheme
+            if scheme is IndexScheme.VALIDATION:
+                plan += f" WITH TIMESTAMP CHECK ({scheme.value})"
+            elif scheme.is_lazy:
+                plan += f" WITH BASE CHECK ({scheme.value})"
             return plan
         return f"PARALLEL SCAN {self.table}"
 

@@ -1,5 +1,6 @@
 """scripts/sim_diff.py: per-component hashes of a ledger run, small
-enough to smoke-test at 1/32 scale."""
+enough to smoke-test at 1/32 scale, and the comparison of two saved
+reports against the BENCHMARK.json bounds."""
 
 import importlib.util
 import pathlib
@@ -45,3 +46,31 @@ def test_scenario_digest_drops_only_meta():
     assert digest == sim_diff.scenario_digest(
         dict(report, meta={"wall_seconds": 9.0}))
     assert digest != sim_diff.scenario_digest(dict(report, scenario="t"))
+
+
+def test_compare_flags_a_metric_worse_than_its_bound(tmp_path, capsys):
+    sim_diff = _load()
+    before = tmp_path / "before.txt"
+    after = tmp_path / "after.txt"
+    before.write_text(
+        "w ops=aa hits=3 read_p50_sim_ms=100 sim_throughput_tps=50 "
+        "update_p99_sim_ms=1.0\n  counter c 1\nscenario s ff\n")
+    # read p50 -40% and tps +60% are gains; update p99 +10% is inside
+    # its 15% bound.
+    after.write_text(
+        "w ops=bb hits=4 read_p50_sim_ms=60 sim_throughput_tps=80 "
+        "update_p99_sim_ms=1.1\n")
+    assert sim_diff.main(["--compare", str(before), str(after)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == [
+        "sim_throughput_tps", "read_p50_sim_ms", "update_p99_sim_ms"]
+    assert lines[1] == ("w read_p50_sim_ms 100 -> 60 -40.0% "
+                        "(bound 5%, better lower) ok")
+    assert all(line.endswith(" ok") for line in lines)
+
+    # Throughput down 20% against a 10% bound: worse, exit 1.
+    after.write_text("w read_p50_sim_ms=100 sim_throughput_tps=40\n")
+    assert sim_diff.main(["--compare", str(before), str(after)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("(bound 10%, better higher) WORSE")
+    assert lines[1].endswith(" ok")

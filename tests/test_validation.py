@@ -213,9 +213,13 @@ def test_planner_surfaces_base_check():
     cluster.create_table("t")
     cluster.create_index(IndexDescriptor("ix", "t", ("c",),
                                          scheme=IndexScheme.VALIDATION))
+    cluster.create_index(IndexDescriptor("iy", "t", ("d",),
+                                         scheme=IndexScheme.SYNC_INSERT))
     plan = plan_query(cluster, "t", Eq("c", b"x"))
     assert plan.access_path == "index"
-    assert "WITH BASE CHECK (validation)" in plan.describe()
+    assert "WITH TIMESTAMP CHECK (validation)" in plan.describe()
+    assert "WITH BASE CHECK (sync-insert)" in plan_query(
+        cluster, "t", Eq("d", b"x")).describe()
 
 
 def test_purge_discovered_entries_foreground(cluster, client):
