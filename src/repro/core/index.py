@@ -17,8 +17,8 @@ from repro.core.encoding import IndexableValue, encode_index_key
 from repro.core.schemes import IndexScheme
 
 __all__ = ["IndexDescriptor", "IndexScope", "IndexState", "row_index_key",
-           "row_index_entry", "entry_is_current", "extract_index_values",
-           "INDEX_TABLE_PREFIX", "index_table_name"]
+           "row_index_entry", "checks_timestamps", "entry_is_current",
+           "extract_index_values", "INDEX_TABLE_PREFIX", "index_table_name"]
 
 
 class IndexScope(enum.Enum):
@@ -161,16 +161,26 @@ def row_index_entry(index: IndexDescriptor, rowkey: bytes,
     return row_index_key(index, tup, rowkey), max(indexed_ts)
 
 
-def entry_is_current(entry_ts: int,
-                     stamps: Dict[str, Optional[Tuple[int, bool]]]) -> bool:
-    """The validation read's timestamp check (DESIGN.md §14.2): is an
-    index entry written at ``entry_ts`` still its row's entry, given the
-    newest ``(ts, is_tombstone)`` of each indexed column?
+def checks_timestamps(index: IndexDescriptor) -> bool:
+    """Whether the validation read checks ``index``'s entries by
+    timestamp (:func:`entry_is_current`) instead of by value
+    (DESIGN.md §14.2).  Only a single-column index qualifies: a put or
+    delete may touch a strict subset of a composite index's columns, and
+    the blind ship then derives an entry from the put alone (``(a, None)``
+    for a put of ``c`` alone on ``(c, d)``) that no timestamp rule can
+    tell from the row's real entry — only the row's values can."""
+    return not index.is_composite
 
-    Every entry carries the newest indexed-column ts of the row image it
-    was derived from (the blind ship's put ts, ``row_index_entry`` for a
-    backfill), so the entry is current exactly when no indexed cell is
-    newer than it and the newest one is a value, not a tombstone."""
-    newest = max((stamp for stamp in stamps.values() if stamp is not None),
-                 default=None)
-    return newest is not None and not newest[1] and newest[0] <= entry_ts
+
+def entry_is_current(entry_ts: int,
+                     stamp: Optional[Tuple[int, bool]]) -> bool:
+    """The validation read's timestamp check (DESIGN.md §14.2): is an
+    entry of a single-column index written at ``entry_ts`` still its
+    row's entry, given the indexed column's newest ``(ts, is_tombstone)``
+    (None when the row never had the column)?
+
+    Every entry carries the ts of the indexed cell it was derived from
+    (the blind ship's put ts, ``row_index_entry`` for a backfill), so the
+    entry is current exactly when that cell is still the newest one: no
+    newer cell, and not masked by a tombstone."""
+    return stamp is not None and not stamp[1] and stamp[0] <= entry_ts

@@ -5,10 +5,11 @@
 * sync-insert — Algorithm 2: after the index scan, each candidate rowkey
   is double-checked against the base table; stale entries are filtered
   out *and repaired* (deleted at their own timestamp);
-* validation — each candidate is checked against its row's newest
-  indexed-column timestamps (the SSTables' timestamp sidecars), not its
-  values; stale entries are filtered and handed to the background
-  cleaner instead of being repaired inline;
+* validation — each candidate of a single-column index is checked
+  against its row's newest indexed-cell timestamp (the SSTables'
+  timestamp sidecars), not its value; a composite index's candidates
+  still get the base-row value check.  Stale entries are filtered and
+  handed to the background cleaner instead of being repaired inline;
 * async-session — the server results are merged with the session's
   private index view before returning (read-your-writes).
 
@@ -24,8 +25,8 @@ from repro.errors import NoSuchIndexError
 from repro.core.encoding import (IndexableValue, decode_index_key,
                                  encode_value, index_prefix,
                                  prefix_upper_bound)
-from repro.core.index import (IndexDescriptor, entry_is_current,
-                              extract_index_values)
+from repro.core.index import (IndexDescriptor, checks_timestamps,
+                              entry_is_current, extract_index_values)
 from repro.core.schemes import IndexScheme
 from repro.core.session import Session
 from repro.lsm.types import KeyRange
@@ -236,10 +237,13 @@ def _validate(client: "Client", index: IndexDescriptor,
               hits: List[IndexHit],
               ) -> Generator[Any, Any, List[IndexHit]]:
     """The validation scheme's read path (DESIGN.md §14.2): K parallel
-    timestamps-only base reads — one scatter round trip, each row counted
-    as one base read — and :func:`entry_is_current` per hit.  Stale
-    entries are only *filtered*, never repaired inline; they are handed
-    to the background cleaner for deferred deletion.
+    base reads — one scatter round trip, each row counted as one base
+    read.  A single-column index reads timestamps only and keeps a hit
+    by :func:`entry_is_current`; a composite one reads the indexed values
+    and keeps a hit whose tuple they still derive, as Algorithm 2 does
+    (:func:`checks_timestamps` says why).  Stale entries are only
+    *filtered*, never repaired inline; they are handed to the background
+    cleaner for deferred deletion.
     """
     if not hits:
         return []
@@ -249,13 +253,21 @@ def _validate(client: "Client", index: IndexDescriptor,
                                 index=index.name)
     filtered = metrics.counter("validation_hits_filtered_total",
                                index=index.name)
-    stamps = yield from client.multi_get(
+    by_ts = checks_timestamps(index)
+    replies = yield from client.multi_get(
         index.base_table, [hit.rowkey for hit in hits],
-        columns=list(index.columns), timestamps_only=True)
+        columns=list(index.columns), timestamps_only=by_ts)
     now = cluster.sim.now()
     confirmed: List[IndexHit] = []
     for hit in hits:
-        if entry_is_current(hit.ts, stamps[hit.rowkey]):
+        reply = replies.get(hit.rowkey, {})
+        if by_ts:
+            current = entry_is_current(hit.ts, reply.get(index.columns[0]))
+        else:
+            current = extract_index_values(
+                index, {col: value for col, (value, _ts) in reply.items()}
+            ) == hit.values
+        if current:
             validated.inc()
             confirmed.append(hit)
         else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, TYPE_CHECKING
 
-from repro.core.index import IndexDescriptor
+from repro.core.index import IndexDescriptor, checks_timestamps
 from repro.core.schemes import IndexScheme
 from repro.query.predicates import Eq, Range
 
@@ -36,9 +36,11 @@ class QueryPlan:
             # Lazy schemes hide a per-hit base-table check behind the
             # lookup; surface it so EXPLAIN output reflects the real read
             # cost: sync-insert reads each row and repairs, validation
-            # reads each row's timestamps and only filters.
+            # reads each row's timestamps (its values, for a composite
+            # index) and only filters.
             scheme = self.index.scheme
-            if scheme is IndexScheme.VALIDATION:
+            if (scheme is IndexScheme.VALIDATION
+                    and checks_timestamps(self.index)):
                 plan += f" WITH TIMESTAMP CHECK ({scheme.value})"
             elif scheme.is_lazy:
                 plan += f" WITH BASE CHECK ({scheme.value})"

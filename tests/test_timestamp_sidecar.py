@@ -3,9 +3,12 @@
 
 * ``LSMTree.probe_ts`` answers what the exhaustive collector's newest
   cell says, bloom false positives included;
-* the validation read's timestamp check keeps exactly the hits the old
-  value-comparing check kept, at every quiesced point of random
-  put / delete / flush / compaction / split histories;
+* the validation read keeps exactly the hits the old value-comparing
+  check kept, at every quiesced point of random histories of partial
+  and whole puts and deletes, flushes, compactions and splits — by
+  timestamp on a one-column index, by value on a composite one;
+* between quiesced points the one difference is pinned: a same-value
+  rewrite validated before its blind ship lands;
 * a timestamps-only read charges sidecar blocks, never data blocks, and
   still counts one base read per row; sync-insert's double-check still
   reads data blocks.
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster
 from repro.core import reader
-from repro.core.index import entry_is_current, extract_index_values
+from repro.core.index import (checks_timestamps, entry_is_current,
+                              extract_index_values)
 from repro.lsm import (BlockCache, Cell, CompactionPolicy, KeyRange,
                        LSMConfig, LSMTree, ReadStats)
 
@@ -147,30 +151,34 @@ def value_check(client, index, hits):
 
 
 def test_entry_is_current_rule():
-    """Current iff the newest indexed cell is a value no newer than the
-    entry; a tombstone at the entry's own ts masks it."""
-    assert entry_is_current(5, {"c": (5, False)})
-    assert entry_is_current(5, {"c": (4, False)})
-    assert not entry_is_current(5, {"c": (6, False)})
-    assert not entry_is_current(5, {"c": (5, True)})
-    assert not entry_is_current(5, {"c": None})
-    assert not entry_is_current(5, {})
-    assert entry_is_current(5, {"c": (5, False), "d": (3, True)})
-    assert not entry_is_current(5, {"c": (3, False), "d": (5, True)})
-    assert not entry_is_current(5, {"c": (5, False), "d": (6, False)})
+    """Current iff the indexed cell's newest version is a value no newer
+    than the entry; a tombstone at the entry's own ts masks it."""
+    assert entry_is_current(5, (5, False))
+    assert entry_is_current(5, (4, False))
+    assert not entry_is_current(5, (6, False))
+    assert not entry_is_current(5, (5, True))
+    assert not entry_is_current(5, (3, True))
+    assert not entry_is_current(5, None)
+
+
+def test_only_single_column_indexes_check_timestamps():
+    assert checks_timestamps(IndexDescriptor("ix", "t", ("c",)))
+    assert not checks_timestamps(IndexDescriptor("ix", "t", ("c", "d")))
 
 
 def history_strategy(columns):
-    """Puts write every indexed column (plus, sometimes, a non-indexed
-    one) and deletes remove them all together: a mutation carries the
-    whole indexed tuple, which is what index maintenance derives an entry
-    from (DESIGN.md §14.2)."""
+    """Puts write any subset of the indexed columns (none, for a put of
+    the non-indexed ``x`` alone), deletes remove any non-empty subset of
+    ``columns + x``: partial mutations are where a timestamp rule could
+    part from the row's values (DESIGN.md §14.2)."""
     put = st.tuples(st.just("put"), st.integers(0, len(ROWS) - 1),
-                    st.lists(st.sampled_from(VALUES), min_size=len(columns),
-                             max_size=len(columns)),
+                    st.lists(st.one_of(st.none(), st.sampled_from(VALUES)),
+                             min_size=len(columns), max_size=len(columns)),
                     st.booleans())
     delete = st.tuples(st.just("del"), st.integers(0, len(ROWS) - 1),
-                       st.booleans())
+                       st.lists(st.sampled_from(list(columns) + ["x"]),
+                                min_size=1, max_size=len(columns) + 1,
+                                unique=True))
     return st.lists(st.one_of(put, put, delete, st.just("flush"),
                               st.just("compact"), st.just("split")),
                     min_size=1, max_size=12)
@@ -205,14 +213,14 @@ def assert_validate_matches_value_check(columns, history):
                     break
         elif op[0] == "put":
             _kind, row, values, extra = op
-            payload = dict(zip(columns, values))
-            if extra:
+            payload = {col: value for col, value in zip(columns, values)
+                       if value is not None}
+            if extra or not payload:
                 payload["x"] = b"filler"
             cluster.run(client.put("t", ROWS[row], payload))
         else:
-            _kind, row, extra = op
-            cluster.run(client.delete("t", ROWS[row],
-                                      list(columns) + (["x"] if extra else [])))
+            _kind, row, deleted = op
+            cluster.run(client.delete("t", ROWS[row], deleted))
         cluster.quiesce()
         cells = cluster.run(client.scan_table(index.table_name, KeyRange()))
         hits = reader._decode_hits(index, cells)
@@ -235,6 +243,58 @@ def test_validate_equals_value_check(history):
 @given(history_strategy(("c", "d")))
 def test_validate_equals_value_check_two_columns(history):
     assert_validate_matches_value_check(("c", "d"), history)
+
+
+def _validation_cluster(columns):
+    cluster = MiniCluster(num_servers=2, seed=5).start()
+    cluster.create_table("t")
+    cluster.create_index(IndexDescriptor("ix", "t", columns,
+                                         scheme=IndexScheme.VALIDATION))
+    return cluster, cluster.index_descriptor("ix"), cluster.new_client()
+
+
+def _served(cluster, client, **predicate):
+    return sorted((hit.values, hit.rowkey) for hit in
+                  cluster.run(client.get_by_index("ix", **predicate)))
+
+
+def test_partial_put_on_composite_index_keeps_the_row_entry():
+    """A put of ``c`` alone on ``(c, d)`` ships ``(a, None)`` for a row
+    whose tuple is still ``(a, b)``.  The value check filters the shipped
+    entry and keeps the real one; the cleaner then purges only the dead
+    entry, so the row stays reachable through the index."""
+    cluster, _index, client = _validation_cluster(("c", "d"))
+    cluster.run(client.put("t", b"r", {"c": b"a", "d": b"b"}))
+    cluster.quiesce()
+    cluster.run(client.put("t", b"r", {"c": b"a"}))
+    cluster.quiesce()
+    assert _served(cluster, client, low=b"a", high=b"b") == [
+        ((b"a", b"b"), b"r")]
+    cluster.run(cluster.validation_cleaner.drain_batch(client))
+    assert _served(cluster, client, equals=[b"a", b"b"]) == [
+        ((b"a", b"b"), b"r")]
+
+
+def test_same_value_rewrite_racing_the_blind_ship():
+    """The one read the timestamp check answers differently from the
+    value check (DESIGN.md §14.2): a rewrite of the indexed column with
+    its unchanged value, validated before its blind ship has landed.  The
+    old entry is older than the cell, so it is filtered and noted to the
+    cleaner although the row matched all along.  Once the ship lands the
+    row is served again, and purging the old version leaves the new one."""
+    cluster, index, client = _validation_cluster(("c",))
+    cluster.run(client.put("t", b"r", {"c": b"v"}))
+    cluster.quiesce()
+    cells = cluster.run(client.scan_table(index.table_name, KeyRange()))
+    old_hits = reader._decode_hits(index, cells)
+    cluster.run(client.put("t", b"r", {"c": b"v"}))
+    assert cluster.run(value_check(client, index, old_hits)) == old_hits
+    assert cluster.run(reader._validate(client, index, old_hits)) == []
+    assert cluster.validation_cleaner.backlog == 1
+    cluster.quiesce()
+    cluster.run(cluster.validation_cleaner.drain_batch(client))
+    assert cluster.validation_cleaner.purged == 1
+    assert _served(cluster, client, equals=[b"v"]) == [((b"v",), b"r")]
 
 
 # -- accounting through the cluster -----------------------------------------

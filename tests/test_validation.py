@@ -220,6 +220,11 @@ def test_planner_surfaces_base_check():
     assert "WITH TIMESTAMP CHECK (validation)" in plan.describe()
     assert "WITH BASE CHECK (sync-insert)" in plan_query(
         cluster, "t", Eq("d", b"x")).describe()
+    # A composite validation index still reads values (DESIGN.md §14.2).
+    cluster.create_index(IndexDescriptor("iz", "t", ("e", "f"),
+                                         scheme=IndexScheme.VALIDATION))
+    assert "WITH BASE CHECK (validation)" in plan_query(
+        cluster, "t", Eq("e", b"x")).describe()
 
 
 def test_purge_discovered_entries_foreground(cluster, client):
