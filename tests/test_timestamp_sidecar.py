@@ -90,7 +90,7 @@ def test_probe_charges_one_sidecar_block_per_opened_file():
     assert tree.probe_ts(KEYS[0], stats) == (3, False)
     assert (stats.blocks_from_disk, stats.bloom_probes) == (1, 1)
     newest = tree._sstables[0].sstable_id
-    assert list(cache._entries) == [(newest, -1)]
+    assert cache.block_ids() == [(newest, -1)]
 
     for sstable in tree._sstables:
         sstable.bloom = _AlwaysMaybe()
@@ -98,7 +98,7 @@ def test_probe_charges_one_sidecar_block_per_opened_file():
     assert tree.probe_ts(KEYS[1], stats) is None
     assert stats.blocks_from_disk == 2          # two fresh sidecar blocks
     assert stats.blocks_from_cache == 1
-    assert all(block < 0 for _table, block in cache._entries)
+    assert all(block < 0 for _table, block in cache.block_ids())
 
 
 def test_sidecar_groups_one_qualifier_per_block():
@@ -319,7 +319,7 @@ def _base_blocks(server, table="t"):
     ids = {sstable.sstable_id for region in server.regions.values()
            if region.table.name == table
            for sstable in region.tree._sstables}
-    blocks = [block for sstable_id, block in server.cache._entries
+    blocks = [block for sstable_id, block in server.cache.block_ids()
               if sstable_id in ids]
     return ([b for b in blocks if b >= 0], [b for b in blocks if b < 0])
 
@@ -369,7 +369,7 @@ def test_compaction_leaves_no_sidecar_block_of_a_retired_file():
     retired = {sstable.sstable_id for sstable in tree._sstables}
     for key in KEYS:
         tree.probe_ts(key, ReadStats())
-    assert {sstable_id for sstable_id, _block in cache._entries} == retired
+    assert {sstable_id for sstable_id, _block in cache.block_ids()} == retired
     assert tree.compact() is not None
     assert not any(sstable_id in retired
-                   for sstable_id, _block in cache._entries)
+                   for sstable_id, _block in cache.block_ids())
