@@ -130,7 +130,7 @@ def promote_follower(cluster: "MiniCluster", info: "RegionInfo",
     # that missed a flush notification still promotes with complete
     # flushed data.  Memtable cells also present in the files are
     # duplicates with identical (key, ts) and resolve away on read.
-    region.tree._sstables = list(
+    region.tree.relink_sstables(
         cluster.hdfs.store_files(info.table, info.region_name))
     region.closing = False
     region.flushing = False

@@ -312,6 +312,36 @@ def test_promotion_leaves_fresh_views():
     assert len({c.key.split(b"\x00")[0] for c in cells}) == 60
 
 
+def test_promoted_follower_that_missed_a_flush_has_a_fresh_view():
+    """The leader flushes and dies before any ship batch carries the new
+    flush point, so the follower's view covers the older store listing.
+    Promotion adopts the durable listing; it must relink the view too."""
+    cluster = MiniCluster(
+        num_servers=3, heartbeat_timeout_ms=800.0,
+        replication=ReplicationConfig(replication_factor=2)).start()
+    cluster.create_table("t", flush_threshold_bytes=1 << 20)
+    client = cluster.new_client()
+    load(cluster, client)
+    cluster.advance(50.0)          # every row reaches the follower
+    info = cluster.master.locate("t", b"row00000")
+    leader = cluster.servers[info.server_name]
+    [follower_name] = info.replica_servers
+    follower = cluster.servers[follower_name].follower_regions[
+        info.region_name]
+    assert follower.region.tree.sstable_count == 0
+    cluster.run(leader.flush_region(leader.regions[info.region_name]))
+    cluster.kill_server(leader.name)
+    while leader.name not in cluster.coordinator.recoveries_completed:
+        cluster.advance(100.0)
+    assert cluster.metrics.counter("promotions_total").value == 1
+    promoted = cluster.servers[follower_name].regions[info.region_name]
+    assert promoted.tree.sstable_count == 1
+    assert promoted.tree.remix_fresh
+    cells = cluster.run(client.scan_table("t", KeyRange()))
+    assert len({c.key.split(b"\x00")[0] for c in cells}) == 60
+    assert cluster.metrics.total("remix_fallback_scans_total") == 0
+
+
 def test_index_maintenance_correct_on_both_engines():
     for remix in (True, False):
         cluster = MiniCluster(
