@@ -10,11 +10,10 @@ effects survive the scaling).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.index import IndexDescriptor
-from repro.core.schemes import (IndexScheme, SCHEME_LABELS,
-                                scheme_from_label)
+from repro.core.schemes import SCHEME_LABELS, scheme_from_label
 from repro.cluster.cluster import MiniCluster
 from repro.cluster.server import ServerConfig
 from repro.sim.latency import LatencyModel
@@ -51,11 +50,6 @@ class ExperimentConfig:
     # freely, so the production high-watermark backpressure stays off
     # unless an experiment opts in.
     auq_high_watermark: Optional[int] = None
-    # Compaction policy for the index tables ("size_tiered" | "leveled");
-    # None inherits the base table's.  "leveled" makes every compaction
-    # round major, which gives the dead-entry purge its chances
-    # (DESIGN.md §14).
-    index_compaction_policy: Optional[str] = None
 
     def schema(self) -> ItemSchema:
         return ItemSchema(record_count=self.record_count,
@@ -95,15 +89,13 @@ class Experiment:
             self.cluster.create_index(
                 IndexDescriptor("item_title", self.TABLE, (TITLE_COLUMN,),
                                 scheme=scheme),
-                split_keys=self.schema.title_split_keys(config.index_regions),
-                compaction_policy=config.index_compaction_policy)
+                split_keys=self.schema.title_split_keys(config.index_regions))
             if config.with_price_index:
                 self.cluster.create_index(
                     IndexDescriptor("item_price", self.TABLE,
                                     (INDEXED_PRICE_COLUMN,), scheme=scheme),
                     split_keys=self.schema.price_split_keys(
-                        config.index_regions),
-                    compaction_policy=config.index_compaction_policy)
+                        config.index_regions))
         self.cluster.start()
 
     # -- driving ----------------------------------------------------------------

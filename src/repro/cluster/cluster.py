@@ -17,7 +17,7 @@ from repro.errors import NoSuchIndexError, SimulationError
 from repro.core.index import IndexDescriptor, IndexState, row_index_entry
 from repro.core.observers import build_observers
 from repro.core.staleness import StalenessTracker
-from repro.lsm.policy import compaction_policy_from_label
+from repro.lsm.compaction import CompactionPolicy
 from repro.lsm.tree import LSMConfig
 from repro.lsm.types import Cell
 from repro.cluster.client import Client
@@ -186,19 +186,17 @@ class MiniCluster:
                      split_keys: Optional[List[bytes]] = None,
                      max_versions: Optional[int] = None,
                      flush_threshold_bytes: Optional[int] = None,
-                     compaction_policy: Optional[str] = None,
+                     compaction: Optional[CompactionPolicy] = None,
                      ) -> TableDescriptor:
         """CREATE TABLE.  A storage kwarg left at None keeps the
-        cluster's ``storage`` value; ``compaction_policy`` is a
-        :mod:`repro.lsm.policy` label."""
+        cluster's ``storage`` value."""
         overrides: Dict[str, Any] = {}
         if max_versions is not None:
             overrides["max_versions"] = max_versions
         if flush_threshold_bytes is not None:
             overrides["flush_threshold_bytes"] = flush_threshold_bytes
-        if compaction_policy is not None:
-            overrides["compaction"] = compaction_policy_from_label(
-                compaction_policy)
+        if compaction is not None:
+            overrides["compaction"] = compaction
         descriptor = TableDescriptor(
             name, TableKind.BASE,
             storage=dataclasses.replace(self.storage, **overrides))
@@ -208,7 +206,7 @@ class MiniCluster:
     def _create_index_table(self, index: IndexDescriptor,
                             split_keys: Optional[List[bytes]],
                             prefix_compression: bool,
-                            compaction_policy: Optional[str],
+                            compaction: Optional[CompactionPolicy],
                             ) -> TableDescriptor:
         """The key-only index table: the base table's storage settings
         with the two an index may set for itself."""
@@ -217,17 +215,16 @@ class MiniCluster:
             index.table_name, TableKind.INDEX,
             storage=dataclasses.replace(
                 base, prefix_compression=prefix_compression,
-                compaction=(base.compaction if compaction_policy is None
-                            else compaction_policy_from_label(
-                                compaction_policy))))
+                compaction=(base.compaction if compaction is None
+                            else compaction)))
         self.master.create_table(index_table, split_keys=split_keys)
         return index_table
 
     def create_index(self, index: IndexDescriptor,
                      split_keys: Optional[List[bytes]] = None,
-                     backfill="offline",
+                     backfill: str = "offline",
                      prefix_compression: bool = False,
-                     compaction_policy: Optional[str] = None,
+                     compaction: Optional[CompactionPolicy] = None,
                      ) -> TableDescriptor:
         """CREATE INDEX: create the key-only index table, register the
         descriptor in the catalog (and the base table descriptor, as
@@ -236,9 +233,8 @@ class MiniCluster:
 
         ``backfill`` modes:
 
-        * ``"offline"`` (or ``True``, the legacy spelling) — the original
-          instantaneous, cost-free build;
-        * ``False`` — attach only, no entries for existing rows;
+        * ``"offline"`` — the original instantaneous, cost-free build;
+        * ``"none"`` — attach only, no entries for existing rows;
         * ``"online"`` — chunked sim-time build through the repro.ddl
           state machine (see :meth:`create_index_online`, which also
           returns the job handle).
@@ -246,10 +242,10 @@ class MiniCluster:
         if backfill == "online":
             self.create_index_online(index, split_keys=split_keys,
                                      prefix_compression=prefix_compression,
-                                     compaction_policy=compaction_policy)
+                                     compaction=compaction)
             return self.descriptor(index.table_name if not index.is_local
                                    else index.base_table)
-        if backfill not in (True, False, "offline"):
+        if backfill not in ("offline", "none"):
             raise ValueError(f"unknown backfill mode {backfill!r}")
         base = self.descriptor(index.base_table)
         if index.name in base.indexes:
@@ -259,20 +255,20 @@ class MiniCluster:
             # No separate table: entries live in each base region's
             # reserved keyspace (co-location, §3.1).
             stamped = self._attach_index_descriptor(index, IndexState.ACTIVE)
-            if backfill:
+            if backfill == "offline":
                 self._backfill_local_index(stamped)
             return base
         index_table = self._create_index_table(
-            index, split_keys, prefix_compression, compaction_policy)
+            index, split_keys, prefix_compression, compaction)
         stamped = self._attach_index_descriptor(index, IndexState.ACTIVE)
-        if backfill:
+        if backfill == "offline":
             self._backfill_index(stamped)
         return index_table
 
     def create_index_online(self, index: IndexDescriptor,
                             split_keys: Optional[List[bytes]] = None,
                             prefix_compression: bool = False,
-                            compaction_policy: Optional[str] = None):
+                            compaction: Optional[CompactionPolicy] = None):
         """Online CREATE INDEX (§7's creation utility, run inside simulated
         time): attach the descriptor in BUILDING state — dual-writes by the
         existing observers start immediately — then submit a DDL job that
@@ -291,7 +287,7 @@ class MiniCluster:
                 " and crash-atomic with the base rows); use "
                 "backfill='offline'")
         self._create_index_table(index, split_keys, prefix_compression,
-                                 compaction_policy)
+                                 compaction)
         stamped = self._attach_index_descriptor(index, IndexState.BUILDING)
         return self.ddl.submit_create(stamped)
 

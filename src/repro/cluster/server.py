@@ -309,16 +309,6 @@ class RegionServer:
             self.cluster.ts_floor = ts
         return ts
 
-    def assign_repair_timestamp(self) -> int:
-        """A timestamp strictly above every timestamp ever assigned in the
-        cluster — used by repair inserts, which must out-rank a tombstone
-        another server may have written at its own 'future' time."""
-        ts = max(int(self.sim.now()), self._last_ts + 1,
-                 self.cluster.ts_floor + 1)
-        self._last_ts = ts
-        self.cluster.ts_floor = ts
-        return ts
-
     # -- cost charging -----------------------------------------------------------
 
     def charge_read(self, stats: ReadStats) -> Generator[Any, Any, None]:

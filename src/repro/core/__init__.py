@@ -4,8 +4,6 @@ getByIndex, session consistency, staleness tracking and verification."""
 from repro.core.adaptive import (AdaptiveController, AdaptivePolicy,
                                  Decision, SloSignal)
 from repro.core.auq import IndexTask, maintain_indexes
-from repro.core.dense import DenseColumnCodec, DenseField
-from repro.core.maintenance import ScrubReport, rebuild_index, scrub_index
 from repro.core.coprocessor import IndexOpContext, RegionObserver
 from repro.core.encoding import (decode_index_key, decode_value,
                                  encode_index_key, encode_value,
@@ -34,6 +32,4 @@ __all__ = [
     "Session", "StalenessTracker",
     "IndexReport", "check_index",
     "AdaptiveController", "AdaptivePolicy", "Decision", "SloSignal",
-    "DenseColumnCodec", "DenseField",
-    "scrub_index", "rebuild_index", "ScrubReport",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.encoding import IndexableValue, encode_index_key
 from repro.core.schemes import IndexScheme
@@ -64,13 +64,6 @@ class IndexDescriptor:
     # design); LOCAL indexes co-locate entries with the base region and
     # use synchronous maintenance (§3.1's alternative, for comparison).
     scope: "IndexScope" = None  # type: ignore[assignment]
-    # Custom value extraction (§7: "indexing columns with customer
-    # encoding scheme" and dense-column fields): maps the row's stored
-    # column bytes to the tuple of indexable values, or None for "this
-    # row contributes no entry".  The default reads ``columns`` verbatim.
-    extractor: Optional[Callable[
-        [Dict[str, Optional[bytes]]],
-        Optional[Tuple[Optional[IndexableValue], ...]]]] = None
     # Online-DDL lifecycle (repro.ddl).  ``state`` gates the read path;
     # ``created_epoch`` is the cluster DDL epoch at creation, used to keep
     # in-flight async maintenance from leaking into a same-named index
@@ -124,8 +117,6 @@ def extract_index_values(index: IndexDescriptor,
     typed values must be encoded by the application before storage or
     supplied through the typed-column helpers in the workload layer.
     """
-    if index.extractor is not None:
-        return index.extractor(row_values)
     values = tuple(row_values.get(col) for col in index.columns)
     if all(v is None for v in values):
         return None

@@ -19,7 +19,7 @@ first indexed column (how Figure 9 sweeps ``item_price``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Generator, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import NoSuchIndexError
 from repro.core.encoding import (IndexableValue, decode_index_key,
@@ -196,7 +196,7 @@ def _double_check(client: "Client", index: IndexDescriptor,
     The K base reads travel as parallel per-server multigets (~1 round
     trip instead of K), and the repair deletes scatter too; counters,
     per-row charges and the final index state are identical to the
-    sequential reference below (tested side by side).
+    sequential reference in ``tests/test_parallel_double_check.py``.
     """
     if not hits:
         return []
@@ -278,29 +278,4 @@ def _validate(client: "Client", index: IndexDescriptor,
             cluster.staleness.note_stale(now - hit.ts, served=False)
             cluster.validation_cleaner.note(index.table_name, hit.index_key,
                                             hit.ts)
-    return confirmed
-
-
-def _double_check_sequential(client: "Client", index: IndexDescriptor,
-                             hits: List[IndexHit],
-                             ) -> Generator[Any, Any, List[IndexHit]]:
-    """The pre-scatter reference implementation: one round trip per
-    candidate.  Kept for equivalence tests (and as the readable spec of
-    Algorithm 2's per-hit logic)."""
-    metrics = client.cluster.metrics
-    checks = metrics.counter("read_repair_checks", index=index.name)
-    repairs = metrics.counter("read_repair_repairs", index=index.name)
-    confirmed: List[IndexHit] = []
-    for hit in hits:
-        checks.inc()
-        row_data = yield from client.get(index.base_table, hit.rowkey,
-                                         columns=list(index.columns))
-        current = {col: value for col, (value, _ts) in row_data.items()}
-        base_tuple = extract_index_values(index, current)
-        if base_tuple == hit.values:
-            confirmed.append(hit)
-        else:
-            repairs.inc()
-            yield from client.delete_index_entry(index.table_name,
-                                                 hit.index_key, hit.ts)
     return confirmed

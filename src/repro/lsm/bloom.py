@@ -38,17 +38,10 @@ class BloomFilter:
             bloom.add(key)
         return bloom
 
-    def _positions(self, key: bytes) -> Iterable[int]:
-        # Kirsch–Mitzenmacher double hashing from one 16-byte digest.
-        digest = blake2b(key, digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1
-        for i in range(self.num_hashes):
-            yield (h1 + i * h2) % self.num_bits
-
     def add(self, key: bytes) -> None:
-        # Digest + probe loop inlined (no generator frame): add/contains
-        # are called once per key per SSTable on the read path.
+        # Kirsch–Mitzenmacher double hashing from one 16-byte digest,
+        # inlined (no generator frame): add/contains are called once per
+        # key per SSTable on the read path.
         digest = blake2b(key, digest_size=16).digest()
         h1 = int.from_bytes(digest[:8], "big")
         h2 = int.from_bytes(digest[8:], "big") | 1
@@ -70,7 +63,3 @@ class BloomFilter:
             if not bits[pos >> 3] & (1 << (pos & 7)):
                 return False
         return True
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self._bits)

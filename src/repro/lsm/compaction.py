@@ -18,8 +18,7 @@ value (see DESIGN.md §5.3).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, ClassVar, Iterator, List, Optional, Sequence, \
-    Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lsm.iterators import merge_key_streams
 from repro.lsm.sstable import SSTable, SSTableBuilder
@@ -32,16 +31,14 @@ __all__ = ["CompactionPolicy", "compact_sstables", "CompactionResult"]
 class CompactionPolicy:
     """Size-tiered trigger: compact once enough files accumulate.
 
-    The base class doubles as the default size-tiered behaviour;
-    :mod:`repro.lsm.policy` holds the registry of selectable policies
-    (``SizeTieredPolicy`` pins this logic under its label,
-    ``LeveledPolicy`` overrides :meth:`pick`)."""
+    A per-table value (``create_table`` / ``create_index`` take one).
+    ``major_every=1`` makes every round a major merge of every file —
+    single-run leveling, which gives the index dead-entry purge of
+    DESIGN.md §14 a chance every round."""
 
     min_files: int = 4          # fewest files worth merging
     max_files: int = 10         # merge at most this many at once
     major_every: int = 4        # every Nth compaction is major
-
-    label: ClassVar[str] = "size_tiered"
 
     def pick(self, sstables: Sequence[SSTable],
              compactions_done: int) -> Tuple[List[SSTable], bool]:

@@ -39,10 +39,6 @@ class MemTable:
     def __len__(self) -> int:
         return self._cells
 
-    @property
-    def is_sealed(self) -> bool:
-        return self._sealed
-
     def seal(self) -> None:
         """Freeze the memtable prior to flushing it."""
         self._sealed = True

@@ -210,14 +210,6 @@ class RemixView:
                                                             lo)
         return lo, hi
 
-    @property
-    def key_count(self) -> int:
-        return len(self.keys)
-
-    @property
-    def pointer_count(self) -> int:
-        return sum(len(e) for e in self.entries)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<RemixView tables={sorted(self.table_ids)} "
                 f"keys={len(self.keys)}>")

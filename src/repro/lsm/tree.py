@@ -18,14 +18,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import time
-from bisect import bisect_left
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.lsm.cache import BlockCache
 from repro.lsm.compaction import CompactionPolicy, CompactionResult, compact_sstables
-from repro.lsm.iterators import (merge_key_streams, newest_run, resolve_get,
-                                 resolve_versions)
+from repro.lsm.iterators import newest_run, resolve_get, resolve_versions
 from repro.lsm.memtable import MemTable
 from repro.lsm.remix import RemixView
 from repro.lsm.sstable import DEFAULT_BLOCK_BYTES, SSTable, SSTableBuilder
@@ -45,11 +43,6 @@ class LSMConfig:
     # Prefix-compress on-disk blocks (index tables benefit most: entries
     # sharing an indexed value share long key prefixes) — §10 future work.
     prefix_compression: bool = False
-    # Range-scan engine (DESIGN.md §13): keep a REMIX-style cross-SSTable
-    # sorted view so scans are one cursor walk instead of a K-way heap
-    # merge.  Off = the classic merge_key_streams path, which also serves
-    # as the fallback whenever the view is stale.
-    remix_enabled: bool = True
     compaction: CompactionPolicy = dataclasses.field(default_factory=CompactionPolicy)
 
 
@@ -61,12 +54,6 @@ class ReadStats:
     bloom_probes: int = 0
     blocks_from_cache: int = 0
     blocks_from_disk: int = 0
-
-    def merge(self, other: "ReadStats") -> None:
-        self.memtable_probes += other.memtable_probes
-        self.bloom_probes += other.bloom_probes
-        self.blocks_from_cache += other.blocks_from_cache
-        self.blocks_from_disk += other.blocks_from_disk
 
 
 @dataclasses.dataclass
@@ -103,10 +90,9 @@ class LSMTree:
         self._obs_remix_fallback = None
         self._obs_bisect_probes = None
         # The REMIX sorted view over the current SSTable set (DESIGN.md
-        # §13).  Maintained incrementally at flush/compaction and rebuilt
-        # on store relink; None only when the engine is disabled.
-        self._remix_view: Optional[RemixView] = (
-            RemixView.empty() if self.config.remix_enabled else None)
+        # §13): maintained incrementally at flush/compaction, rebuilt on
+        # store relink, and rebuilt by a scan that finds it stale.
+        self._remix_view = RemixView.empty()
 
     def bind_metrics(self, registry, **labels) -> None:
         """Attach this tree's memtable/flush/compaction counters to a
@@ -135,10 +121,6 @@ class LSMTree:
         # that name (ROADMAP.md item 8(g)); then this counter goes too.
         self._obs_bisect_probes = registry.counter(
             "learned_index_fallbacks_total", **labels)
-        # Which compaction policy governs this store, as a gauge-label
-        # (value is constant 1; the label carries the information).
-        registry.gauge("compaction_policy",
-                       policy=self.config.compaction.label, **labels).set(1)
 
     def _table_builder(self, name: str) -> SSTableBuilder:
         config = self.config
@@ -150,24 +132,17 @@ class LSMTree:
     # ------------------------------------------------------------- remix view
 
     @property
-    def remix_view(self) -> Optional[RemixView]:
+    def remix_view(self) -> RemixView:
         return self._remix_view
 
     @property
     def remix_fresh(self) -> bool:
-        """True when the next scan will walk the view (no fallback)."""
-        return (self._remix_view is not None
-                and self._remix_view.covers(self._sstables))
-
-    def invalidate_remix_view(self) -> None:
-        """Drop the view; scans fall back to the heap merge until the next
-        flush/compaction/relink rebuilds it."""
-        self._remix_view = None
+        """True when the view covers the current SSTable set, so the next
+        scan walks it without a rebuild."""
+        return self._remix_view.covers(self._sstables)
 
     def rebuild_remix_view(self) -> None:
         """Full rebuild over the current SSTable set (store relink)."""
-        if not self.config.remix_enabled:
-            return
         self._set_remix_view(lambda: RemixView.build(self._sstables))
 
     def _set_remix_view(self, build) -> None:
@@ -208,10 +183,6 @@ class LSMTree:
         return newest
 
     @property
-    def memtable_bytes(self) -> int:
-        return self._memtable.approximate_bytes
-
-    @property
     def needs_flush(self) -> bool:
         return (self._memtable.approximate_bytes
                 >= self.config.flush_threshold_bytes
@@ -237,16 +208,15 @@ class LSMTree:
         builder = self._table_builder(f"{self.name}/flush-{handle.flush_id}")
         builder.add_all(handle.memtable.all_cells())
         sstable = builder.finish()
-        if self.config.remix_enabled:
-            # Incremental view maintenance: fold the new (newest) table
-            # into the retiring view rather than rebuilding from scratch.
-            # A stale/absent view is rebuilt over the full new set.
-            old = self._remix_view
-            if old is not None and old.covers(self._sstables):
-                self._set_remix_view(lambda: old.merge_flush(sstable))
-            else:
-                self._set_remix_view(
-                    lambda: RemixView.build([sstable] + self._sstables))
+        # Incremental view maintenance: fold the new (newest) table into
+        # the retiring view rather than rebuilding from scratch.  A stale
+        # view is rebuilt over the full new set.
+        old = self._remix_view
+        if old.covers(self._sstables):
+            self._set_remix_view(lambda: old.merge_flush(sstable))
+        else:
+            self._set_remix_view(
+                lambda: RemixView.build([sstable] + self._sstables))
         self._sstables.insert(0, sstable)
         self._flushing.remove(handle)
         if self._obs_flushes is not None:
@@ -264,14 +234,11 @@ class LSMTree:
 
     def relink_sstables(self, sstables) -> None:
         """Swap the disk component set wholesale (split/move adoption,
-        follower relink, promotion).  Any existing REMIX view was built
-        over the OLD set, so it is invalidated and rebuilt over the new
-        files — the freshness check would otherwise force every scan onto
-        the fallback path until the next flush."""
+        follower relink, promotion).  The REMIX view was built over the
+        OLD set, so it is rebuilt over the new files here rather than by
+        the next scan."""
         self._sstables = list(sstables)
-        self._remix_view = None
-        if self.config.remix_enabled:
-            self.rebuild_remix_view()
+        self.rebuild_remix_view()
 
     # ------------------------------------------------------------- compaction
 
@@ -303,16 +270,15 @@ class LSMTree:
         remaining = [t for t in self._sstables if t.sstable_id not in chosen_ids]
         if result.output is not None:
             remaining.append(result.output)  # merged data is the oldest layer
-        if self.config.remix_enabled:
-            # Incremental view maintenance: drop the retired inputs'
-            # pointers from the retiring view and fold in the output (the
-            # oldest surviving layer); full rebuild only if already stale.
-            old = self._remix_view
-            if old is not None and old.covers(self._sstables):
-                self._set_remix_view(
-                    lambda: old.merge_compaction(chosen_ids, result.output))
-            else:
-                self._set_remix_view(lambda: RemixView.build(remaining))
+        # Incremental view maintenance: drop the retired inputs' pointers
+        # from the retiring view and fold in the output (the oldest
+        # surviving layer); full rebuild only if already stale.
+        old = self._remix_view
+        if old.covers(self._sstables):
+            self._set_remix_view(
+                lambda: old.merge_compaction(chosen_ids, result.output))
+        else:
+            self._set_remix_view(lambda: RemixView.build(remaining))
         self._sstables = remaining
         if self.cache is not None:
             for table in chosen:
@@ -431,76 +397,26 @@ class LSMTree:
 
     # ------------------------------------------------------------------- scan
 
-    def _memtable_stream(self, memtable: MemTable, key_range: KeyRange,
-                         ) -> Iterator[Tuple[bytes, List[Cell]]]:
-        return memtable.scan(key_range)
-
-    def _sstable_stream(self, sstable: SSTable, key_range: KeyRange,
-                        stats: Optional[ReadStats],
-                        ) -> Iterator[Tuple[bytes, List[Cell]]]:
-        current_key: Optional[bytes] = None
-        bucket: List[Cell] = []
-        last_block = -1
-        for block_id in sstable.blocks_for_range(key_range):
-            for cell in sstable.get_block(block_id):
-                if cell.key < key_range.start:
-                    continue
-                if key_range.end is not None and cell.key >= key_range.end:
-                    break
-                if block_id != last_block:
-                    self._charge_block(sstable, block_id, stats)
-                    last_block = block_id
-                if cell.key != current_key:
-                    if bucket:
-                        yield current_key, bucket  # type: ignore[misc]
-                    current_key = cell.key
-                    bucket = []
-                bucket.append(cell)
-        if bucket:
-            yield current_key, bucket  # type: ignore[misc]
-
     def scan(self, key_range: KeyRange, max_ts: Optional[int] = None,
              limit: Optional[int] = None,
              stats: Optional[ReadStats] = None) -> List[Cell]:
-        """Visible newest version per key within ``key_range``, key order.
+        """Visible newest version per key within ``key_range``, key order:
+        one REMIX cursor walk (DESIGN.md §13).
 
-        Dispatches to the REMIX cursor walk when the sorted view is fresh
-        (DESIGN.md §13); a stale or disabled view falls back to the
-        classic K-way heap merge, so results never depend on view
-        freshness — only the touched-block accounting does.
-        """
-        if self.config.remix_enabled:
-            view = self._remix_view
-            if view is not None and view.covers(self._sstables):
-                if self._obs_remix_cursor is not None:
-                    self._obs_remix_cursor.inc()
-                return self._scan_remix(view, key_range, max_ts, limit, stats)
+        A view that does not cover the current SSTable set (a relink site
+        that bypassed :meth:`relink_sstables`) is rebuilt first and the
+        scan counted in ``remix_fallback_scans_total``, so results never
+        depend on view freshness and the counter still names the miss."""
+        view = self._remix_view
+        if view.covers(self._sstables):
+            if self._obs_remix_cursor is not None:
+                self._obs_remix_cursor.inc()
+        else:
             if self._obs_remix_fallback is not None:
                 self._obs_remix_fallback.inc()
-        return self._scan_heap(key_range, max_ts, limit, stats)
-
-    def _scan_heap(self, key_range: KeyRange, max_ts: Optional[int],
-                   limit: Optional[int],
-                   stats: Optional[ReadStats]) -> List[Cell]:
-        """The classic path: heap-merge one stream per component."""
-        streams: List[Iterator[Tuple[bytes, List[Cell]]]] = []
-        for memtable in [self._memtable] + [h.memtable for h in self._flushing]:
-            streams.append(self._memtable_stream(memtable, key_range))
-            if stats is not None:
-                stats.memtable_probes += 1
-        for sstable in self._sstables:
-            streams.append(self._sstable_stream(sstable, key_range, stats))
-
-        out: List[Cell] = []
-        for _key, cells in merge_key_streams(streams):
-            if max_ts is not None:
-                cells = [c for c in cells if c.ts <= max_ts]
-            visible = resolve_get(cells)
-            if visible is not None:
-                out.append(visible)
-                if limit is not None and len(out) >= limit:
-                    break
-        return out
+            self.rebuild_remix_view()
+            view = self._remix_view
+        return self._scan_remix(view, key_range, max_ts, limit, stats)
 
     def _scan_remix(self, view: RemixView, key_range: KeyRange,
                     max_ts: Optional[int], limit: Optional[int],

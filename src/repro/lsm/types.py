@@ -12,7 +12,7 @@ re-delivery idempotent (paper §4.3, §5.3).
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
 __all__ = ["Cell", "KeyRange", "DELTA_MS", "cell_size"]
 
@@ -90,8 +90,3 @@ class KeyRange:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         hi = "+inf" if self.end is None else repr(self.end)
         return f"[{self.start!r}, {hi})"
-
-
-def split_points(ranges: Iterable[KeyRange]) -> Tuple[bytes, ...]:
-    """The interior boundaries of a sorted partition (for diagnostics)."""
-    return tuple(r.start for r in ranges if r.start != b"")

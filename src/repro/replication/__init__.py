@@ -26,11 +26,11 @@ from repro.replication.promote import (create_follower, ensure_replicas,
                                        find_promotion_candidate,
                                        promote_follower, resync_followers)
 from repro.replication.replica import FollowerReplica
-from repro.replication.ship import replication_ship_loop, ship_region_once
+from repro.replication.ship import replication_ship_loop
 
 __all__ = [
     "ReplicationConfig", "ReadMode", "LatencyBound", "FollowerReplica",
-    "replication_ship_loop", "ship_region_once",
+    "replication_ship_loop",
     "create_follower", "ensure_replicas", "find_promotion_candidate",
     "promote_follower", "resync_followers",
 ]

@@ -39,10 +39,9 @@ from repro.errors import NoSuchRegionError, RpcError, ServerDownError
 from repro.sim.kernel import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.master import RegionInfo
     from repro.cluster.server import RegionServer
 
-__all__ = ["replication_ship_loop", "ship_region_once"]
+__all__ = ["replication_ship_loop"]
 
 
 def _ship_channel(server: "RegionServer", table: str, region_name: str,
@@ -79,14 +78,13 @@ def _ship_channel(server: "RegionServer", table: str, region_name: str,
 
 
 def _spawn_channels(server: "RegionServer", region_name: str, table: str,
-                    ) -> list:
+                    ) -> None:
     """Start one ship process per live follower channel that does not
-    already have an RPC in flight; returns the spawned processes."""
+    already have an RPC in flight."""
     cluster = server.cluster
     info = cluster.master.region_info(table, region_name)
     if info is None or info.server_name != server.name:
-        return []  # no longer the leader (moved / split away)
-    procs = []
+        return  # no longer the leader (moved / split away)
     for follower_name in list(info.replica_servers):
         follower = cluster.servers.get(follower_name)
         if follower is None or not follower.alive:
@@ -97,16 +95,6 @@ def _spawn_channels(server: "RegionServer", region_name: str, table: str,
             _ship_channel(server, table, region_name, follower),
             name=f"{server.name}/ship/{region_name}->{follower_name}")
         proc._waited_on = True  # channel failures are handled inside
-        procs.append(proc)
-    return procs
-
-
-def ship_region_once(server: "RegionServer", region_name: str,
-                     table: str) -> Generator[Any, Any, None]:
-    """Ship the current WAL tail of one led region to every follower and
-    wait for all channels to settle (the channels run concurrently)."""
-    for proc in _spawn_channels(server, region_name, table):
-        yield proc
 
 
 def replication_ship_loop(server: "RegionServer",

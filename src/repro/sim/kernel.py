@@ -31,7 +31,7 @@ event when it resolves (exact causality, no same-timestamp ambiguity).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import ProcessCrashed, SimulationError
 
@@ -262,17 +262,6 @@ class Simulator:
 
     # -- running ----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Run the next event.  Returns False when the heap is empty."""
-        if not self._heap:
-            return False
-        when, _seq, fn, args = _heappop(self._heap)
-        self._now = when
-        fn(*args)
-        if self._crashes:
-            self._raise_crashes()
-        return True
-
     def run(self, until: Optional[float] = None) -> None:
         """Drain events; with ``until`` set, stop once simulated time would
         pass it (and advance the clock exactly to ``until``).
@@ -338,9 +327,6 @@ class Simulator:
                 self._raise_crashes()
         return future.result()
 
-    def pending_events(self) -> int:
-        return len(self._heap)
-
     # -- crash bookkeeping --------------------------------------------------
 
     def _record_crash(self, process: Process, error: BaseException) -> None:
@@ -394,8 +380,3 @@ def all_of(sim: Simulator, waitables: "List[Any]") -> Future:
     for future in futures:
         future.add_done_callback(on_done)
     return result
-
-
-def iter_completed(futures: "List[Future]") -> Iterator[Future]:  # pragma: no cover
-    """Convenience for tests: iterate futures that are already done."""
-    return (f for f in futures if f.done())

@@ -38,14 +38,6 @@ class Resource:
         self.busy_time = 0.0
         self.total_acquisitions = 0
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Future:
         """Returns a Future resolved when a slot is granted."""
         if self._in_use < self.capacity:

@@ -7,7 +7,7 @@ rows' indexed-column timestamps (``_validate`` in ``repro.core.reader``,
 over the SSTables' timestamp sidecars), and this package's
 :class:`ValidationCleaner` garbage-collects the dead entries the filter
 discovers.  The compaction-time purge of entries the *reads never
-touched* lives in ``repro.lsm.policy`` + ``RegionServer.compact_region``.
+touched* lives in ``RegionServer.compact_region``.
 """
 
 from repro.validation.cleaner import ValidationCleaner

@@ -34,9 +34,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--duration-ms", type=float, default=1000.0)
     parser.add_argument("--warmup-ms", type=float, default=200.0)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--compaction-policy",
-                        choices=("size_tiered", "leveled"), default=None,
-                        help="compaction policy for the index table")
     args = parser.parse_args(argv)
 
     if not 0.0 <= args.update_fraction <= 1.0:
@@ -48,8 +45,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = ExperimentConfig(
         record_count=args.records,
         title_cardinality=max(1, args.records // 5),
-        scheme_label=args.scheme, seed=args.seed,
-        index_compaction_policy=args.compaction_policy)
+        scheme_label=args.scheme, seed=args.seed)
     experiment = Experiment(config)
     read_op = OpType.BASE_READ if args.scheme == "null" else OpType.INDEX_READ
     proportions = {OpType.UPDATE: args.update_fraction,

@@ -17,7 +17,7 @@ reasonable; :func:`load_via_client` drives real puts for smaller tests.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Generator, List, Optional
 
 from repro.cluster.client import Client
 from repro.cluster.cluster import MiniCluster
@@ -40,7 +40,8 @@ def load_direct(cluster: MiniCluster, schema: ItemSchema, table: str,
     Rows are written to the owning region's memtable and WAL directly,
     with timestamps assigned by the hosting server, then flushed to
     SimHDFS so the dataset starts disk-resident (the paper's reads are
-    disk-bound).  Create indexes *after* loading with ``backfill=True``.
+    disk-bound).  Create indexes *after* loading, with the default
+    ``backfill="offline"``.
     """
     rng = RandomStream(seed)
     for i in range(schema.record_count):

@@ -1,7 +1,5 @@
 """The ``python -m repro.bench`` experiment runner CLI."""
 
-import pathlib
-
 import pytest
 
 from repro.bench.__main__ import RUNNERS, main
@@ -61,12 +59,3 @@ def test_ycsb_cli_accepts_every_registry_label():
             ycsb_main(["--scheme", label, "--update-fraction", "2.0"])
     with pytest.raises(SystemExit):
         ycsb_main(["--scheme", "bogus"])
-
-
-def test_ycsb_cli_compaction_policy(capsys):
-    from repro.ycsb.__main__ import main as ycsb_main
-    assert ycsb_main(["--scheme", "validation", "--records", "120",
-                      "--threads", "2", "--duration-ms", "120",
-                      "--warmup-ms", "20",
-                      "--compaction-policy", "leveled"]) == 0
-    assert "scheme=validation" in capsys.readouterr().out

@@ -1,14 +1,14 @@
-"""Pluggable compaction policies + the index dead-entry purge
+"""Per-table compaction policies + the index dead-entry purge
 (DESIGN.md §14)."""
-
-import pytest
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster, check_index
 from repro.core.verify import actual_entries
 from repro.lsm import Cell, LSMConfig, LSMTree
 from repro.lsm.compaction import CompactionPolicy
-from repro.lsm.policy import (LeveledPolicy, POLICY_LABELS, SizeTieredPolicy,
-                              compaction_policy_from_label)
+
+# Single-run leveling: every round merges every file, as a major
+# compaction, once ``min_files`` files exist.
+LEVELED = CompactionPolicy(major_every=1)
 
 
 # -- policy units --------------------------------------------------------------
@@ -23,74 +23,61 @@ def _tables(tree, n, keys_per=4):
 
 
 def test_size_tiered_matches_legacy_behaviour():
-    legacy, tiered = CompactionPolicy(), SizeTieredPolicy()
+    """The default policy merges the oldest ``max_files`` files, minor,
+    and every ``major_every``-th round merges every file, major."""
+    policy = CompactionPolicy(max_files=4)
     tree = _tables(LSMTree(config=LSMConfig()), 6)
     for done in range(3):
-        assert (legacy.pick(tree._sstables, done)
-                == tiered.pick(tree._sstables, done))
-    assert SizeTieredPolicy.label == "size_tiered"
+        assert (policy.pick(tree._sstables, done)
+                == (list(tree._sstables[-4:]), False))
+    assert policy.pick(tree._sstables, 3) == (list(tree._sstables), True)
 
 
 def test_leveled_noop_below_min_files():
-    policy = LeveledPolicy(min_files=4)
+    policy = CompactionPolicy(min_files=4, major_every=1)
     tree = _tables(LSMTree(config=LSMConfig()), 3)
     assert policy.pick(tree._sstables, 0) == ([], False)
 
 
 def test_leveled_merges_everything_always_major():
-    policy = LeveledPolicy(min_files=4)
+    policy = CompactionPolicy(min_files=4, major_every=1)
     tree = _tables(LSMTree(config=LSMConfig()), 5)
     files, is_major = policy.pick(tree._sstables, 0)
     assert files == list(tree._sstables)
     assert is_major is True
-    # ...regardless of the round counter (size-tiered is major 1-in-N).
+    # ...regardless of the round counter (the default is major 1-in-4).
     assert policy.pick(tree._sstables, 1)[1] is True
-
-
-def test_registry_resolves_and_rejects():
-    assert set(POLICY_LABELS) == {"size_tiered", "leveled"}
-    assert isinstance(compaction_policy_from_label("leveled"), LeveledPolicy)
-    assert isinstance(compaction_policy_from_label("size_tiered"),
-                      SizeTieredPolicy)
-    with pytest.raises(ValueError):
-        compaction_policy_from_label("bogus")
 
 
 # -- per-table threading -------------------------------------------------------
 
 def test_create_table_threads_policy_to_regions():
     cluster = MiniCluster(num_servers=2, seed=4).start()
-    cluster.create_table("t", compaction_policy="leveled")
-    for server in cluster.servers.values():
-        for region in server.regions.values():
-            assert region.tree.config.compaction.label == "leveled"
-    gauges = cluster.metrics.find("compaction_policy")
-    assert any(dict(g.labels).get("policy") == "leveled" for g in gauges)
-
-
-def test_create_table_rejects_unknown_policy():
-    cluster = MiniCluster(num_servers=2, seed=4).start()
-    with pytest.raises(ValueError):
-        cluster.create_table("t", compaction_policy="bogus")
+    cluster.create_table("t", compaction=LEVELED)
+    regions = [region for server in cluster.servers.values()
+               for region in server.regions.values()]
+    assert regions
+    for region in regions:
+        assert region.tree.config.compaction == LEVELED
 
 
 def test_index_inherits_and_overrides_policy():
     cluster = MiniCluster(num_servers=2, seed=4).start()
-    cluster.create_table("t", compaction_policy="leveled")
+    cluster.create_table("t", compaction=LEVELED)
     cluster.create_index(IndexDescriptor("ix", "t", ("c",),
                                          scheme=IndexScheme.SYNC_FULL))
     inherited = cluster.index_descriptor("ix")
     assert cluster.descriptor(
-        inherited.table_name).storage.compaction.label == "leveled"
+        inherited.table_name).storage.compaction == LEVELED
 
-    cluster.create_table("u")          # size_tiered base...
+    cluster.create_table("u")          # size-tiered base...
     cluster.create_index(IndexDescriptor("uix", "u", ("c",),
                                          scheme=IndexScheme.SYNC_FULL),
-                         compaction_policy="leveled")   # ...leveled index
-    assert cluster.descriptor("u").storage.compaction.label == "size_tiered"
+                         compaction=LEVELED)   # ...leveled index
+    assert cluster.descriptor("u").storage.compaction == CompactionPolicy()
     overridden = cluster.index_descriptor("uix")
     assert cluster.descriptor(
-        overridden.table_name).storage.compaction.label == "leveled"
+        overridden.table_name).storage.compaction == LEVELED
 
 
 # -- dead-entry purge ----------------------------------------------------------
@@ -99,7 +86,7 @@ def _churned_cluster(scheme, rounds=5):
     cluster = MiniCluster(num_servers=2, seed=6).start()
     cluster.create_table("t")
     cluster.create_index(IndexDescriptor("ix", "t", ("c",), scheme=scheme),
-                         compaction_policy="leveled")
+                         compaction=LEVELED)
     client = cluster.new_client()
     index = cluster.index_descriptor("ix")
 
@@ -181,7 +168,8 @@ def test_minor_compaction_never_purges():
 
 
 def test_major_compaction_applies_filter_at_tree_level():
-    config = LSMConfig(compaction=LeveledPolicy(min_files=2))
+    config = LSMConfig(compaction=CompactionPolicy(min_files=2,
+                                                   major_every=1))
     tree = _tables(LSMTree(config=config), 3)
     result = tree.compact(dead_entry_filter=lambda cell: cell.key == b"k0")
     assert result.dropped_dead_entries > 0

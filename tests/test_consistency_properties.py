@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster, check_index
 from repro.core.verify import expected_entries
+from repro.lsm.compaction import CompactionPolicy
 
 ROWS = [f"r{i}".encode() for i in range(6)]
 VALUES = [f"v{i}".encode() for i in range(4)]
@@ -123,7 +124,7 @@ def test_validation_equivalent_to_sync_full(history, data):
     cluster.create_table("t")
     cluster.create_index(IndexDescriptor("ix", "t", ("c",),
                                          scheme=IndexScheme.VALIDATION),
-                         compaction_policy="leveled")
+                         compaction=CompactionPolicy(major_every=1))
     client = cluster.new_client()
     index = cluster.index_descriptor("ix")
 

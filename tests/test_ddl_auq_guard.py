@@ -104,7 +104,7 @@ def test_dropped_index_pending_tasks_cannot_resurrect_recreated_index():
     cluster.drop_index("ix")
     cluster.create_index(IndexDescriptor("ix", "t", ("c",),
                                          scheme=IndexScheme.ASYNC_SIMPLE),
-                         backfill=False)
+                         backfill="none")
     recreated = cluster.index_descriptor("ix")
 
     # Release the captive tasks.  Their planned ops carry the OLD index's

@@ -117,15 +117,17 @@ def test_offline_backfill_modes_still_work():
     cluster.create_table("t")
     client = cluster.new_client()
     _load(cluster, client, "t", 50)
-    # Legacy spellings: "offline" and the old boolean.
+    # The offline modes: "offline" builds every entry, "none" attaches
+    # the index with no entries for existing rows.
     cluster.create_index(IndexDescriptor("a", "t", ("c",)),
                          backfill="offline")
-    cluster.create_index(IndexDescriptor("b", "t", ("c",)), backfill=True)
+    cluster.create_index(IndexDescriptor("b", "t", ("c",)), backfill="none")
     assert check_index(cluster, "a").is_consistent
-    assert check_index(cluster, "b").is_consistent
-    with pytest.raises(ValueError):
-        cluster.create_index(IndexDescriptor("x", "t", ("c",)),
-                             backfill="nonsense")
+    assert len(check_index(cluster, "b").missing) == 50
+    for legacy in ("nonsense", True, False):
+        with pytest.raises(ValueError):
+            cluster.create_index(IndexDescriptor("x", "t", ("c",)),
+                                 backfill=legacy)
 
 
 def test_offline_and_online_builds_are_equivalent_after_quiesce():
@@ -147,6 +149,27 @@ def test_offline_and_online_builds_are_equivalent_after_quiesce():
     # Same keys AND same (base) timestamps: the online build is
     # indistinguishable from the instantaneous legacy build once quiesced.
     assert offline == online
+
+
+def test_drop_then_create_rebuilds_a_stale_index():
+    """§7's rebuild: sync-insert leaves stale entries behind; dropping the
+    index and creating it again derives exactly the current entries."""
+    cluster = MiniCluster(num_servers=2, seed=20).start()
+    cluster.create_table("t")
+    index = IndexDescriptor("ix", "t", ("c",),
+                            scheme=IndexScheme.SYNC_INSERT)
+    cluster.create_index(index)
+    client = cluster.new_client()
+    for i in range(4):
+        cluster.run(client.put("t", f"r{i}".encode(),
+                               {"c": f"v{i}".encode()}))
+    cluster.run(client.put("t", b"r0", {"c": b"v9"}))
+    assert len(check_index(cluster, "ix").stale) == 1
+    cluster.drop_index("ix")
+    cluster.create_index(index)
+    assert check_index(cluster, "ix").is_consistent
+    hits = cluster.run(client.get_by_index("ix", equals=[b"v9"]))
+    assert [hit.rowkey for hit in hits] == [b"r0"]
 
 
 def test_local_index_rejects_online_build():

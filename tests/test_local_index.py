@@ -120,7 +120,7 @@ def test_backfill_existing_data():
                                {"c": f"v{i % 2}".encode()}))
     cluster.create_index(IndexDescriptor("late", "t", ("c",),
                                          scope=IndexScope.LOCAL),
-                         backfill=True)
+                         backfill="offline")
     assert check_index(cluster, "late").is_consistent
     got = cluster.run(client.get_by_index("late", equals=[b"v1"]))
     assert sorted(h.rowkey for h in got) == [b"r1", b"r3", b"r5", b"r7"]
@@ -178,7 +178,7 @@ def test_drop_local_index(cluster, client):
     # entries are tombstoned, so a re-created index starts clean
     cluster.create_index(IndexDescriptor("lix", "t", ("c",),
                                          scope=IndexScope.LOCAL),
-                         backfill=False)
+                         backfill="none")
     got = cluster.run(client.get_by_index("lix", equals=[b"red"]))
     assert got == []
     # ...and new writes index normally

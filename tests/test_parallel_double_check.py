@@ -6,6 +6,28 @@ import pytest
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster, check_index
 from repro.core import reader
+from repro.core.index import extract_index_values
+
+
+def double_check_sequential(client, index, hits):
+    """The pre-scatter reference: one round trip per candidate, the
+    readable spec of Algorithm 2's per-hit logic."""
+    metrics = client.cluster.metrics
+    checks = metrics.counter("read_repair_checks", index=index.name)
+    repairs = metrics.counter("read_repair_repairs", index=index.name)
+    confirmed = []
+    for hit in hits:
+        checks.inc()
+        row_data = yield from client.get(index.base_table, hit.rowkey,
+                                         columns=list(index.columns))
+        current = {col: value for col, (value, _ts) in row_data.items()}
+        if extract_index_values(index, current) == hit.values:
+            confirmed.append(hit)
+        else:
+            repairs.inc()
+            yield from client.delete_index_entry(index.table_name,
+                                                 hit.index_key, hit.ts)
+    return confirmed
 
 
 def build(seed=11):
@@ -20,8 +42,7 @@ def modes(monkeypatch):
     """Yields True (the parallel double-check), then swaps in the
     sequential reference for the rest of the test and yields False."""
     yield True
-    monkeypatch.setattr(reader, "_double_check",
-                        reader._double_check_sequential)
+    monkeypatch.setattr(reader, "_double_check", double_check_sequential)
     yield False
 
 

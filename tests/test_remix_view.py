@@ -2,31 +2,30 @@
 
 DESIGN.md §13 invariants under test:
 
-* a remix cursor scan returns exactly what the heap-merge path returns,
-  for every flush/compaction/delete state of one tree;
+* a remix cursor scan returns exactly what the reference heap merge
+  returns, for every flush/compaction/delete state of one tree;
 * the view is maintained *incrementally* — the flush/compaction merge
   products equal a from-scratch build over the same table set;
 * tombstone pointers are skip metadata: a deleted key costs the cursor
-  walk zero block reads (the heap path must open the block to learn it);
-* freshness gates usage — a stale view (store relink the tree didn't see)
-  makes scans fall back to the heap merge, counted, never wrong;
+  walk zero block reads (a heap merge must open the block to learn it);
+* a stale view (a store relink the tree didn't see) is rebuilt by the
+  scan that finds it, counted, never wrong;
 * every store-relink site in the cluster (split adoption, region move,
   recovery, follower promotion) leaves the adopting tree with a fresh
   view, so steady-state scans never fall back.
 """
 
-import pytest
-
 from repro import (IndexDescriptor, IndexScheme, KeyRange, MiniCluster,
                    PlacementConfig, ReplicationConfig, check_index)
 from repro.lsm.remix import RemixView
-from repro.lsm.tree import LSMConfig, LSMTree, ReadStats
+from repro.lsm.tree import LSMTree, ReadStats
 from repro.lsm.types import Cell
 from repro.obs import MetricsRegistry
+from tests.test_scan_equivalence_property import heap_scan
 
 
-def mk_tree(remix=True, **kwargs):
-    return LSMTree(name="t", config=LSMConfig(remix_enabled=remix, **kwargs))
+def mk_tree():
+    return LSMTree(name="t")
 
 
 def flush(tree):
@@ -47,23 +46,22 @@ def view_dump(view):
 
 
 def test_cursor_scan_matches_heap_scan():
-    remix, heap = mk_tree(True), mk_tree(False)
-    for tree in (remix, heap):
-        for round_ts in (10, 20, 30):
-            for i in range(40):
-                tree.add(Cell(key(i), round_ts + i % 3, b"v%d" % round_ts))
-            flush(tree)
-        for i in range(0, 40, 5):
-            tree.add(Cell(key(i), 40, None))   # delete every 5th
+    tree = mk_tree()
+    for round_ts in (10, 20, 30):
+        for i in range(40):
+            tree.add(Cell(key(i), round_ts + i % 3, b"v%d" % round_ts))
         flush(tree)
-    assert remix.remix_fresh
+    for i in range(0, 40, 5):
+        tree.add(Cell(key(i), 40, None))   # delete every 5th
+    flush(tree)
+    assert tree.remix_fresh
     for rng in (KeyRange(b"", None), KeyRange(key(3), key(27)),
                 KeyRange(key(10), key(10)), KeyRange(b"zzz", None)):
         for max_ts in (None, 15, 25, 40):
-            assert (remix.scan(rng, max_ts=max_ts)
-                    == heap.scan(rng, max_ts=max_ts)), (rng, max_ts)
-    assert (remix.scan(KeyRange(b"", None), limit=7)
-            == heap.scan(KeyRange(b"", None), limit=7))
+            assert (tree.scan(rng, max_ts=max_ts)
+                    == heap_scan(tree, rng, max_ts=max_ts)), (rng, max_ts)
+    assert (tree.scan(KeyRange(b"", None), limit=7)
+            == heap_scan(tree, KeyRange(b"", None), limit=7))
 
 
 def test_scan_merges_unflushed_memtable_with_view():
@@ -159,15 +157,15 @@ def test_view_pointers_only_reference_live_tables():
 
 
 def test_deleted_key_costs_zero_block_reads():
-    remix, heap = mk_tree(True), mk_tree(False)
-    for tree in (remix, heap):
-        tree.add(Cell(b"dead", 10, b"x" * 64))
-        flush(tree)
-        tree.add(Cell(b"dead", 20, None))
-        flush(tree)
+    tree = mk_tree()
+    tree.add(Cell(b"dead", 10, b"x" * 64))
+    flush(tree)
+    tree.add(Cell(b"dead", 20, None))
+    flush(tree)
     r_stats, h_stats = ReadStats(), ReadStats()
-    assert remix.scan(KeyRange(b"dead", b"dead\xff"), stats=r_stats) == []
-    assert heap.scan(KeyRange(b"dead", b"dead\xff"), stats=h_stats) == []
+    dead = KeyRange(b"dead", b"dead\xff")
+    assert tree.scan(dead, stats=r_stats) == []
+    assert heap_scan(tree, dead, stats=h_stats) == []
     assert r_stats.blocks_from_disk + r_stats.blocks_from_cache == 0
     assert h_stats.blocks_from_disk + h_stats.blocks_from_cache > 0
 
@@ -188,29 +186,31 @@ def test_superseded_versions_cost_no_extra_blocks():
 # -- freshness / fallback ----------------------------------------------------
 
 
-def test_stale_view_falls_back_to_heap_and_counts():
+def test_stale_view_is_rebuilt_at_scan_and_counts():
     tree = mk_tree()
     registry = MetricsRegistry()
     tree.bind_metrics(registry)
     for i in range(10):
         tree.add(Cell(key(i), 10, b"v"))
     flush(tree)
-    assert tree.scan(KeyRange(b"", None))
+    before = tree.scan(KeyRange(b"", None))
+    assert len(before) == 10
     assert registry.counter("remix_cursor_scans_total").value == 1
     assert registry.counter("remix_fallback_scans_total").value == 0
     # A relink the tree is not told about (bypassing relink_sstables)
-    # leaves the view stale; scans must fall back, not lie.
-    tree._sstables = list(tree._sstables) + [tree._sstables[0]]
+    # leaves the view stale; the scan rebuilds it, counts the miss, and
+    # answers from the current file set.
+    for i in range(10, 15):
+        tree.add(Cell(key(i), 20, b"w"))
+    flush(tree)
+    tree._sstables = tree._sstables[1:]   # the newest file, unannounced
     assert not tree.remix_fresh
-    before = tree.scan(KeyRange(b"", None))
+    after = tree.scan(KeyRange(b"", None))
+    assert after == before
     assert registry.counter("remix_fallback_scans_total").value == 1
-    tree._sstables = tree._sstables[:-1]
-    tree.invalidate_remix_view()
-    assert tree.scan(KeyRange(b"", None)) == before
-    assert registry.counter("remix_fallback_scans_total").value == 2
-    tree.rebuild_remix_view()
     assert tree.remix_fresh
-    assert tree.scan(KeyRange(b"", None)) == before
+    assert tree.scan(KeyRange(b"", None)) == after
+    assert registry.counter("remix_fallback_scans_total").value == 1
     assert registry.counter("remix_cursor_scans_total").value == 2
 
 
@@ -225,19 +225,6 @@ def test_relink_rebuilds_view():
     assert adopter.remix_fresh
     assert (adopter.scan(KeyRange(b"", None))
             == donor.scan(KeyRange(b"", None)))
-
-
-def test_heap_engine_keeps_no_view_and_counts_nothing():
-    tree = mk_tree(remix=False)
-    registry = MetricsRegistry()
-    tree.bind_metrics(registry)
-    for i in range(10):
-        tree.add(Cell(key(i), 10, b"v"))
-    flush(tree)
-    assert tree.remix_view is None
-    assert len(tree.scan(KeyRange(b"", None))) == 10
-    assert registry.counter("remix_cursor_scans_total").value == 0
-    assert registry.counter("remix_fallback_scans_total").value == 0
 
 
 # -- cluster-level relink coverage ------------------------------------------
@@ -343,20 +330,24 @@ def test_promoted_follower_that_missed_a_flush_has_a_fresh_view():
 
 
 def test_index_maintenance_correct_on_both_engines():
-    for remix in (True, False):
-        cluster = MiniCluster(
-            num_servers=3, storage=LSMConfig(remix_enabled=remix)).start()
-        cluster.create_table("t")
-        cluster.create_index(IndexDescriptor(
-            "ix", "t", ("c",), scheme=IndexScheme.SYNC_FULL))
+    """Sync-full maintenance leaves a consistent index, and every region
+    of the cluster scans the same through the cursor walk as through the
+    reference heap merge."""
+    cluster = MiniCluster(num_servers=3).start()
+    cluster.create_table("t", flush_threshold_bytes=1024)
+    cluster.create_index(IndexDescriptor(
+        "ix", "t", ("c",), scheme=IndexScheme.SYNC_FULL))
 
-        def driver(client):
-            for i in range(30):
-                yield from client.put("t", b"r%03d" % i,
-                                      {"c": b"v%d" % (i % 4)})
-            for i in range(0, 30, 3):
-                yield from client.delete("t", b"r%03d" % i, ["c"])
-        cluster.run(driver(cluster.new_client()))
-        cluster.quiesce()
-        report = check_index(cluster, "ix")
-        assert report.is_consistent, (remix, report)
+    def driver(client):
+        for i in range(30):
+            yield from client.put("t", b"r%03d" % i,
+                                  {"c": b"v%d" % (i % 4)})
+        for i in range(0, 30, 3):
+            yield from client.delete("t", b"r%03d" % i, ["c"])
+    cluster.run(driver(cluster.new_client()))
+    cluster.quiesce()
+    report = check_index(cluster, "ix")
+    assert report.is_consistent, report
+    for region in all_region_trees(cluster):
+        assert (region.tree.scan(KeyRange())
+                == heap_scan(region.tree, KeyRange())), region.name

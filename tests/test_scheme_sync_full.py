@@ -160,7 +160,7 @@ def test_index_backfill_covers_existing_data():
                                {"c": f"v{i % 3}".encode()}))
     cluster.create_index(IndexDescriptor("late_ix", "t", ("c",),
                                          scheme=IndexScheme.SYNC_FULL),
-                         backfill=True)
+                         backfill="offline")
     assert check_index(cluster, "late_ix").is_consistent
     got = cluster.run(client.get_by_index("late_ix", equals=[b"v1"]))
     assert sorted(h.rowkey for h in got) == [b"r1", b"r4", b"r7"]

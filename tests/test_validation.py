@@ -228,12 +228,11 @@ def test_planner_surfaces_base_check():
 
 
 def test_purge_discovered_entries_foreground(cluster, client):
-    from repro.core.maintenance import purge_discovered_entries
     cluster.run(client.put("t", b"r1", {"c": b"old"}))
     cluster.run(client.put("t", b"r1", {"c": b"new"}))
     cluster.quiesce()
     hits(cluster, client, b"old")
-    purged = cluster.run(purge_discovered_entries(cluster, client))
+    purged = cluster.run(cluster.validation_cleaner.drain_batch(client))
     assert purged + int(
         cluster.metrics.total("validation_cleaner_purged_total")) >= 1
     assert cluster.validation_cleaner.backlog == 0
