@@ -61,9 +61,6 @@ class MutationBatch:
         self.mutations.append(("del", row, list(columns)))
         return self
 
-    def __len__(self) -> int:
-        return len(self.mutations)
-
 
 class Client:
     """A Diff-Index client: cached partition map with refresh-and-retry

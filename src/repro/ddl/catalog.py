@@ -44,6 +44,3 @@ class JobCatalog:
             except StorageError:  # pragma: no cover - racing delete
                 continue
         return jobs
-
-    def delete(self, job_id: str) -> None:
-        self.hdfs.delete_meta(self._key(job_id))

@@ -99,10 +99,6 @@ class Gauge(_Metric):
     def dec(self, n: float = 1.0) -> None:
         self.value -= n
 
-    def reset(self) -> None:
-        self.value = 0.0
-        self.max_value = 0.0
-
 
 class Histogram(_Metric):
     """Fixed-bucket histogram with percentile estimation.
@@ -195,13 +191,6 @@ class Histogram(_Metric):
             "p99": self.percentile(99),
         }
 
-    def reset(self) -> None:
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self.min = 0.0
-        self.max = 0.0
-
 
 class MetricsRegistry:
     """The cluster-wide metric namespace."""
@@ -288,7 +277,3 @@ class MetricsRegistry:
             else:
                 out["histograms"][metric.full_name] = metric.summary()
         return out
-
-    def reset(self) -> None:
-        for metric in self._metrics.values():
-            metric.reset()

@@ -160,9 +160,3 @@ class Tracer:
             with open(path, "w") as handle:
                 handle.write(text)
         return text
-
-    def reset(self) -> None:
-        self._spans.clear()
-        self.finished = 0
-        self.dropped = 0
-        self._next_id = 0

@@ -66,9 +66,6 @@ class SplitJob:
     def is_terminal(self) -> bool:
         return self.phase is not SplitPhase.PENDING
 
-    def daughter_names(self) -> List[str]:
-        return [self.left_region, self.right_region]
-
     def wait(self, poll_ms: float = 5.0) -> Generator[Any, Any, "SplitJob"]:
         """Sim-time wait until the job reaches a terminal phase."""
         while not self.is_terminal:

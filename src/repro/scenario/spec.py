@@ -136,7 +136,3 @@ class ScenarioSpec:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
-
-    @property
-    def num_windows(self) -> int:
-        return max(1, int(round(self.duration_ms / self.window_ms)))

@@ -108,12 +108,6 @@ class Future:
             for callback in callbacks:
                 callback(self)
 
-    def _resolve(self, value: Any, exc: Optional[BaseException]) -> None:
-        if exc is not None:
-            self.set_exception(exc)
-        else:
-            self.set_result(value)
-
     def add_done_callback(self, callback: Callable[["Future"], None]) -> None:
         if self._done:
             callback(self)

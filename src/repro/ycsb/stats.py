@@ -65,9 +65,6 @@ class LatencyRecorder:
             return len(self._samples.get(op, []))
         return sum(len(v) for v in self._samples.values())
 
-    def ops(self) -> List[str]:
-        return sorted(self._samples)
-
     def stats(self, op: str) -> OpStats:
         samples = sorted(self._samples.get(op, []))
         window = self._window_ms()
