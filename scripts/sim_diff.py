@@ -9,9 +9,14 @@ counters and the histograms, plus the hit total, the kernel event count
 and the simulated end-to-end metrics — enough to say which component a
 diff touched.  Run it on both commits and diff the outputs:
 
-    python scripts/sim_diff.py --seed 42 > after.txt
-    (cd ../parent && python scripts/sim_diff.py --seed 42) > before.txt
+    python scripts/sim_diff.py --seeds 42,7,1 > after.txt
+    (cd ../parent && python scripts/sim_diff.py --seeds 42,7,1) > before.txt
     diff before.txt after.txt
+
+``--seeds`` runs every listed seed, and every summary and scenario line
+names its seed.  A tail percentile rests on a few samples (an
+``update_p99_sim_ms`` over ~1,100 updates on about 11), so one seed
+cannot settle whether a change moved it past its bound.
 
 ``--scale`` shrinks every workload (1.0 is the ledger's full size),
 ``--workload`` picks some, and ``--names`` adds one line per counter and
@@ -23,9 +28,11 @@ clock, dropped — so one command per commit covers both.
 
 ``--compare BEFORE AFTER`` reads two saved reports instead of running
 anything.  For each workload it prints every simulated end-to-end metric
-both summary lines carry, its relative change, and the ``bound`` and
-``better`` that BENCHMARK.json gives it, and exits 1 if any metric got
-worse by more than its bound:
+both reports carry, its relative change, and the ``bound`` and
+``better`` that BENCHMARK.json gives it.  With one seed in common that
+is one line; with several, one line per seed and then the median
+change.  It exits 1 if a median got worse by more than its bound (a
+single seed over its bound is marked ``worse`` but decides nothing):
 
     python scripts/sim_diff.py --compare before.txt after.txt
 """
@@ -36,6 +43,7 @@ import argparse
 import hashlib
 import json
 import pathlib
+import statistics
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -76,12 +84,13 @@ def components(repeat) -> dict:
     }
 
 
-def report(name: str, parts: dict, names: bool = False) -> list:
+def report(name: str, seed: int, parts: dict, names: bool = False) -> list:
     """Printable lines for one workload: one summary line, then (with
     ``names``) one line per counter and histogram."""
     sim = " ".join(f"{key}={value:.6g}"
                    for key, value in sorted(parts["sim"].items()))
-    lines = [f"{name} ops={_digest(parts['ops'])} hits={parts['hits']} "
+    lines = [f"{name} seed={seed} ops={_digest(parts['ops'])} "
+             f"hits={parts['hits']} "
              f"events={parts['events']} "
              f"counters={_digest(parts['counters'])} "
              f"histograms={_digest(parts['histograms'])} {sim}"]
@@ -93,46 +102,65 @@ def report(name: str, parts: dict, names: bool = False) -> list:
 
 
 def summaries(text: str) -> dict:
-    """``{workload: {field: text}}`` from a report's summary lines (the
-    unindented lines that are not scenario digests)."""
-    out = {}
+    """``{workload: {seed: {field: text}}}`` from a report's summary
+    lines (the unindented lines that are not scenario digests).  A line
+    without a ``seed`` field files under seed None."""
+    out: dict = {}
     for line in text.splitlines():
         if not line or line[0].isspace() or line.startswith("scenario "):
             continue
         name, *fields = line.split()
-        out[name] = dict(field.split("=", 1) for field in fields)
+        fields = dict(field.split("=", 1) for field in fields)
+        out.setdefault(name, {})[fields.pop("seed", None)] = fields
     return out
 
 
+def is_worse(change: float, metric: dict) -> bool:
+    """Whether a relative change loses more than ``metric``'s bound."""
+    loss = change if metric["better"] == "lower" else -change
+    return loss > metric["bound"]
+
+
 def compare(before: dict, after: dict, end_to_end: list) -> tuple:
-    """Printable lines and the number of metrics worse than their bound,
-    for every (workload, BENCHMARK.json end-to-end metric) both reports
-    carry."""
+    """Printable lines and the number of metrics whose median change over
+    the common seeds is worse than their bound, for every (workload,
+    BENCHMARK.json end-to-end metric) both reports carry."""
     lines, worse = [], 0
-    for workload, old_fields in before.items():
-        new_fields = after.get(workload)
-        if new_fields is None:
-            continue
+    for workload, old_seeds in before.items():
+        new_seeds = after.get(workload, {})
         for metric in end_to_end:
             name = metric["name"]
-            if name not in old_fields or name not in new_fields:
+            pairs = [(seed, float(old[name]), float(new_seeds[seed][name]))
+                     for seed, old in old_seeds.items()
+                     if name in old and name in new_seeds.get(seed, {})]
+            if not pairs:
                 continue
-            old, new = float(old_fields[name]), float(new_fields[name])
-            change = (new - old) / old if old else float(new != old)
-            loss = change if metric["better"] == "lower" else -change
-            verdict = "ok"
-            if loss > metric["bound"]:
-                verdict = "WORSE"
-                worse += 1
-            lines.append(f"{workload} {name} {old:.6g} -> {new:.6g} "
-                         f"{change:+.1%} (bound {metric['bound']:.0%}, "
-                         f"better {metric['better']}) {verdict}")
+            changes = [(new - old) / old if old else float(new != old)
+                       for _seed, old, new in pairs]
+            median = statistics.median(changes)
+            verdict = "WORSE" if is_worse(median, metric) else "ok"
+            worse += verdict == "WORSE"
+            bound = (f"(bound {metric['bound']:.0%}, "
+                     f"better {metric['better']})")
+            if len(pairs) == 1:
+                [(_seed, old, new)] = pairs
+                lines.append(f"{workload} {name} {old:.6g} -> {new:.6g} "
+                             f"{median:+.1%} {bound} {verdict}")
+                continue
+            for (seed, old, new), change in zip(pairs, changes):
+                mark = "worse" if is_worse(change, metric) else "ok"
+                lines.append(f"{workload} {name} seed={seed} {old:.6g} -> "
+                             f"{new:.6g} {change:+.1%} {bound} {mark}")
+            lines.append(f"{workload} {name} median {median:+.1%} {bound} "
+                         f"{verdict}")
     return lines, worse
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seeds", default="42",
+                        help="comma-separated seeds, each run in turn "
+                             "(default: 42)")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--workload", action="append", choices=list(SPECS),
                         help="repeatable; default: every workload")
@@ -150,19 +178,25 @@ def main(argv=None) -> int:
                          for path in args.compare)
         end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
         lines, worse = compare(before, after, end_to_end)
+        if not lines:
+            print("the reports share no (workload, seed) with a metric",
+                  file=sys.stderr)
+            return 2
         for line in lines:
             print(line)
         return 1 if worse else 0
-    for name in args.workload or list(SPECS):
-        parts = components(run_repeat(SPECS[name], args.seed, args.scale))
-        for line in report(name, parts, args.names):
-            print(line, flush=True)
-    if args.scenarios:
-        for name in sorted(SCENARIOS):
-            result = ScenarioRunner(SCENARIOS[name](quick=True),
-                                    seed=args.seed).run()
-            print(f"scenario {name} {scenario_digest(result.to_dict())}",
-                  flush=True)
+    seeds = [int(seed) for seed in args.seeds.split(",")]
+    for seed in seeds:
+        for name in args.workload or list(SPECS):
+            parts = components(run_repeat(SPECS[name], seed, args.scale))
+            for line in report(name, seed, parts, args.names):
+                print(line, flush=True)
+        if args.scenarios:
+            for name in sorted(SCENARIOS):
+                result = ScenarioRunner(SCENARIOS[name](quick=True),
+                                        seed=seed).run()
+                print(f"scenario {name} seed={seed} "
+                      f"{scenario_digest(result.to_dict())}", flush=True)
     return 0
 
 

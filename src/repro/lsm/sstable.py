@@ -6,11 +6,12 @@ filter and a timestamp sidecar.  The builder never splits one key's
 versions across blocks, so a point lookup touches at most one block.
 
 The **timestamp sidecar** (DESIGN.md §14.6) holds each key's newest
-timestamp and a tombstone bit, sorted by ``(qualifier, row)`` so one
-column's entries sit in a few dense blocks: a reader that needs only
-"how new is this cell?" opens one small sidecar block instead of a data
-block.  Sidecar block ``n`` (from 1) has the negative block id ``-n``,
-which keeps it apart from the data blocks in the shared block cache.
+timestamp and a tombstone bit, sorted by ``(qualifier, row)`` and
+prefix-compressed, so one column's entries sit in a few dense blocks: a
+reader that needs only "how new is this cell?" opens one small sidecar
+block instead of a data block.  Sidecar block ``n`` (from 1) has the
+negative block id ``-n``, which keeps it apart from the data blocks in
+the shared block cache.
 
 SSTables carry no timing themselves; the LSM tree charges block reads to
 the block cache or the simulated disk, which is where the paper's
@@ -20,6 +21,7 @@ the block cache or the simulated disk, which is where the paper's
 from __future__ import annotations
 
 import itertools
+import os
 from bisect import bisect_left, bisect_right
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -33,8 +35,16 @@ __all__ = ["SSTable", "SSTableBuilder", "DEFAULT_BLOCK_BYTES",
            "compressed_block_bytes"]
 
 DEFAULT_BLOCK_BYTES = 4096
+# Every SIDECAR_RESTART_INTERVAL-th entry of a sidecar block stores its
+# full row key, so a reader can binary-search the block's restart array.
+SIDECAR_RESTART_INTERVAL = 16
 
 _sstable_ids = itertools.count(1)
+
+
+def shared_prefix(a: bytes, b: bytes) -> int:
+    """How many leading bytes ``a`` and ``b`` share."""
+    return len(os.path.commonprefix((a, b)))
 
 
 def compressed_block_bytes(block: Sequence[Cell]) -> int:
@@ -50,15 +60,24 @@ def compressed_block_bytes(block: Sequence[Cell]) -> int:
     total = 0
     previous_key = b""
     for cell in block:
-        shared = 0
-        limit = min(len(previous_key), len(cell.key))
-        while shared < limit and previous_key[shared] == cell.key[shared]:
-            shared += 1
-        suffix = len(cell.key) - shared
+        suffix = len(cell.key) - shared_prefix(previous_key, cell.key)
         value_len = len(cell.value) if cell.value is not None else 0
         total += suffix + 2 + value_len + 24
         previous_key = cell.key
     return total
+
+
+def sidecar_entry_bytes(slot: int, previous_row: bytes, row: bytes) -> int:
+    """Accounted bytes of a sidecar block's ``slot``-th entry (from 0):
+    2 bytes of shared/unshared lengths, the row-key bytes past the prefix
+    shared with the previous entry's row, and 8 bytes of ts with the
+    tombstone flag in the top bit.  Every
+    :data:`SIDECAR_RESTART_INTERVAL`-th entry is a restart point: it
+    stores the whole row key and adds a 4-byte slot to the block's
+    restart array."""
+    if slot % SIDECAR_RESTART_INTERVAL == 0:
+        return 2 + len(row) + 8 + 4
+    return 2 + len(row) - shared_prefix(previous_row, row) + 8
 
 
 def sidecar_order(key: bytes) -> Tuple[bytes, bytes, bytes]:
@@ -183,32 +202,35 @@ class SSTable:
         return entry, -max(position, 1)
 
     def _build_sidecar(self) -> None:
-        """Lay the sidecar out: one value-less cell per key (key + the
-        24-byte header, :func:`cell_size`), in sidecar order, packed into
-        blocks the way the builder packs data blocks, except that a block
-        never holds two qualifiers: a probe of one column never pulls
-        another column's entries into the cache.  The simulation keeps
-        every cell in memory, so the entries themselves are read off the
-        data blocks; only the layout is materialised."""
-        # One bucket per qualifier.  A key's row part ends at its first
-        # 0x00, so a bucket filled in data order is already in row order.
+        """Lay the sidecar out: entries in sidecar order, packed into
+        blocks the way the builder packs data blocks (cut once a block
+        reaches ``block_bytes``), except that a block never holds two
+        qualifiers: a probe of one column never pulls another column's
+        entries into the cache.  A block stores its qualifier once, as a
+        2-byte length plus the bytes, then its entries
+        (:func:`sidecar_entry_bytes`).  The simulation keeps every cell
+        in memory, so the entries themselves are read off the data
+        blocks; only the layout is materialised."""
+        # One bucket of rows per qualifier.  A key's row part ends at its
+        # first 0x00, so a bucket filled in data order is in row order.
         columns: Dict[Tuple[bytes, bytes], List[bytes]] = {}
         last = None
         for block in self._blocks:
             for cell in block:
                 if cell.key != last:
                     last = cell.key
-                    qualifier, sep, _row = sidecar_order(last)
-                    columns.setdefault((qualifier, sep), []).append(last)
-        header = cell_size(Cell(b"", 0, None))   # an entry is key + header
+                    qualifier, sep, row = sidecar_order(last)
+                    columns.setdefault((qualifier, sep), []).append(row)
         first: List[Tuple[bytes, bytes, bytes]] = []
         sizes: List[int] = []
-        for _column, keys in sorted(columns.items()):
-            for n, key in enumerate(keys):
+        for (qualifier, sep), rows in sorted(columns.items()):
+            for n, row in enumerate(rows):
                 if n == 0 or sizes[-1] >= self._target_block_bytes:
-                    first.append(sidecar_order(key))
-                    sizes.append(0)
-                sizes[-1] += len(key) + header
+                    first.append((qualifier, sep, row))
+                    sizes.append(2 + len(qualifier))
+                    slot, previous = 0, b""
+                sizes[-1] += sidecar_entry_bytes(slot, previous, row)
+                slot, previous = slot + 1, row
         self._sidecar_first = first
         self._sidecar_sizes = sizes
 

@@ -15,16 +15,19 @@ routing cache has refreshed.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
 
 from repro.errors import NoSuchRegionError, RpcError
 from repro.sim.kernel import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.client import Client
     from repro.cluster.cluster import MiniCluster
 
 __all__ = ["ValidationCleaner"]
+
+# Deletes per RPC.  A chunk's WAL sync holds the target's log device, so
+# a larger chunk blocks a concurrent put for longer (DESIGN.md §14.3).
+CHUNK_OPS = 8
 
 
 class ValidationCleaner:
@@ -68,16 +71,16 @@ class ValidationCleaner:
 
     def worker(self) -> Generator[Any, Any, None]:
         """The per-cluster cleaner process (runs forever in sim time)."""
-        client = self.cluster.new_client("validation-cleaner")
         while True:
             yield Timeout(self.interval_ms)
-            yield from self.drain_batch(client, self.batch_size)
+            yield from self.drain_batch(self.batch_size)
 
-    def drain_batch(self, client: "Client", limit: Optional[int] = None,
+    def drain_batch(self, limit: Optional[int] = None,
                     ) -> Generator[Any, Any, int]:
         """Delete up to ``limit`` pending entries; returns how many were
-        purged.  Transient routing failures re-queue the entry for the
-        next tick."""
+        purged.  An entry that cannot be routed, and every entry of a
+        chunk whose RPC fails on a stale route or a lost or dead server,
+        is re-queued for the next tick."""
         if not self._pending:
             return 0
         batch = list(self._pending)
@@ -85,20 +88,35 @@ class ValidationCleaner:
             batch = batch[:limit]
         for key in batch:
             del self._pending[key]
-        purged = 0
-        for index_table, index_key, ts in batch:
-            if index_table not in self.cluster.index_by_table:
+        cluster = self.cluster
+        groups: Dict[Any, List[tuple]] = {}
+        for entry in batch:
+            index_table, index_key, _ts = entry
+            if index_table not in cluster.index_by_table:
                 # Index dropped since discovery: the table (and the
                 # entry) are gone; nothing to purge.
                 continue
             try:
-                yield from client.delete_index_entry(index_table, index_key,
-                                                     ts)
-            except (NoSuchRegionError, RpcError):
-                self._pending.setdefault((index_table, index_key, ts), None)
+                server, _region = cluster.locate(index_table, index_key)
+            except NoSuchRegionError:
+                self._pending.setdefault(entry, None)
                 continue
-            purged += 1
-            self._purged.inc()
-            self.cluster.staleness.settle_debt()
+            groups.setdefault(server, []).append(entry)
+        purged = 0
+        for server, entries in groups.items():
+            for start in range(0, len(entries), CHUNK_OPS):
+                chunk = entries[start:start + CHUNK_OPS]
+                ops = [("del", *entry) for entry in chunk]
+                try:
+                    yield from cluster.network.call(
+                        server, lambda: server.handle_index_ops(
+                            ops, background=False))
+                except (NoSuchRegionError, RpcError):
+                    for entry in chunk:
+                        self._pending.setdefault(entry, None)
+                    continue
+                purged += len(chunk)
+                self._purged.inc(len(chunk))
+                cluster.staleness.settle_debt(len(chunk))
         self._depth.set(len(self._pending))
         return purged

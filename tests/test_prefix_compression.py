@@ -33,6 +33,17 @@ def test_first_cell_pays_full_key():
     assert compressed_block_bytes(cells) == len(b"abcdef") + 2 + 24
 
 
+def test_later_cells_pay_only_their_suffix():
+    """Each cell stores the key bytes past the prefix it shares with the
+    previous key (a key that extends the previous one shares all of
+    it), plus the 2-byte length, its value and the 24-byte header."""
+    cells = [Cell(b"abcdef", 1, b"v"), Cell(b"abcxy", 1, b""),
+             Cell(b"abcxyz", 1, None)]
+    assert compressed_block_bytes(cells) == ((6 + 2 + 1 + 24)
+                                             + (2 + 2 + 0 + 24)
+                                             + (1 + 2 + 0 + 24)) == 88
+
+
 def test_unrelated_keys_barely_compress():
     cells = sorted([Cell(bytes([i]) * 8, 1, b"") for i in range(30)],
                    key=lambda c: c.key)

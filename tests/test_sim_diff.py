@@ -28,6 +28,7 @@ def test_reports_every_component_and_is_deterministic(capsys):
                 "sim_throughput_tps", "update_p50_sim_ms", "read_p99_sim_ms"):
         assert key in fields
     assert int(fields["hits"]) > 0
+    assert fields["seed"] == "42"
     assert any(line.startswith("  counter table2_ops{op=base_put}")
                for line in first[1:])
     assert any(line.startswith("  histogram ") for line in first[1:])
@@ -74,3 +75,37 @@ def test_compare_flags_a_metric_worse_than_its_bound(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith("(bound 10%, better higher) WORSE")
     assert lines[1].endswith(" ok")
+
+
+def test_compare_judges_the_median_over_common_seeds(tmp_path, capsys):
+    sim_diff = _load()
+    before = tmp_path / "before.txt"
+    after = tmp_path / "after.txt"
+    before.write_text("w seed=42 update_p99_sim_ms=1.0\n"
+                      "w seed=7 update_p99_sim_ms=1.0\n"
+                      "w seed=1 update_p99_sim_ms=1.0\n"
+                      "scenario s seed=42 ff\n")
+    # Seed 7 alone is over the 15% bound; the median (+10%) is inside.
+    after.write_text("w seed=42 update_p99_sim_ms=1.1\n"
+                     "w seed=7 update_p99_sim_ms=1.2\n"
+                     "w seed=1 update_p99_sim_ms=1.05\n")
+    assert sim_diff.main(["--compare", str(before), str(after)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "w update_p99_sim_ms seed=42 1 -> 1.1 +10.0% "
+        "(bound 15%, better lower) ok",
+        "w update_p99_sim_ms seed=7 1 -> 1.2 +20.0% "
+        "(bound 15%, better lower) worse",
+        "w update_p99_sim_ms seed=1 1 -> 1.05 +5.0% "
+        "(bound 15%, better lower) ok",
+        "w update_p99_sim_ms median +10.0% (bound 15%, better lower) ok"]
+
+    # Two of three seeds over the bound: the median is, exit 1.
+    after.write_text("w seed=42 update_p99_sim_ms=1.2\n"
+                     "w seed=7 update_p99_sim_ms=1.2\n")
+    assert sim_diff.main(["--compare", str(before), str(after)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "w update_p99_sim_ms median +20.0% (bound 15%, better lower) WORSE")
+
+    # No seed in common: nothing to judge, exit 2.
+    after.write_text("w seed=3 update_p99_sim_ms=1.0\n")
+    assert sim_diff.main(["--compare", str(before), str(after)]) == 2

@@ -3,6 +3,8 @@
 
 * ``LSMTree.probe_ts`` answers what the exhaustive collector's newest
   cell says, bloom false positives included;
+* the sidecar's prefix-compressed block layout, by hand and against the
+  old one-value-less-cell-per-entry accounting;
 * the validation read keeps exactly the hits the old value-comparing
   check kept, at every quiesced point of random histories of partial
   and whole puts and deletes, flushes, compactions and splits — by
@@ -22,7 +24,8 @@ from repro.core import reader
 from repro.core.index import (checks_timestamps, entry_is_current,
                               extract_index_values)
 from repro.lsm import (BlockCache, Cell, CompactionPolicy, KeyRange,
-                       LSMConfig, LSMTree, ReadStats)
+                       LSMConfig, LSMTree, ReadStats, SSTableBuilder,
+                       cell_size)
 
 KEYS = [f"r{i}\x00c".encode() for i in range(3)]
 
@@ -117,11 +120,68 @@ def test_sidecar_groups_one_qualifier_per_block():
                     for row in range(40)}
               for col in (b"a", b"b")}
     assert not blocks[b"a"] & blocks[b"b"]
-    # An entry is a 7-byte key plus the 24-byte header; a block is cut
-    # once it reaches 256 bytes, so 9 entries a block and 5 per column.
-    assert len(blocks[b"a"]) == len(blocks[b"b"]) == 5
-    assert sstable.block_bytes(-1) == 9 * 31
+    # A block opens with its 1-byte qualifier (3 bytes).  A restart entry
+    # (row00, row16) is 2 length bytes + the 5-byte row + 8 bytes of ts +
+    # a 4-byte restart slot = 19; any other entry stores the 1 row byte
+    # past the shared "row0"/"row1" prefix (11 bytes), or 2 where the
+    # tens digit changes (row10, row20: 12).  row00..row20 sum to
+    # 3 + 19 + 9*11 + 12 + 5*11 + 19 + 3*11 + 12 = 252 < 256, and row21
+    # cuts the block at 263: 22 entries, then 18, so 2 blocks a column.
+    assert len(blocks[b"a"]) == len(blocks[b"b"]) == 2
+    assert sstable.block_bytes(-1) == 263
     assert sstable.total_bytes == before
+
+
+def test_sidecar_block_bytes_by_hand():
+    """One block of 17 entries of the ``price`` column: the qualifier
+    once, a full-key restart at slots 0 and 16, prefix-shared rows in
+    between, and 8 bytes of ts on every entry."""
+    builder = SSTableBuilder(block_bytes=4096)
+    for row in range(17):
+        builder.add(Cell(f"r{row:02d}\x00price".encode(), 1, b"v"))
+    sstable = builder.finish()
+    assert sstable.probe_ts(b"r16\x00price") == ((1, False), -1)
+    qualifier = 2 + len(b"price")                  # 7
+    restart = 2 + len(b"r00") + 8 + 4              # 17
+    one_byte = 2 + 1 + 8                           # r01..r09, r11..r15
+    two_bytes = 2 + 2 + 8                          # r10: only "r" shared
+    assert sstable.block_bytes(-1) == (qualifier + 2 * restart
+                                       + 14 * one_byte + two_bytes) == 207
+
+
+# Keys of a few rows over a few columns, plus separator-less keys (index
+# entries), so buckets, restarts and prefix sharing all vary.
+sidecar_keys = st.lists(
+    st.tuples(st.binary(min_size=1, max_size=12).filter(
+                  lambda row: b"\x00" not in row),
+              st.sampled_from([None, b"a", b"price", b"qualifier"])),
+    min_size=1, max_size=80)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sidecar_keys, st.integers(16, 600))
+def test_sidecar_block_no_larger_than_value_less_cells(keys, block_bytes):
+    """Every sidecar block is no larger than the old accounting of the
+    same entries, one value-less cell (key + 24-byte header) each, and
+    building the sidecar leaves ``total_bytes`` alone."""
+    cells = [Cell(key, 1, b"v") for key in sorted(
+        {row if qualifier is None else row + b"\x00" + qualifier
+         for row, qualifier in keys})]
+    builder = SSTableBuilder(block_bytes=block_bytes)
+    builder.add_all(cells)
+    sstable = builder.finish()
+    before = sstable.total_bytes
+    entries = {}
+    for cell in cells:
+        entry, block = sstable.probe_ts(cell.key)
+        assert entry == (1, False)
+        entries.setdefault(block, []).append(cell.key)
+    assert sorted(entries) == list(range(-len(entries), 0))
+    for block, block_keys in entries.items():
+        assert sstable.block_bytes(block) <= sum(
+            cell_size(Cell(key, 1, None)) for key in block_keys)
+    assert sstable.total_bytes == before == sum(
+        cell_size(cell) for cell in cells)
 
 
 # -- validation: the timestamp check against the value check -------------
@@ -270,7 +330,7 @@ def test_partial_put_on_composite_index_keeps_the_row_entry():
     cluster.quiesce()
     assert _served(cluster, client, low=b"a", high=b"b") == [
         ((b"a", b"b"), b"r")]
-    cluster.run(cluster.validation_cleaner.drain_batch(client))
+    cluster.run(cluster.validation_cleaner.drain_batch())
     assert _served(cluster, client, equals=[b"a", b"b"]) == [
         ((b"a", b"b"), b"r")]
 
@@ -292,7 +352,7 @@ def test_same_value_rewrite_racing_the_blind_ship():
     assert cluster.run(reader._validate(client, index, old_hits)) == []
     assert cluster.validation_cleaner.backlog == 1
     cluster.quiesce()
-    cluster.run(cluster.validation_cleaner.drain_batch(client))
+    cluster.run(cluster.validation_cleaner.drain_batch())
     assert cluster.validation_cleaner.purged == 1
     assert _served(cluster, client, equals=[b"v"]) == [((b"v",), b"r")]
 

@@ -1,9 +1,12 @@
 """The validation scheme (DESIGN.md §14): blind ship, read-time filter
 (no repair), background cleaner GC."""
 
+from collections import Counter
+
 import pytest
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster, check_index
+from repro.core.encoding import encode_value
 from repro.core.verify import actual_entries
 
 
@@ -232,8 +235,115 @@ def test_purge_discovered_entries_foreground(cluster, client):
     cluster.run(client.put("t", b"r1", {"c": b"new"}))
     cluster.quiesce()
     hits(cluster, client, b"old")
-    purged = cluster.run(cluster.validation_cleaner.drain_batch(client))
+    purged = cluster.run(cluster.validation_cleaner.drain_batch())
     assert purged + int(
         cluster.metrics.total("validation_cleaner_purged_total")) >= 1
     assert cluster.validation_cleaner.backlog == 0
     assert check_index(cluster, "ix").is_consistent
+
+
+# -- the cleaner's delivery: per server, in chunks --------------------------
+
+STALE_ROWS = 20
+
+
+@pytest.fixture
+def backlog():
+    """Twenty stale entries discovered by one read and not yet purged.
+    The index splits at ``m``, so the 7 old ``a..`` values and the 13 old
+    ``z..`` values sit on two servers (the live ``0`` entries fall
+    outside the read); the cleaner's worker never ticks, so each test
+    drains by hand."""
+    c = MiniCluster(num_servers=3, seed=11)
+    c.validation_cleaner.interval_ms = 1e9
+    c.start()
+    c.create_table("t")
+    c.create_index(IndexDescriptor("ix", "t", ("c",),
+                                   scheme=IndexScheme.VALIDATION),
+                   split_keys=[encode_value(b"m")])
+    client = c.new_client()
+    for i in range(STALE_ROWS):
+        row = b"r%02d" % i
+        c.run(client.put("t", row, {"c": (b"a" if i % 3 == 0 else b"z")
+                                    + row}))
+        c.run(client.put("t", row, {"c": b"0"}))
+    c.quiesce()
+    assert c.run(client.get_by_index("ix", low=b"a", high=b"zz")) == []
+    assert c.validation_cleaner.backlog == STALE_ROWS
+    return c
+
+
+def _per_server(cluster):
+    """Pending entries by the server hosting them."""
+    groups = {}
+    for entry in cluster.validation_cleaner._pending:
+        server, _region = cluster.locate(entry[0], entry[1])
+        groups.setdefault(server, []).append(entry)
+    return groups
+
+
+def _wal_groups(cluster):
+    """Each server's ``wal_group_commit_size`` observations so far."""
+    return Counter({name: server.obs_wal_group.count
+                    for name, server in cluster.servers.items()})
+
+
+def test_cleaner_sends_one_rpc_per_server_chunk(backlog):
+    cluster = backlog
+    groups = _per_server(cluster)
+    small, large = sorted(groups, key=lambda server: len(groups[server]))
+    assert (len(groups[small]), len(groups[large])) == (7, 13)
+    rpcs, commits = cluster.network.rpc_count, _wal_groups(cluster)
+    assert cluster.run(cluster.validation_cleaner.drain_batch()) \
+        == STALE_ROWS
+    # 7 entries make one chunk and 13 make two (8 + 5): three RPCs, each
+    # one group commit on its server.
+    assert cluster.network.rpc_count - rpcs == 3
+    assert _wal_groups(cluster) - commits == Counter({small.name: 1,
+                                                      large.name: 2})
+    assert (small.obs_wal_group.max, large.obs_wal_group.max) == (7, 8)
+
+
+def test_cleaner_requeues_exactly_the_chunk_whose_region_moved(backlog):
+    """A region closing for a move rejects its chunk: those entries, and
+    only those, wait for the next tick, which purges them."""
+    cluster = backlog
+    cleaner = cluster.validation_cleaner
+    groups = _per_server(cluster)
+    moving = min(groups, key=lambda server: len(groups[server]))
+    table = cluster.index_descriptor("ix").table_name
+    [region] = [region for region in moving.regions.values()
+                if region.table.name == table]
+    region.closing = True
+    assert cluster.run(cleaner.drain_batch()) == STALE_ROWS - 7
+    assert list(cleaner._pending) == groups[moving]
+    region.closing = False
+    assert cluster.run(cleaner.drain_batch()) == 7
+    assert cleaner.backlog == 0
+    assert cluster.metrics.total("validation_cleaner_purged_total") \
+        == STALE_ROWS
+    assert check_index(cluster, "ix").is_consistent
+
+
+def test_cleaner_skips_entries_of_a_dropped_index(backlog):
+    cluster = backlog
+    cluster.drop_index("ix")
+    rpcs = cluster.network.rpc_count
+    assert cluster.run(cluster.validation_cleaner.drain_batch()) == 0
+    assert cluster.validation_cleaner.backlog == 0
+    assert cluster.network.rpc_count == rpcs
+    assert cluster.metrics.total("validation_cleaner_purged_total") == 0
+
+
+def test_cleaner_purged_total_counts_the_deleted_entries(backlog):
+    cluster = backlog
+    index = cluster.index_descriptor("ix")
+    assert len(check_index(cluster, "ix").stale) == STALE_ROWS
+    before = cluster.counters.snapshot()
+    cluster.run(cluster.validation_cleaner.drain_batch())
+    assert check_index(cluster, "ix").is_consistent
+    assert len(actual_entries(cluster, index)) == STALE_ROWS
+    assert cluster.counters.since(before).index_delete == STALE_ROWS
+    assert cluster.metrics.total("validation_cleaner_purged_total") \
+        == STALE_ROWS
+    assert cluster.staleness.stale_debt == 0
