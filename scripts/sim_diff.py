@@ -32,7 +32,11 @@ both reports carry, its relative change, and the ``bound`` and
 ``better`` that BENCHMARK.json gives it.  With one seed in common that
 is one line; with several, one line per seed and then the median
 change.  It exits 1 if a median got worse by more than its bound (a
-single seed over its bound is marked ``worse`` but decides nothing):
+single seed over its bound is marked ``worse`` but decides nothing).
+When both reports carry ``--names`` lines it also prints, per seed and
+as a median, the mean (sum/count) of every ``span_ms{span=…}`` and
+``wal_group_commit_size`` histogram on both sides, so the per-layer
+evidence sits beside the end-to-end A/B; these lines judge nothing:
 
     python scripts/sim_diff.py --compare before.txt after.txt
 """
@@ -101,6 +105,18 @@ def report(name: str, seed: int, parts: dict, names: bool = False) -> list:
     return lines
 
 
+# The --names histograms whose means --compare prints: the per-layer
+# spans and the WAL group-commit width.
+LAYER_HISTOGRAMS = ("span_ms{span=", "wal_group_commit_size{")
+
+
+def _summary(line: str) -> tuple:
+    """``(workload, seed, {field: text})`` of one summary line."""
+    name, *fields = line.split()
+    fields = dict(field.split("=", 1) for field in fields)
+    return name, fields.pop("seed", None), fields
+
+
 def summaries(text: str) -> dict:
     """``{workload: {seed: {field: text}}}`` from a report's summary
     lines (the unindented lines that are not scenario digests).  A line
@@ -109,10 +125,56 @@ def summaries(text: str) -> dict:
     for line in text.splitlines():
         if not line or line[0].isspace() or line.startswith("scenario "):
             continue
-        name, *fields = line.split()
-        fields = dict(field.split("=", 1) for field in fields)
-        out.setdefault(name, {})[fields.pop("seed", None)] = fields
+        name, seed, fields = _summary(line)
+        out.setdefault(name, {})[seed] = fields
     return out
+
+
+def layer_means(text: str) -> dict:
+    """``{workload: {seed: {histogram: mean}}}`` of the
+    ``LAYER_HISTOGRAMS`` a ``--names`` report lists under each summary
+    line; empty histograms are left out."""
+    out: dict = {}
+    means = None
+    for line in text.splitlines():
+        if line.startswith("scenario "):
+            means = None
+        elif line and not line[0].isspace():
+            name, seed, _fields = _summary(line)
+            means = out.setdefault(name, {}).setdefault(seed, {})
+        elif means is not None and line.startswith("  histogram "):
+            _kind, metric, value = line.split(None, 2)
+            count, total = json.loads(value)
+            if count and metric.startswith(LAYER_HISTOGRAMS):
+                means[metric] = total / count
+    return out
+
+
+def _change(old: float, new: float) -> float:
+    return (new - old) / old if old else float(new != old)
+
+
+def compare_layers(before: dict, after: dict) -> list:
+    """Printable lines, per seed and then as a median over the common
+    seeds, of each layer histogram's mean on both sides."""
+    lines = []
+    for workload, old_seeds in before.items():
+        new_seeds = after.get(workload, {})
+        for metric in sorted({metric for means in old_seeds.values()
+                              for metric in means}):
+            pairs = [(seed, old[metric], new_seeds[seed][metric])
+                     for seed, old in old_seeds.items()
+                     if metric in old and metric in new_seeds.get(seed, {})]
+            for seed, old, new in pairs:
+                lines.append(f"{workload} mean {metric} seed={seed} "
+                             f"{old:.6g} -> {new:.6g} "
+                             f"{_change(old, new):+.1%}")
+            if len(pairs) > 1:
+                old = statistics.median(old for _seed, old, _new in pairs)
+                new = statistics.median(new for _seed, _old, new in pairs)
+                lines.append(f"{workload} mean {metric} median {old:.6g} "
+                             f"-> {new:.6g} {_change(old, new):+.1%}")
+    return lines
 
 
 def is_worse(change: float, metric: dict) -> bool:
@@ -135,8 +197,7 @@ def compare(before: dict, after: dict, end_to_end: list) -> tuple:
                      if name in old and name in new_seeds.get(seed, {})]
             if not pairs:
                 continue
-            changes = [(new - old) / old if old else float(new != old)
-                       for _seed, old, new in pairs]
+            changes = [_change(old, new) for _seed, old, new in pairs]
             median = statistics.median(changes)
             verdict = "WORSE" if is_worse(median, metric) else "ok"
             worse += verdict == "WORSE"
@@ -174,15 +235,14 @@ def main(argv=None) -> int:
                              "BENCHMARK.json bounds instead of running")
     args = parser.parse_args(argv)
     if args.compare:
-        before, after = (summaries(pathlib.Path(path).read_text())
-                         for path in args.compare)
+        texts = [pathlib.Path(path).read_text() for path in args.compare]
         end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
-        lines, worse = compare(before, after, end_to_end)
+        lines, worse = compare(*map(summaries, texts), end_to_end)
         if not lines:
             print("the reports share no (workload, seed) with a metric",
                   file=sys.stderr)
             return 2
-        for line in lines:
+        for line in lines + compare_layers(*map(layer_means, texts)):
             print(line)
         return 1 if worse else 0
     seeds = [int(seed) for seed in args.seeds.split(",")]

@@ -14,7 +14,7 @@ enqueue into the AUQ).  Background processes per server:
 
 Queueing model: each request occupies one *handler* slot for its whole
 lifetime (HBase handler threads); random reads occupy the *disk*; WAL
-appends serialise on the *log* device.  Saturating any of these produces
+syncs group-commit on the *log* device.  Saturating any of these produces
 the latency growth in Figures 7/8 and the AUQ backlog of Figure 11.
 """
 
@@ -40,7 +40,8 @@ from repro.cluster.region import Region, compose_cell_key
 from repro.replication.replica import FollowerReplica
 from repro.replication.ship import replication_ship_loop
 from repro.sim.kernel import Timeout
-from repro.sim.resources import AsyncQueue, Gate, Latch, Resource, use
+from repro.sim.resources import (AsyncQueue, Gate, GroupCommitLog, Latch,
+                                  Resource, use)
 from repro.sim.scatter import FANOUT_BUCKETS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -108,7 +109,6 @@ class RegionServer:
                                        name=f"{name}/index-handlers")
         self.disk = Resource(self.sim, self.config.disk_parallelism,
                              name=f"{name}/disk")
-        self.log_device = Resource(self.sim, 1, name=f"{name}/log")
 
         # Diff-Index server-side state.
         self.auq = AsyncQueue(self.sim, name=f"{name}/auq")
@@ -138,12 +138,13 @@ class RegionServer:
                                                 server=name)
         self.obs_flush_gate_wait = metrics.histogram("flush_gate_wait_ms",
                                                      server=name)
-        # Group-commit width: how many mutations shared one WAL write —
-        # the amortization the batched foreground path (and the APS's
-        # batched deliveries) buys is read straight off this histogram.
+        # Group-commit width: how many records shared one device write of
+        # the log — batched RPCs and concurrent handlers both widen it.
         self.obs_wal_group = metrics.histogram("wal_group_commit_size",
                                                bounds=FANOUT_BUCKETS,
                                                server=name)
+        self.log_device = GroupCommitLog(self.sim, cluster.model,
+                                         self.obs_wal_group.observe)
         # Block-cache visibility: hit/miss counters tick inline with each
         # access; the derived hit_rate gauge refreshes every maintenance
         # tick (cheap, deterministic, fresh enough for bench snapshots).
@@ -517,23 +518,14 @@ class RegionServer:
                     results[i] = ("ok", ts, old_values)
 
                 # Group commit: every mutation keeps its own WAL record
-                # and seqno; the log device is charged ONCE per wave.
+                # and seqno; the wave syncs as one writer of the log
+                # device, which may share the write with other handlers.
                 records = self.wal.append_batch(wal_batch)
                 wal_span = self.tracer.start("wal_append", parent=span,
                                              server=self.name,
                                              records=len(records))
-                # ``use(self.log_device, ...)`` inlined: the put path is
-                # hot enough that the extra generator frame shows up.
-                log_device = self.log_device
-                wal_cost = model.wal_group_append(len(records))
-                yield log_device.acquire()
-                try:
-                    if wal_cost > 0:
-                        yield Timeout(wal_cost)
-                finally:
-                    log_device.release()
+                yield self.log_device.sync(len(records))
                 wal_span.end()
-                self.obs_wal_group.observe(len(records))
                 for (region, cells), record in zip(planned, records):
                     region.tree.add_many(cells, seqno=record.seqno)
                 yield Timeout(model.memtable_op() * total_cells)
@@ -690,17 +682,16 @@ class RegionServer:
         live = live_index_ops(self.cluster, ops)
         if not live:
             return
-        # One group commit covers the batch: the first record pays the
-        # sequential write, the rest the marginal buffer copy.  A
+        # The batch syncs the log as one writer, sharing the device write
+        # with whatever other handlers append meanwhile (DESIGN §11.2).  A
         # foreground caller's entries become visible once logged; a
         # background delivery's as soon as they land.  Either way the ops
         # are routed and applied in ONE step with no yield in between, so
         # a region that moves during the log charge is never written, and a
         # mid-batch routing error leaves nothing applied — the caller's
         # whole-delivery retry cannot double-count.
-        wal_cost = model.wal_group_append(len(live))
         if not background:
-            yield from use(self.log_device, wal_cost)
+            yield self.log_device.sync(len(live))
         routed = [(self._require_open_region(op[1], op[2]), op)
                   for op in live]
         puts = 0
@@ -711,8 +702,7 @@ class RegionServer:
             region.tree.add(cell, seqno=record.seqno)
             puts += kind == "put"
         if background:
-            yield from use(self.log_device, wal_cost)
-        self.obs_wal_group.observe(len(live))
+            yield self.log_device.sync(len(live))
         yield Timeout(model.memtable_op() * len(live))
         counters = self.cluster.counters
         if puts:

@@ -4,7 +4,9 @@ These are what turn per-operation *costs* into the paper's latency-versus-
 throughput curves: a :class:`Resource` models a device with finite service
 slots (RPC handler pool, disk spindles), so when offered load approaches
 capacity, waiting time — and therefore observed latency — grows exactly as
-it does on the paper's saturated region servers.
+it does on the paper's saturated region servers.  A :class:`GroupCommitLog`
+models a server's write-ahead log device, which syncs whatever concurrent
+handlers have appended in one write.
 
 :class:`AsyncQueue` is the substrate for the Asynchronous Update Queue
 (AUQ) and :class:`Gate` implements the pause/drain step of the
@@ -14,12 +16,13 @@ drain-AUQ-before-flush recovery protocol (paper §5.3, Figure 5).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional
+from typing import Any, Callable, Deque, Generator, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.kernel import RESOLVED_NONE, Future, Simulator, Timeout
+from repro.sim.latency import LatencyModel
 
-__all__ = ["Resource", "AsyncQueue", "Gate", "Latch", "use"]
+__all__ = ["Resource", "GroupCommitLog", "AsyncQueue", "Gate", "Latch", "use"]
 
 
 class Resource:
@@ -91,6 +94,52 @@ def use(resource: Resource, service_time: float) -> Generator[Any, Any, None]:
             yield Timeout(service_time)
     finally:
         resource.release()
+
+
+class GroupCommitLog:
+    """A log device that group-commits across concurrent writers.
+
+    ``sync(records)`` returns a Future the caller yields.  An idle device
+    starts the write at once and costs ``model.wal_group_append(records)``,
+    the timing of a 1-slot :class:`Resource`.  A writer that arrives while
+    a write is in flight joins the batch that goes next, never the one in
+    flight; that batch starts when the device frees, as ONE write costing
+    ``wal_group_append(total records)``, and releases all its writers
+    together.  ``observe`` sees each device write's record total.
+    """
+
+    def __init__(self, sim: Simulator, model: LatencyModel,
+                 observe: Callable[[int], None]):
+        self.sim = sim
+        self.model = model
+        self.observe = observe
+        self._busy = False
+        self._next: Optional[Future] = None   # the batch that goes next
+        self._next_records = 0
+
+    def sync(self, records: int) -> Future:
+        batch = self._next
+        if batch is None:
+            batch = self._next = Future()
+        self._next_records += records
+        if not self._busy:
+            self._write()
+        return batch
+
+    def _write(self) -> None:
+        batch, records = self._next, self._next_records
+        self._next, self._next_records = None, 0
+        self._busy = True
+        self.observe(records)
+        self.sim.call_later(self.model.wal_group_append(records),
+                            self._end, batch)
+
+    def _end(self, batch: Future) -> None:
+        # The next batch is in flight before this one's writers resume.
+        self._busy = False
+        if self._next is not None:
+            self._write()
+        batch.set_result(None)
 
 
 class AsyncQueue:

@@ -13,8 +13,8 @@ Invariants under test:
 
 import pytest
 
-from repro import (IndexDescriptor, IndexScheme, MiniCluster, MutationBatch,
-                   check_index)
+from repro import (IndexDescriptor, IndexScheme, LatencyModel, MiniCluster,
+                   MutationBatch, check_index)
 from repro.placement.jobs import SplitPhase
 
 SCHEMES = [IndexScheme.SYNC_FULL, IndexScheme.SYNC_INSERT,
@@ -121,6 +121,36 @@ def test_batch_groups_share_wal_commits():
     # 7 mutations over 2 regions on 3 servers: at least one group holds
     # several records.
     assert hist.max >= 2
+
+
+def test_concurrent_puts_share_one_log_sync():
+    """Two one-row puts from different clients reach one server while its
+    log is busy: both join the next device write and ack together."""
+    cluster = MiniCluster(num_servers=1, seed=5,
+                          model=LatencyModel(rpc_jitter_ms=0.0)).start()
+    cluster.create_table("t")
+    clients = [cluster.new_client(name) for name in ("c1", "c2")]
+    for client in clients:              # warm each client's region cache
+        cluster.run(client.put("t", b"warm", {"c": b"0"}))
+    [server] = cluster.servers.values()
+    hist = server.obs_wal_group
+    writes, records = hist.count, hist.sum
+    acks = {}
+
+    def busy_log():
+        yield server.log_device.sync(100)
+
+    def put(client, row):
+        yield from client.put("t", row, {"c": b"1"})
+        acks[row] = cluster.sim.now()
+
+    cluster.sim.spawn(busy_log())
+    for client, row in zip(clients, (b"r1", b"r2")):
+        cluster.sim.spawn(put(client, row))
+    cluster.sim.run(until=cluster.sim.now() + 50.0)
+    assert set(acks) == {b"r1", b"r2"}
+    assert acks[b"r1"] == acks[b"r2"]
+    assert (hist.count - writes, hist.sum - records) == (2, 102)
 
 
 def test_sync_full_batching_doubles_sim_throughput():

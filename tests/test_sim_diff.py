@@ -109,3 +109,42 @@ def test_compare_judges_the_median_over_common_seeds(tmp_path, capsys):
     # No seed in common: nothing to judge, exit 2.
     after.write_text("w seed=3 update_p99_sim_ms=1.0\n")
     assert sim_diff.main(["--compare", str(before), str(after)]) == 2
+
+
+def test_compare_prints_layer_means_when_both_reports_name_them(
+        tmp_path, capsys):
+    sim_diff = _load()
+    before = tmp_path / "before.txt"
+    after = tmp_path / "after.txt"
+    before.write_text(
+        "w seed=42 update_p50_sim_ms=2.0\n"
+        "  counter c 5\n"
+        "  histogram span_ms{span=PI} [4, 4.0]\n"
+        "  histogram wal_group_commit_size{server=rs1} [10, 10.0]\n"
+        "  histogram rpc_ms{method=put} [2, 9.0]\n"
+        "w seed=7 update_p50_sim_ms=2.0\n"
+        "  histogram span_ms{span=PI} [2, 4.0]\n"
+        "  histogram wal_group_commit_size{server=rs1} [0, 0.0]\n"
+        "scenario s seed=42 ff\n")
+    after.write_text(
+        "w seed=42 update_p50_sim_ms=1.8\n"
+        "  histogram span_ms{span=PI} [4, 3.0]\n"
+        "  histogram wal_group_commit_size{server=rs1} [5, 10.0]\n"
+        "w seed=7 update_p50_sim_ms=1.9\n"
+        "  histogram span_ms{span=PI} [2, 3.0]\n")
+    assert sim_diff.main(["--compare", str(before), str(after)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # The end-to-end lines come first and are unchanged; the mean lines
+    # follow, skipping other histograms and empty ones.
+    assert lines[3:] == [
+        "w mean span_ms{span=PI} seed=42 1 -> 0.75 -25.0%",
+        "w mean span_ms{span=PI} seed=7 2 -> 1.5 -25.0%",
+        "w mean span_ms{span=PI} median 1.5 -> 1.125 -25.0%",
+        "w mean wal_group_commit_size{server=rs1} seed=42 1 -> 2 +100.0%"]
+    assert lines[2] == ("w update_p50_sim_ms median -7.5% "
+                        "(bound 5%, better lower) ok")
+
+    # A report without --names lines gives no mean lines.
+    after.write_text("w seed=42 update_p50_sim_ms=1.8\n")
+    assert sim_diff.main(["--compare", str(before), str(after)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1

@@ -1,9 +1,11 @@
-"""Unit tests for queueing primitives (Resource, AsyncQueue, Gate, Latch)."""
+"""Unit tests for queueing primitives (Resource, GroupCommitLog,
+AsyncQueue, Gate, Latch)."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AsyncQueue, Gate, Latch, Resource, Simulator, Timeout, use
+from repro.sim import (AsyncQueue, Gate, GroupCommitLog, LatencyModel, Latch,
+                       RandomStream, Resource, Simulator, Timeout, use)
 
 
 def test_resource_grants_up_to_capacity():
@@ -80,6 +82,76 @@ def test_resource_fifo_order():
         sim.spawn(job(name))
     sim.run()
     assert order == ["a", "b", "c"]
+
+
+MODEL = LatencyModel()
+cost = MODEL.wal_group_append
+
+
+def run_writers(writers):
+    """Run ``(name, arrival, records)`` writers against one log; return
+    each writer's finish time and the record total of every device write."""
+    sim = Simulator()
+    writes = []
+    log = GroupCommitLog(sim, MODEL, writes.append)
+    finished = {}
+
+    def writer(name, arrival, records):
+        yield Timeout(arrival)
+        yield log.sync(records)
+        finished[name] = sim.now()
+
+    for name, arrival, records in writers:
+        sim.spawn(writer(name, arrival, records))
+    sim.run()
+    return finished, writes
+
+
+def test_group_commit_lone_sync_costs_one_append():
+    """An idle log starts the write at once: the old 1-slot timing."""
+    finished, writes = run_writers([("a", 5.0, 3)])
+    assert finished == {"a": 5.0 + cost(3)}
+    assert writes == [3]
+
+
+def test_group_commit_batches_writers_behind_the_write_in_flight():
+    end = cost(2)
+    finished, writes = run_writers([("a", 0.0, 2), ("b", 0.1, 1),
+                                    ("c", 0.2, 2), ("d", 0.3, 3)])
+    assert finished["a"] == end
+    assert {finished[name] for name in "bcd"} == {end + cost(6)}
+    assert writes == [2, 6]
+
+
+def test_group_commit_writer_during_second_batch_goes_into_the_third():
+    first = cost(1)
+    second = first + cost(2)
+    finished, writes = run_writers([("a", 0.0, 1), ("b", 0.1, 2),
+                                    ("c", first + 0.1, 4)])
+    assert finished == {"a": first, "b": second, "c": second + cost(4)}
+    assert writes == [1, 2, 4]
+
+
+def test_group_commit_log_is_idle_after_the_last_batch():
+    last = cost(1) + cost(1)
+    finished, writes = run_writers([("a", 0.0, 1), ("b", 0.1, 1),
+                                    ("c", last + 1.0, 5)])
+    assert finished["b"] == last
+    assert finished["c"] == last + 1.0 + cost(5)
+    assert writes == [1, 1, 5]
+
+
+def test_group_commit_same_seed_runs_are_identical():
+    def writers(seed):
+        rng = RandomStream(seed)
+        return [(i, rng.uniform(0.0, 5.0), rng.randint(1, 4))
+                for i in range(40)]
+
+    first = run_writers(writers(9))
+    assert first == run_writers(writers(9))
+    # The random arrivals really did overlap into shared writes.
+    assert len(first[1]) < 40 and sum(first[1]) == sum(
+        records for _i, _at, records in writers(9))
 
 
 def test_queue_put_then_get():
