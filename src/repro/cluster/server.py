@@ -143,7 +143,8 @@ class RegionServer:
         self.obs_wal_group = metrics.histogram("wal_group_commit_size",
                                                bounds=FANOUT_BUCKETS,
                                                server=name)
-        self.log_device = GroupCommitLog(self.sim, cluster.model,
+        self.log_device = GroupCommitLog(self.sim,
+                                         cluster.model.wal_group_append,
                                          self.obs_wal_group.observe)
         # Block-cache visibility: hit/miss counters tick inline with each
         # access; the derived hit_rate gauge refreshes every maintenance
@@ -518,8 +519,7 @@ class RegionServer:
                     results[i] = ("ok", ts, old_values)
 
                 # Group commit: every mutation keeps its own WAL record
-                # and seqno; the wave syncs as one writer of the log
-                # device, which may share the write with other handlers.
+                # and seqno; the wave is ONE writer of a shared log sync.
                 records = self.wal.append_batch(wal_batch)
                 wal_span = self.tracer.start("wal_append", parent=span,
                                              server=self.name,

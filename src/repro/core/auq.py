@@ -22,7 +22,7 @@ from typing import Any, Dict, Generator, Optional, Tuple, TYPE_CHECKING
 from repro.errors import NoSuchRegionError, RpcError
 from repro.core.index import extract_index_values, row_index_key
 from repro.lsm.types import DELTA_MS
-from repro.sim.kernel import Timeout
+from repro.sim.kernel import Timeout, all_of
 from repro.sim.scatter import scatter_gather
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -266,9 +266,9 @@ def aps_worker(server: Any, worker_id: int) -> Generator[Any, Any, None]:
     in per-target batches, repeat.
 
     * Batching — "this moderate higher throughput is credited to the
-      batching of operations in AUQ" (§8.2): ops bound for the same
-      region server travel in one RPC and share one group-committed WAL
-      append, instead of one round trip + one log write each.
+      batching of operations in AUQ" (§8.2): ops bound for one region
+      server travel in one RPC and share one log sync; the RPCs to
+      distinct servers go out in parallel, as a client batch's do.
     * Retrying inside the worker (rather than re-enqueueing) keeps the
       task inside the in-flight latch, so the drain-before-flush barrier
       cannot complete while any index update is still owed — preserving
@@ -331,12 +331,12 @@ def _process_batch(server: Any, ctx: "IndexOpContext",
             target = None
         groups.setdefault(target, []).append(op)
 
-    for target, ops in groups.items():
+    def deliver(target, ops):
         backoff = APS_RETRY_BACKOFF_MS
         while True:
             try:
                 yield from ctx.index_ops_batch(target, ops)
-                break
+                return True
             except (NoSuchRegionError, RpcError):
                 # NoSuchRegionError surfaces raw from a live server whose
                 # region moved or split away mid-delivery (stale route);
@@ -346,19 +346,25 @@ def _process_batch(server: Any, ctx: "IndexOpContext",
                 yield Timeout(backoff)
                 backoff = min(backoff * 2, APS_RETRY_BACKOFF_CAP_MS)
                 if not server.alive:
-                    return
+                    return False
                 # A concurrent drop_index turns retries into a busy loop
                 # (the table is gone, the RPC can never succeed) — filter
                 # again before the next attempt.
                 ops = live_index_ops(server.cluster, ops)
                 if not ops:
-                    break
+                    return True
                 # Routing may have changed (recovery); re-resolve.
                 try:
                     target, _region = server.cluster.locate(ops[0][1],
                                                             ops[0][2])
                 except Exception:  # noqa: BLE001
                     target = None
+
+    # Targets are delivered in parallel, each retrying on its own.
+    delivered = yield all_of(server.sim, [
+        server.sim.spawn(deliver(t, o)) for t, o in groups.items()])
+    if not all(delivered):
+        return
     now = server.sim.now()
     for task, span in zip(batch, spans):
         server.staleness.record(task.visible_at, now)

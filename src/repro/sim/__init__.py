@@ -9,13 +9,12 @@ Provides the event loop (:mod:`repro.sim.kernel`), queueing primitives
 from repro.sim.kernel import Future, Process, Simulator, Timeout, all_of
 from repro.sim.latency import LatencyModel
 from repro.sim.random import RandomStream, SeedFactory
-from repro.sim.resources import (AsyncQueue, Gate, GroupCommitLog, Latch,
-                                  Resource, use)
+from repro.sim.resources import AsyncQueue, Gate, Latch, Resource, use
 from repro.sim.scatter import scatter_gather
 
 __all__ = [
     "Simulator", "Process", "Future", "Timeout", "all_of",
     "scatter_gather",
-    "Resource", "GroupCommitLog", "AsyncQueue", "Gate", "Latch", "use",
+    "Resource", "AsyncQueue", "Gate", "Latch", "use",
     "LatencyModel", "RandomStream", "SeedFactory",
 ]

@@ -166,6 +166,7 @@ class Process:
             else:
                 item = self._send(value)
         except StopIteration as stop:
+            self._step_fn = None    # break the self-cycle: freed without the GC
             self.future.set_result(stop.value)
             return
         except BaseException as error:  # noqa: BLE001 - must capture any crash

@@ -4,9 +4,8 @@ These are what turn per-operation *costs* into the paper's latency-versus-
 throughput curves: a :class:`Resource` models a device with finite service
 slots (RPC handler pool, disk spindles), so when offered load approaches
 capacity, waiting time — and therefore observed latency — grows exactly as
-it does on the paper's saturated region servers.  A :class:`GroupCommitLog`
-models a server's write-ahead log device, which syncs whatever concurrent
-handlers have appended in one write.
+it does on the paper's saturated region servers; a :class:`GroupCommitLog`
+syncs whatever concurrent handlers appended to a log in one write.
 
 :class:`AsyncQueue` is the substrate for the Asynchronous Update Queue
 (AUQ) and :class:`Gate` implements the pause/drain step of the
@@ -20,7 +19,6 @@ from typing import Any, Callable, Deque, Generator, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.kernel import RESOLVED_NONE, Future, Simulator, Timeout
-from repro.sim.latency import LatencyModel
 
 __all__ = ["Resource", "GroupCommitLog", "AsyncQueue", "Gate", "Latch", "use"]
 
@@ -99,28 +97,24 @@ def use(resource: Resource, service_time: float) -> Generator[Any, Any, None]:
 class GroupCommitLog:
     """A log device that group-commits across concurrent writers.
 
-    ``sync(records)`` returns a Future the caller yields.  An idle device
-    starts the write at once and costs ``model.wal_group_append(records)``,
-    the timing of a 1-slot :class:`Resource`.  A writer that arrives while
-    a write is in flight joins the batch that goes next, never the one in
-    flight; that batch starts when the device frees, as ONE write costing
-    ``wal_group_append(total records)``, and releases all its writers
-    together.  ``observe`` sees each device write's record total.
+    An idle device starts a ``sync(records)`` at once, costing
+    ``write_cost(records)`` as a 1-slot :class:`Resource` did.  Writers
+    arriving meanwhile join the batch that goes next (never the write in
+    flight), which runs as ONE write of ``write_cost(total records)`` and
+    releases them together.  ``observe`` sees each write's record total.
     """
 
-    def __init__(self, sim: Simulator, model: LatencyModel,
+    def __init__(self, sim: Simulator, write_cost: Callable[[int], float],
                  observe: Callable[[int], None]):
         self.sim = sim
-        self.model = model
+        self.write_cost = write_cost
         self.observe = observe
         self._busy = False
         self._next: Optional[Future] = None   # the batch that goes next
         self._next_records = 0
 
     def sync(self, records: int) -> Future:
-        batch = self._next
-        if batch is None:
-            batch = self._next = Future()
+        batch = self._next = self._next or Future()
         self._next_records += records
         if not self._busy:
             self._write()
@@ -131,8 +125,7 @@ class GroupCommitLog:
         self._next, self._next_records = None, 0
         self._busy = True
         self.observe(records)
-        self.sim.call_later(self.model.wal_group_append(records),
-                            self._end, batch)
+        self.sim.call_later(self.write_cost(records), self._end, batch)
 
     def _end(self, batch: Future) -> None:
         # The next batch is in flight before this one's writers resume.

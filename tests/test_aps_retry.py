@@ -8,7 +8,7 @@ from repro.core.auq import (APS_RETRY_BACKOFF_CAP_MS, APS_RETRY_BACKOFF_MS,
                             IndexTask, _process_batch)
 from repro.errors import RpcError
 from repro.obs import MetricsRegistry, Tracer
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, Timeout
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,75 @@ def test_no_failures_means_no_backoff(monkeypatch):
     assert len(ctx.attempt_times) == 1
     assert server.aps_retries == 0
     assert sim.now() == ctx.attempt_times[0]   # no backoff sleeps
+
+
+class _TwoTargetCluster(_ClusterStub):
+    """Routes key ``k1`` to one target and every other key to another."""
+
+    def __init__(self, sim, registry):
+        super().__init__(sim, registry, target="rs-a")
+
+    def locate(self, table, key):
+        return ("rs-a" if key == b"k1" else "rs-b"), "r1"
+
+
+class _SlowCtx:
+    """index_ops_batch that takes 1 ms per delivery and fails each
+    target's first ``failures[target]`` attempts."""
+
+    def __init__(self, sim, failures):
+        self.sim = sim
+        self.failures = dict(failures)
+        self.deliveries = []
+
+    def index_ops_batch(self, target, ops):
+        yield Timeout(1.0)
+        if self.failures.get(target, 0) > 0:
+            self.failures[target] -= 1
+            raise RpcError("injected delivery failure")
+        self.deliveries.append((target, [op[2] for op in ops],
+                                self.sim.now()))
+
+
+def _two_target_plan(ctx, task, span=None):
+    return [("del", "t_ix", b"k1", task.ts - 1),
+            ("put", "t_ix", b"k2", task.ts)]
+    yield  # pragma: no cover
+
+
+def test_batch_delivers_to_its_targets_in_parallel(monkeypatch):
+    monkeypatch.setattr("repro.core.auq.plan_index_ops", _two_target_plan)
+    sim = Simulator()
+    registry = MetricsRegistry()
+    server = _ServerStub(sim, _TwoTargetCluster(sim, registry), registry)
+    ctx = _SlowCtx(sim, failures={})
+    task = IndexTask("t", b"r1", {"c": b"v"}, 5)
+
+    sim.run_until_complete(sim.spawn(_process_batch(server, ctx, [task]),
+                                     name="aps"))
+
+    # Both 1 ms deliveries ran at once: the batch took 1 ms, not 2.
+    assert ctx.deliveries == [("rs-a", [b"k1"], 1.0), ("rs-b", [b"k2"], 1.0)]
+    assert server.staleness.records == [(task.visible_at, 1.0)]
+
+
+def test_a_failed_target_retries_alone(monkeypatch):
+    monkeypatch.setattr("repro.core.auq.plan_index_ops", _two_target_plan)
+    sim = Simulator()
+    registry = MetricsRegistry()
+    server = _ServerStub(sim, _TwoTargetCluster(sim, registry), registry)
+    ctx = _SlowCtx(sim, failures={"rs-b": 1})
+    task = IndexTask("t", b"r1", {"c": b"v"}, 5)
+
+    sim.run_until_complete(sim.spawn(_process_batch(server, ctx, [task]),
+                                     name="aps"))
+
+    # rs-a landed once; only rs-b's op was re-sent, after one backoff.
+    resent_at = 1.0 + APS_RETRY_BACKOFF_MS + 1.0
+    assert ctx.deliveries == [("rs-a", [b"k1"], 1.0),
+                              ("rs-b", [b"k2"], resent_at)]
+    assert server.aps_retries == 1
+    assert server.staleness.records == [(task.visible_at, resent_at)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ AsyncQueue, Gate, Latch)."""
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import (AsyncQueue, Gate, GroupCommitLog, LatencyModel, Latch,
-                       RandomStream, Resource, Simulator, Timeout, use)
+from repro.sim import (AsyncQueue, Gate, LatencyModel, Latch, RandomStream,
+                       Resource, Simulator, Timeout, use)
+from repro.sim.resources import GroupCommitLog
 
 
 def test_resource_grants_up_to_capacity():
@@ -93,7 +94,7 @@ def run_writers(writers):
     each writer's finish time and the record total of every device write."""
     sim = Simulator()
     writes = []
-    log = GroupCommitLog(sim, MODEL, writes.append)
+    log = GroupCommitLog(sim, cost, writes.append)
     finished = {}
 
     def writer(name, arrival, records):
