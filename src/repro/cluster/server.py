@@ -844,17 +844,17 @@ class RegionServer:
 
     def _apply_degraded_sync(self, task: IndexTask) -> Generator[Any, Any, None]:
         """AUQ overflow fallback: at the high watermark the enqueue runs
-        the maintenance synchronously (Algorithm 4 order, §4's bounded-queue
-        degradation) instead of deepening the backlog.  It runs inside the
-        put, before the ack, so it is foreground work: its index ops land on
-        the target's dedicated index-handler pool (deadlock-safe for the
-        same reason the sync-full path is) and count as synchronous ops in
-        Table 2.  On RPC failure the task falls back into the queue —
-        correctness over backpressure."""
+        the maintenance synchronously (sync-full's schedule, §4's
+        bounded-queue degradation) instead of deepening the backlog.  It
+        runs inside the put, before the ack, so it is foreground work: its
+        index ops land on the target's dedicated index-handler pool
+        (deadlock-safe for the same reason the sync-full path is) and count
+        as synchronous ops in Table 2.  On RPC failure the task falls back
+        into the queue — correctness over backpressure."""
         self.obs_auq_degraded.inc()
         try:
             yield from maintain_indexes(self.op_context, [task],
-                                        background=False, insert_first=False)
+                                        background=False)
         except (NoSuchRegionError, RpcError):
             # NoSuchRegionError: the target index region moved (split or
             # migration) between locate and delivery — same retry story as

@@ -10,9 +10,10 @@ rolled back, its maintenance is retried here until it succeeds.
 
 Every path plans with the same :func:`plan_insert_ops` /
 :func:`plan_delete_ops` and lands through ``handle_index_ops``:
-:func:`maintain_indexes` (sync-full, and the AUQ's degraded apply) and
-the validation blind ship via :func:`ship_index_ops`, the APS via its
-own per-target retry loop — so the paths cannot drift.
+:func:`maintain_indexes` (sync-full, and the AUQ's degraded apply, both
+shipping PI beside RB→DI) and the validation blind ship via
+:func:`ship_index_ops`, the APS via its own per-target retry loop — so
+the paths cannot drift.
 """
 
 from __future__ import annotations
@@ -116,42 +117,57 @@ def _touched_indexes(descriptor: Any, task: IndexTask) -> list:
 
 
 def maintain_indexes(ctx: "IndexOpContext", tasks: list, background: bool,
-                     insert_first: bool,
                      span: Any = None) -> Generator[Any, Any, None]:
-    """Run PI / RB / DI for every index the tasks' mutations touch, as
-    three phases over the whole list (§8.2's batching; one task is a
-    batch of one):
+    """Run PI / RB / DI for every index the tasks' mutations touch, as two
+    overlapping branches over the whole list (§8.2's batching; one task
+    is a batch of one), each shipped by :func:`ship_index_ops` — one RPC
+    and one group commit per target server:
 
-    1. PI ops for every task, shipped by :func:`ship_index_ops` — one
-       RPC and one group commit per target server;
-    2. one versioned base read per task at its own ``ts − δ``;
-    3. DI ops, shipped the same way.
+    * PI: every task's insert ops (SU2);
+    * RB→DI: one versioned base read per task at its own ``ts − δ``
+      (SU3), then the DI ops (SU4).
 
-    ``insert_first`` selects the statement order: the synchronous path
-    follows Algorithm 1 (SU2 insert, SU3 read, SU4 delete); the degraded
-    AUQ apply follows Algorithm 4 (BA2 read, BA3 delete, BA4 insert).
-    Both orders converge because entries carry base timestamps.  Each
-    phase boundary is a barrier, so the statement order holds for every
-    row at once; no timestamp is assigned inside a phase (every entry
-    carries the base ts fixed at SU1), so parallel landing order cannot
-    perturb the δ arithmetic of §4.3.
+    The call waits for max(PI, RB + DI), not their sum.  Landing order
+    cannot change the final state: every entry carries the base ts fixed
+    at SU1, and a DI at ``t − δ`` masks only versions older than the PI
+    at ``t``.  A task's DI skips any key the same task re-inserts (a
+    same-value rewrite), the one case where a DI landing first would
+    hide a live row.  The skip is per task: a later task in the batch
+    must still delete an earlier task's entry for the same row.
 
     Raises on a stale route (``NoSuchRegionError``) or a lost RPC — the
-    caller decides whether to queue a retry.
+    caller decides whether to queue a retry — once both branches have
+    settled, so no index write of the call outlives it.
     """
-    inserts = [op for task in tasks for op in plan_insert_ops(ctx, task)]
-    if insert_first:                                                 # SU2
-        yield from ship_index_ops(ctx, inserts, background, site="PI",
+    inserts = [plan_insert_ops(ctx, task) for task in tasks]
+    pi = ctx.server.sim.spawn(_settled(ship_index_ops(               # SU2
+        ctx, [op for ops in inserts for op in ops], background, site="PI",
+        span=span)), name="PI")
+    try:
+        deletes = []
+        for task, task_inserts in zip(tasks, inserts):               # SU3
+            planned = yield from plan_delete_ops(ctx, task, background,
+                                                 span=span)
+            reinserted = {op[1:3] for op in task_inserts}   # (table, key)
+            deletes += [op for op in planned if op[1:3] not in reinserted]
+        yield from ship_index_ops(ctx, deletes, background, site="DI",  # SU4
                                   span=span)
-    deletes = []
-    for task in tasks:                                               # SU3/BA2
-        deletes += yield from plan_delete_ops(ctx, task, background,
-                                              span=span)
-    yield from ship_index_ops(ctx, deletes, background, site="DI",  # SU4/BA3
-                              span=span)
-    if not insert_first:                                             # BA4
-        yield from ship_index_ops(ctx, inserts, background, site="PI",
-                                  span=span)
+    except Exception:
+        yield pi
+        raise
+    error = yield pi
+    if error is not None:
+        raise error
+
+
+def _settled(branch: Generator[Any, Any, None]) -> Generator[Any, Any, Any]:
+    """Run ``branch`` and return its RPC or routing error instead of
+    raising it, so the spawner collects the failure when it joins."""
+    try:
+        yield from branch
+    except (NoSuchRegionError, RpcError) as error:
+        return error
+    return None
 
 
 def plan_insert_ops(ctx: "IndexOpContext", task: IndexTask) -> list:
@@ -216,8 +232,7 @@ def ship_index_ops(ctx: "IndexOpContext", ops: list, background: bool,
     ``handle_index_ops`` call and share one group-committed WAL write;
     distinct targets fan out in parallel (a single target skips the
     scatter machinery).  The call returns only when every delivery
-    landed — it is the statement-group barrier that keeps the
-    SU2→SU3→SU4 (or BA2→BA3→BA4) order intact.
+    landed.
 
     Raises on a stale route (``NoSuchRegionError``) or lost RPC; the
     caller owns the retry/degrade policy.

@@ -67,8 +67,8 @@ class SyncFullObserver(RegionObserver):
     def post_batch(self, server: "RegionServer", table: TableDescriptor,
                    batch_rows: _Rows,
                    span: Any = None) -> Generator[Any, Any, None]:
-        """Algorithm 1 for every row: one PI phase (grouped per target
-        server), a barrier, per-row RB, one grouped DI phase."""
+        """Algorithm 1 for every row: one PI ship (grouped per target
+        server) beside per-row RB followed by one grouped DI ship."""
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
             return
@@ -81,8 +81,7 @@ class SyncFullObserver(RegionObserver):
                                   rows=len(tasks))
         try:
             yield from maintain_indexes(server.op_context, tasks,
-                                        background=False, insert_first=True,
-                                        span=obs)
+                                        background=False, span=obs)
         except (NoSuchRegionError, RpcError):
             # A stale route from a concurrent split/move counts as a
             # transient failure (§6.2): the WHOLE batch degrades to the

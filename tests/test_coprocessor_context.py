@@ -83,6 +83,6 @@ def test_maintain_indexes_skips_untouched_columns(cluster):
     base = cluster.counters.snapshot()
     task = IndexTask("t", b"aa", {"unrelated": b"1"}, ts=100)
     cluster.run(maintain_indexes(server.op_context, [task],
-                                 background=False, insert_first=True))
+                                 background=False))
     diff = cluster.counters.since(base)
     assert diff.index_put == 0 and diff.base_read == 0

@@ -5,6 +5,10 @@ import pytest
 
 from repro import (FaultPlan, IndexDescriptor, IndexScheme, MiniCluster,
                    check_index)
+from repro.cluster.server import RegionServer
+from repro.core.coprocessor import IndexOpContext
+from repro.errors import RpcError
+from repro.sim.kernel import Timeout
 from repro.sim.random import RandomStream
 
 
@@ -79,3 +83,72 @@ def test_network_counts_failures():
     run_workload(cluster, n=30)
     assert cluster.network.failed_rpcs > 0
     assert cluster.network.rpc_count > cluster.network.failed_rpcs
+
+
+def _inject(monkeypatch, fail=None, delay=None):
+    """Make foreground index deliveries misbehave on purpose: the first
+    batch of ``fail`` ops ("put" = PI, "del" = DI) is lost 0.05 sim-ms
+    into its RPC, and every batch of ``delay`` ops waits 3 sim-ms before
+    it is sent.  Returns the log of ``(event, kind, sim time)``, event
+    "lost" or "landed"."""
+    original = IndexOpContext.index_ops_batch
+    log = []
+
+    def index_ops_batch(self, target, ops, background=True):
+        kind = ops[0][0]
+        if not background and kind == fail and not any(
+                event == "lost" for event, _kind, _at in log):
+            yield Timeout(0.05)
+            log.append(("lost", kind, self.server.sim.now()))
+            raise RpcError(f"rpc to {target.name} lost (injected fault)")
+        if not background and kind == delay:
+            yield Timeout(3.0)
+        yield from original(self, target, ops, background)
+        if not background:
+            log.append(("landed", kind, self.server.sim.now()))
+
+    monkeypatch.setattr(IndexOpContext, "index_ops_batch", index_ops_batch)
+    return log
+
+
+@pytest.mark.parametrize("failing", ["PI", "DI"])
+def test_sync_full_failure_while_pi_overlaps_rb_di(monkeypatch, failing):
+    """PI ships beside the RB→DI chain.  A lost PI while RB→DI is still
+    in flight, or a lost DI while a slow PI is still in flight, must
+    degrade every task of the batch to the AUQ exactly once — never
+    crash the simulator with an unjoined branch — and the put returns
+    only after the surviving branch has landed."""
+    cluster = build(0.0, seed=23)
+    client = cluster.new_client()
+    rows = [b"r1", b"r2", b"r3"]
+    cluster.run(client.batch_put("t", [(row, {"c": b"old"})
+                                       for row in rows]))
+    degraded = []
+    original = RegionServer.degrade_to_auq
+
+    def degrade_to_auq(self, task):
+        degraded.append(task.row)
+        original(self, task)
+
+    monkeypatch.setattr(RegionServer, "degrade_to_auq", degrade_to_auq)
+    if failing == "PI":
+        log = _inject(monkeypatch, fail="put")
+    else:
+        log = _inject(monkeypatch, fail="del", delay="put")
+    cluster.run(client.batch_put("t", [(row, {"c": b"new"})
+                                       for row in rows]))
+    done_at = cluster.sim.now()
+    assert sorted(degraded) == rows
+    [(_, _, lost_at)] = [entry for entry in log if entry[0] == "lost"]
+    [(_, landed, landed_at)] = [entry for entry in log
+                                if entry[0] == "landed"]
+    assert landed == ("del" if failing == "PI" else "put")
+    # The loss happened while the other branch was still in flight, and
+    # that branch landed before the put returned.
+    assert lost_at < landed_at <= done_at
+    monkeypatch.undo()
+    cluster.quiesce()
+    assert check_index(cluster, "ix").is_consistent
+    hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
+    assert sorted(h.rowkey for h in hits) == rows
+    assert cluster.run(client.get_by_index("ix", equals=[b"old"])) == []

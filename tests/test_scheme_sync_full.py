@@ -5,7 +5,8 @@ import pytest
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster, check_index
 from repro.core import encode_value
-from repro.sim.kernel import all_of
+from repro.core.coprocessor import IndexOpContext
+from repro.sim.kernel import Timeout, all_of
 
 
 @pytest.fixture
@@ -216,3 +217,62 @@ def test_read_before_write_touches_disk_only_for_flushed_rows(cluster, client):
     assert block_reads()[0] >= before[0] + 1
     assert hits(cluster, client, b"v3") == [b"r1"]
     assert check_index(cluster, "ix").is_consistent
+
+
+def test_same_value_rewrite_keeps_row_visible_to_racing_reader(monkeypatch):
+    """A same-value rewrite ships no DI: the task's DI would tombstone the
+    very key its PI re-inserts, and with PI beside RB→DI that tombstone
+    could land first and hide a row whose value never changed.  PI is
+    slowed here so a DI, if one were shipped, would land first."""
+    cluster = MiniCluster(num_servers=2, seed=3).start()
+    cluster.create_table("t")
+    cluster.create_index(IndexDescriptor("ix", "t", ("c",),
+                                         scheme=IndexScheme.SYNC_FULL))
+    writer, reader = cluster.new_client("w"), cluster.new_client("r")
+    cluster.run(writer.put("t", b"r1", {"c": b"same"}))
+    original = IndexOpContext.index_ops_batch
+
+    def slow_pi(self, target, ops, background=True):
+        if not background and ops[0][0] == "put":
+            yield Timeout(3.0)
+        yield from original(self, target, ops, background)
+
+    monkeypatch.setattr(IndexOpContext, "index_ops_batch", slow_pi)
+    base = cluster.counters.snapshot()
+    put = cluster.spawn(writer.put("t", b"r1", {"c": b"same"}), name="put")
+    seen = []
+
+    def poll():
+        while not put.future.done():
+            hits = yield from reader.get_by_index("ix", equals=[b"same"])
+            seen.append([h.rowkey for h in hits])
+
+    cluster.run(poll())
+    assert len(seen) > 3
+    assert all(rows == [b"r1"] for rows in seen)
+    assert cluster.counters.since(base).index_delete == 0
+    assert check_index(cluster, "ix").is_consistent
+
+
+def test_update_waits_for_max_of_pi_and_rb_di(cluster, client):
+    """On an idle cluster, with the row's previous version flushed and not
+    cached, the put's index maintenance costs max(PI, RB + DI): PI ships
+    while RB reads the old value, and DI follows RB."""
+    cluster.run(client.put("t", b"r1", {"c": b"v0"}))
+    info = cluster.master.locate("t", b"r1")
+    server = cluster.servers[info.server_name]
+    cluster.run(server.flush_region(server.regions[info.region_name]))
+    misses = cluster.metrics.total("block_cache_misses")
+    cluster.run(client.put("t", b"r1", {"c": b"v1"}))
+    assert cluster.metrics.total("block_cache_misses") > misses  # cold RB
+    tracer = cluster.tracer
+    [sync] = [s for s in tracer.children_of(tracer.spans("put")[-1])
+              if s.name == "sync_index"]
+    by_name = {s.name: s for s in tracer.children_of(sync)}
+    pi, rb, di = by_name["PI"], by_name["RB"], by_name["DI"]
+    assert pi.start_ms < rb.end_ms and rb.start_ms < pi.end_ms   # overlap
+    expected = max(pi.duration_ms, rb.duration_ms + di.duration_ms)
+    assert sync.duration_ms == pytest.approx(expected, abs=0.01)
+    assert sync.duration_ms < pi.duration_ms + rb.duration_ms \
+        + di.duration_ms - 0.1
+    assert hits(cluster, client, b"v1") == [b"r1"]
