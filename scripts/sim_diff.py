@@ -13,8 +13,8 @@ diff touched.  Run it on both commits and diff the outputs:
     (cd ../parent && python scripts/sim_diff.py --seeds 42,7,1) > before.txt
     diff before.txt after.txt
 
-``--seeds`` runs every listed seed, and every summary and scenario line
-names its seed.  A tail percentile rests on a few samples (an
+``--seeds`` runs every listed seed (``1-12,42`` lists 1 to 12, then
+42), and every summary and scenario line names its seed.  A tail percentile rests on a few samples (an
 ``update_p99_sim_ms`` over ~1,100 updates on about 11), so one seed
 cannot settle whether a change moved it past its bound.
 
@@ -31,8 +31,10 @@ anything.  For each workload it prints every simulated end-to-end metric
 both reports carry, its relative change, and the ``bound`` and
 ``better`` that BENCHMARK.json gives it.  With one seed in common that
 is one line; with several, one line per seed and then the median
-change.  It exits 1 if a median got worse by more than its bound (a
-single seed over its bound is marked ``worse`` but decides nothing).
+change, which also counts the seeds that crossed the bound (a tail
+metric can hold at the median while a few seeds cross).  It exits 1 if
+a median got worse by more than its bound (a single seed over its
+bound is marked ``worse`` but decides nothing).
 When both reports carry ``--names`` lines it also prints, per seed and
 as a median, the mean (sum/count) of every ``span_ms{span=…}`` and
 ``wal_group_commit_size`` histogram on both sides, so the per-layer
@@ -177,6 +179,16 @@ def compare_layers(before: dict, after: dict) -> list:
     return lines
 
 
+def parse_seeds(text: str) -> list:
+    """The seeds of ``--seeds``: comma-separated seeds or inclusive
+    ``low-high`` ranges, in the order given (``1-3,42`` → 1, 2, 3, 42)."""
+    seeds = []
+    for part in text.split(","):
+        low, dash, high = part.partition("-")
+        seeds += range(int(low), int(high) + 1) if dash else [int(low)]
+    return seeds
+
+
 def is_worse(change: float, metric: dict) -> bool:
     """Whether a relative change loses more than ``metric``'s bound."""
     loss = change if metric["better"] == "lower" else -change
@@ -208,20 +220,23 @@ def compare(before: dict, after: dict, end_to_end: list) -> tuple:
                 lines.append(f"{workload} {name} {old:.6g} -> {new:.6g} "
                              f"{median:+.1%} {bound} {verdict}")
                 continue
+            crossed = 0
             for (seed, old, new), change in zip(pairs, changes):
+                crossed += is_worse(change, metric)
                 mark = "worse" if is_worse(change, metric) else "ok"
                 lines.append(f"{workload} {name} seed={seed} {old:.6g} -> "
                              f"{new:.6g} {change:+.1%} {bound} {mark}")
             lines.append(f"{workload} {name} median {median:+.1%} {bound} "
-                         f"{verdict}")
+                         f"{verdict} ({crossed} of {len(pairs)} seeds "
+                         f"worse)")
     return lines, worse
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="42",
-                        help="comma-separated seeds, each run in turn "
-                             "(default: 42)")
+    parser.add_argument("--seeds", default=[42], type=parse_seeds,
+                        help="comma-separated seeds or low-high ranges, "
+                             "each run in turn (default: 42)")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--workload", action="append", choices=list(SPECS),
                         help="repeatable; default: every workload")
@@ -245,8 +260,7 @@ def main(argv=None) -> int:
         for line in lines + compare_layers(*map(layer_means, texts)):
             print(line)
         return 1 if worse else 0
-    seeds = [int(seed) for seed in args.seeds.split(",")]
-    for seed in seeds:
+    for seed in args.seeds:
         for name in args.workload or list(SPECS):
             parts = components(run_repeat(SPECS[name], seed, args.scale))
             for line in report(name, seed, parts, args.names):

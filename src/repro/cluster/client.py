@@ -551,7 +551,7 @@ class Client:
                   columns: Optional[List[str]] = None,
                   max_ts: Optional[int] = None,
                   session: Optional[Session] = None,
-                  timestamps_only: bool = False,
+                  timestamps_only: bool = False, tombstones: bool = False,
                   ) -> Generator[Any, Any, Dict[bytes, Dict[str, Tuple]]]:
         """Parallel multiget: group ``rows`` by hosting server, issue one
         RPC per server (scatter), merge the per-server answers.
@@ -561,7 +561,8 @@ class Client:
         are identical to K single gets.  Duplicate rows are deliberately
         NOT deduplicated for that same reason.  ``timestamps_only`` asks
         for each listed column's newest ``(ts, is_tombstone) | None``
-        instead of its value (see ``RegionServer.handle_read``).
+        instead of its value, ``tombstones`` a deleted column as ``(None,
+        ts)`` (see ``RegionServer.handle_read``).
         """
         rows = list(rows)
         if not rows:
@@ -579,7 +580,8 @@ class Client:
                 rows_read, _staleness = yield from self.cluster.network.call(
                     server, lambda: server.handle_read(
                         table, batch, columns, max_ts,
-                        timestamps_only=timestamps_only))
+                        timestamps_only=timestamps_only,
+                        tombstones=tombstones))
                 return rows_read
 
             per_server = yield scatter_gather(

@@ -75,6 +75,9 @@ class RowLocks:
     def held(self) -> int:
         return len(self._queues)
 
+    def is_held(self, row: bytes) -> bool:
+        return row in self._queues
+
 
 class Region:
     def __init__(self, name: str, table: TableDescriptor, key_range: KeyRange,
@@ -158,8 +161,11 @@ class Region:
     def read_row(self, row: bytes, columns: Optional[List[str]] = None,
                  max_ts: Optional[int] = None,
                  stats: Optional[ReadStats] = None,
-                 ) -> Dict[str, Tuple[bytes, int]]:
-        """Visible value and ts per column: ``{qualifier: (value, ts)}``."""
+                 tombstones: bool = False,
+                 ) -> Dict[str, Tuple[Optional[bytes], int]]:
+        """Visible value and ts per column: ``{qualifier: (value, ts)}``.
+        With ``tombstones`` a listed column whose newest cell is a delete
+        answers ``(None, ts)`` instead of being left out."""
         if self.table.is_index:
             raise SimulationError("read_row on an index table; use scan")
         out: Dict[str, Tuple[bytes, int]] = {}
@@ -173,7 +179,8 @@ class Region:
         else:
             for qualifier in columns:
                 cell = self.tree.get(compose_cell_key(row, qualifier),
-                                     max_ts=max_ts, stats=stats)
+                                     max_ts=max_ts, stats=stats,
+                                     tombstones=tombstones)
                 if cell is not None:
                     out[qualifier] = (cell.value, cell.ts)
         return out

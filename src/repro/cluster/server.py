@@ -28,7 +28,8 @@ from repro.errors import (EncodingError, NoSuchRegionError, RpcError,
                           ServerDownError)
 from repro.core.auq import (IndexTask, aps_worker, live_index_ops,
                             maintain_indexes)
-from repro.core.coprocessor import IndexOpContext
+from repro.core.coprocessor import (IndexOpContext, join_beside_log,
+                                    spawn_beside_log)
 from repro.core.encoding import decode_index_key
 from repro.core.index import IndexState, extract_index_values
 from repro.core.local import local_scan_range, plan_local_index_cells
@@ -39,7 +40,7 @@ from repro.lsm.wal import WriteAheadLog
 from repro.cluster.region import Region, compose_cell_key
 from repro.replication.replica import FollowerReplica
 from repro.replication.ship import replication_ship_loop
-from repro.sim.kernel import Timeout
+from repro.sim.kernel import Timeout, all_of
 from repro.sim.resources import (AsyncQueue, Gate, GroupCommitLog, Latch,
                                   Resource, use)
 from repro.sim.scatter import FANOUT_BUCKETS
@@ -271,10 +272,9 @@ class RegionServer:
             raise
 
     def region_for(self, table: str, row: bytes) -> Optional[Region]:
-        for region in self.regions.values():
-            if region.table.name == table and region.contains_row(row):
-                return region
-        return None
+        return next((region for region in self.regions.values()
+                     if region.table.name == table
+                     and region.contains_row(row)), None)
 
     def _require_region(self, table: str, row: bytes) -> Region:
         region = self.region_for(table, row)
@@ -327,17 +327,19 @@ class RegionServer:
     def local_read_row(self, region: Region, row: bytes,
                        columns: Optional[List[str]], max_ts: Optional[int],
                        background: bool, timestamps_only: bool = False,
+                       tombstones: bool = False,
                        ) -> Generator[Any, Any, Dict[str, Tuple]]:
         """One charged base read of ``row``: its visible ``(value, ts)``
-        per column, or with ``timestamps_only`` its newest
-        ``(ts, is_tombstone) | None`` per listed column (``max_ts`` does
-        not apply), read off the timestamp sidecars."""
+        per column (a deleted one as ``(None, ts)`` with ``tombstones``),
+        or with ``timestamps_only`` each listed column's newest ``(ts,
+        is_tombstone) | None`` off the timestamp sidecars (no ``max_ts``)."""
         region.note_read()
         stats = ReadStats()
         if timestamps_only:
             result = region.read_timestamps(row, columns, stats=stats)
         else:
-            result = region.read_row(row, columns, max_ts=max_ts, stats=stats)
+            result = region.read_row(row, columns, max_ts=max_ts, stats=stats,
+                                     tombstones=tombstones)
         yield from self.charge_read(stats)
         counters = self.cluster.counters
         counters.incr("async_base_read" if background else "base_read")
@@ -354,8 +356,7 @@ class RegionServer:
         yield pool.acquire()
         try:
             yield Timeout(self.cluster.model._v(self.cluster.model.rpc_cpu_ms))
-            result = yield from body()
-            return result
+            return (yield from body())
         finally:
             pool.release()
 
@@ -469,6 +470,7 @@ class RegionServer:
             row_region.setdefault(item[2], item[4])
         locked: List[bytes] = []
         span = None
+        beside: list = []    # hook processes shipping beside the log write
         try:
             for row in sorted(row_region):
                 yield row_region[row].locks.acquire(row)
@@ -517,6 +519,9 @@ class RegionServer:
                     total_cells += len(cells)
                     batch_rows.append((row, new_values, ts))
                     results[i] = ("ok", ts, old_values)
+                if wave is waves[-1]:    # every row has its ts (§11.3)
+                    beside = spawn_beside_log(self, descriptor, batch_rows,
+                                              span)
 
                 # Group commit: every mutation keeps its own WAL record
                 # and seqno; the wave is ONE writer of a shared log sync.
@@ -537,7 +542,11 @@ class RegionServer:
             for observer in self.cluster.observers_for(table):
                 yield from observer.post_batch(self, descriptor, batch_rows,
                                                span)
+            yield from join_beside_log(self, beside)
             return results
+        except Exception:
+            yield all_of(self.sim, beside)   # no index write outlives a lock
+            raise
         finally:
             if span is not None:
                 span.end()
@@ -550,7 +559,7 @@ class RegionServer:
                     columns: Optional[List[str]] = None,
                     max_ts: Optional[int] = None, background: bool = False,
                     replica: Optional[str] = None,
-                    timestamps_only: bool = False,
+                    timestamps_only: bool = False, tombstones: bool = False,
                     ) -> Generator[Any, Any, Tuple[Dict[bytes, Dict], float]]:
         """The one row-read RPC: ``rows`` under ONE handler slot, one
         ``local_read_row`` per listed row in list order.  Duplicates stay
@@ -561,16 +570,17 @@ class RegionServer:
         names a region, against this server's follower copy of it.
         ``timestamps_only`` answers each row's newest ``(ts, is_tombstone)
         | None`` per listed column instead of its values: the validation
-        read's timestamp check (DESIGN.md §14.2).
+        read's timestamp check (DESIGN.md §14.2); ``tombstones`` answers a
+        deleted column as ``(None, ts)``: Algorithm 2's check (§11.3).
         Returns ``(row_map, staleness_ms)``: 0.0 from the leader, the
         follower's measured lag otherwise — every write acknowledged at
         least that long ago is guaranteed visible in the result."""
         return (yield from self._with_handler(
             lambda: self._read_body(table, rows, columns, max_ts, background,
-                                    replica, timestamps_only)))
+                                    replica, timestamps_only, tombstones)))
 
     def _read_body(self, table, rows, columns, max_ts, background, replica,
-                   timestamps_only):
+                   timestamps_only, tombstones):
         follower = (None if replica is None
                     else self._require_follower(table, replica))
         out: Dict[bytes, Dict[str, Tuple]] = {}
@@ -584,7 +594,8 @@ class RegionServer:
                         f"follower {replica} on {self.name} does not cover "
                         f"{row!r}")
             out[row] = yield from self.local_read_row(
-                region, row, columns, max_ts, background, timestamps_only)
+                region, row, columns, max_ts, background, timestamps_only,
+                tombstones)
         if follower is None:
             return out, 0.0
         self.obs_follower_reads.inc(len(rows))
@@ -989,6 +1000,8 @@ class RegionServer:
                 base_region = server.regions[region_name]
             except Exception:
                 return False     # recovery/move window: keep, retry later
+            if base_region.locks.is_held(rowkey):
+                return False     # its put may be in flight (DESIGN §11.3)
             row_data = base_region.read_row(rowkey, columns=columns)
             current = {col: value for col, (value, _ts) in row_data.items()}
             if extract_index_values(index, current) == tuple(values):

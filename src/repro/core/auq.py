@@ -11,9 +11,11 @@ rolled back, its maintenance is retried here until it succeeds.
 Every path plans with the same :func:`plan_insert_ops` /
 :func:`plan_delete_ops` and lands through ``handle_index_ops``:
 :func:`maintain_indexes` (sync-full, and the AUQ's degraded apply, both
-shipping PI beside RB→DI) and the validation blind ship via
-:func:`ship_index_ops`, the APS via its own per-target retry loop — so
-the paths cannot drift.
+shipping PI beside RB→DI), sync-insert's PI beside the base log write
+and the validation blind ship via :func:`ship_index_ops`, the APS via
+its own per-target retry loop — so the paths cannot drift.  A ship that
+runs beside other work is wrapped in :func:`settled`, which hands its
+RPC error back to whoever joins it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.coprocessor import IndexOpContext
 
 __all__ = ["IndexTask", "maintain_indexes", "aps_worker", "live_index_ops",
-           "plan_insert_ops", "plan_delete_ops", "ship_index_ops",
+           "plan_insert_ops", "plan_delete_ops", "ship_index_ops", "settled",
            "APS_RETRY_BACKOFF_MS", "APS_RETRY_BACKOFF_CAP_MS"]
 
 APS_RETRY_BACKOFF_MS = 5.0
@@ -140,7 +142,7 @@ def maintain_indexes(ctx: "IndexOpContext", tasks: list, background: bool,
     settled, so no index write of the call outlives it.
     """
     inserts = [plan_insert_ops(ctx, task) for task in tasks]
-    pi = ctx.server.sim.spawn(_settled(ship_index_ops(               # SU2
+    pi = ctx.server.sim.spawn(settled(ship_index_ops(               # SU2
         ctx, [op for ops in inserts for op in ops], background, site="PI",
         span=span)), name="PI")
     try:
@@ -160,7 +162,7 @@ def maintain_indexes(ctx: "IndexOpContext", tasks: list, background: bool,
         raise error
 
 
-def _settled(branch: Generator[Any, Any, None]) -> Generator[Any, Any, Any]:
+def settled(branch: Generator[Any, Any, None]) -> Generator[Any, Any, Any]:
     """Run ``branch`` and return its RPC or routing error instead of
     raising it, so the spawner collects the failure when it joins."""
     try:

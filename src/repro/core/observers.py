@@ -5,6 +5,8 @@
   put is acknowledged only when all of it is done (causal consistency).
 * :class:`SyncInsertObserver` — Algorithm 1 truncated to SU1+SU2: only
   the insert is synchronous; stale entries are repaired at read time.
+  Reads check every hit against its base row, so the insert is a hint
+  and ships from ``beside_log``, beside the base log write.
 * :class:`AsyncObserver` — Algorithm 3: enqueue an :class:`IndexTask`
   into the AUQ and acknowledge immediately; Algorithm 4 runs in the APS.
 * :class:`ValidationObserver` — Luo & Carey's validation strategy: ship
@@ -18,7 +20,9 @@ index set.
 
 Failure handling follows §6.2: a failed synchronous index operation does
 not roll back the base put — the whole task degrades to the AUQ, where
-the APS retries it to eventual success.
+the APS retries it to eventual success.  A ship spawned to run beside
+other work is wrapped in :func:`repro.core.auq.settled`, so its failure
+is collected when the put joins it, never left as an unjoined crash.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from typing import Any, Dict, FrozenSet, Generator, List, Optional, Tuple, \
 
 from repro.errors import NoSuchRegionError, RpcError
 from repro.core.auq import (IndexTask, maintain_indexes, plan_insert_ops,
-                            ship_index_ops)
+                            settled, ship_index_ops)
 from repro.core.coprocessor import RegionObserver
 from repro.core.schemes import IndexScheme
+from repro.sim.kernel import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.server import RegionServer
@@ -96,34 +101,43 @@ class SyncFullObserver(RegionObserver):
 
 class SyncInsertObserver(RegionObserver):
     """SU1+SU2 only.  Deletes contribute nothing: the tombstoned row makes
-    existing entries stale, and reads repair them (Algorithm 2)."""
+    existing entries stale, and reads repair them (Algorithm 2).
+
+    Algorithm 2 checks every hit against its base row, so an entry is a
+    hint and its PI need not wait for the base log write: it ships beside
+    it (DESIGN.md §11.3), and the double-check leaves alone a hit that no
+    newer base cell refutes."""
 
     SCHEMES = frozenset({IndexScheme.SYNC_INSERT})
 
-    def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: _Rows,
-                   span: Any = None) -> Generator[Any, Any, None]:
-        """The batch's inserts grouped per target server, one RPC + one
-        group commit per group."""
+    def beside_log(self, server: "RegionServer", table: TableDescriptor,
+                   batch_rows: _Rows, span: Any = None) -> Optional[Process]:
+        """The call's inserts grouped per target server, one RPC + one
+        group commit per group, spawned to run beside the log write.  The
+        ship is :func:`settled`, so a lost RPC or stale route comes back
+        as every task owed to the AUQ (§6.2) when the handler joins it,
+        never as an unjoined crash."""
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
-            return
+            return None
         tasks = [_task(server, table, names, row, values, ts, span)
                  for row, values, ts in batch_rows if values is not None]
         if not tasks:
-            return
+            return None
         obs = server.tracer.start("sync_index", parent=span, scheme="insert",
                                   server=server.name, rows=len(tasks))
         ctx = server.op_context
-        try:
-            ops = [op for task in tasks for op in plan_insert_ops(ctx, task)]
-            yield from ship_index_ops(ctx, ops, background=False, site="PI",
-                                      span=obs)
-        except (NoSuchRegionError, RpcError):
-            for task in tasks:
-                server.degrade_to_auq(task)
-        finally:
-            obs.end()
+        ops = [op for task in tasks for op in plan_insert_ops(ctx, task)]
+
+        def ship() -> Generator[Any, Any, List[IndexTask]]:
+            try:
+                error = yield from settled(ship_index_ops(
+                    ctx, ops, background=False, site="PI", span=obs))
+            finally:
+                obs.end()
+            return [] if error is None else tasks
+
+        return server.sim.spawn(ship(), name="PI")
 
 
 class ValidationObserver(RegionObserver):

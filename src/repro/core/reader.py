@@ -4,7 +4,8 @@
   matching base rowkeys directly (Table 2: read = 1 Index Read);
 * sync-insert — Algorithm 2: after the index scan, each candidate rowkey
   is double-checked against the base table; stale entries are filtered
-  out *and repaired* (deleted at their own timestamp);
+  out *and repaired* (deleted at their own timestamp) once a newer base
+  cell refutes them;
 * validation — each candidate of a single-column index is checked
   against its row's newest indexed-cell timestamp (the SSTables'
   timestamp sidecars), not its value; a composite index's candidates
@@ -190,8 +191,12 @@ def _double_check(client: "Client", index: IndexDescriptor,
                   hits: List[IndexHit],
                   ) -> Generator[Any, Any, List[IndexHit]]:
     """Algorithm 2, SR2: for every candidate, read the base row; keep the
-    entry if the base value still matches, otherwise delete it from the
-    index table (lazy repair).
+    entry if the base value still matches, otherwise filter it out.  A
+    filtered entry is deleted from the index table (lazy repair) only
+    when the row's newest indexed cell, value or tombstone, is at least
+    as new as the entry: a sync-insert PI ships beside its base log
+    write (DESIGN.md §11.3), so an entry that outruns its row may belong
+    to a put still in flight, and is left alone (``read_repair_deferred``).
 
     The K base reads travel as parallel per-server multigets (~1 round
     trip instead of K), and the repair deletes scatter too; counters,
@@ -203,24 +208,30 @@ def _double_check(client: "Client", index: IndexDescriptor,
     metrics = client.cluster.metrics
     checks = metrics.counter("read_repair_checks", index=index.name)
     repairs = metrics.counter("read_repair_repairs", index=index.name)
+    deferred = metrics.counter("read_repair_deferred", index=index.name)
     # Duplicate rowkeys (several entries of one row in a range query) stay
     # duplicated so the server charges/counts K base reads, exactly as the
     # sequential path did.
     row_map = yield from client.multi_get(
         index.base_table, [hit.rowkey for hit in hits],
-        columns=list(index.columns))
+        columns=list(index.columns), tombstones=True)
     confirmed: List[IndexHit] = []
     stale: List[IndexHit] = []
     for hit in hits:
         checks.inc()
         row_data = row_map.get(hit.rowkey, {})
-        current = {col: value for col, (value, _ts) in row_data.items()}
+        current = {col: value for col, (value, _ts) in row_data.items()
+                   if value is not None}
         if extract_index_values(index, current) == hit.values:
             confirmed.append(hit)
-        else:
-            # Stale: DI(v_index ⊕ k, ts) — delete that exact entry version.
+        elif max((ts for _value, ts in row_data.values()),
+                 default=-1) >= hit.ts:
+            # Refuted by a newer cell: DI(v_index ⊕ k, ts) — delete that
+            # exact entry version.
             repairs.inc()
             stale.append(hit)
+        else:
+            deferred.inc()
     if stale:
         from repro.sim.scatter import scatter_gather
         yield scatter_gather(

@@ -39,7 +39,7 @@ from repro.lsm.types import Cell, KeyRange
 from repro.cluster.region import compose_cell_key, split_cell_key
 from repro.ddl.catalog import JobCatalog
 from repro.ddl.jobs import (DdlJob, JobKind, JobPhase, PHASE_ORDINAL)
-from repro.sim.kernel import Timeout
+from repro.sim.kernel import Timeout, all_of
 from repro.sim.scatter import scatter_gather
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -300,6 +300,12 @@ class DdlManager:
             # Entries written by the new scheme are trusted; only the lazy
             # era's entries (ts ≤ snapshot) need the scrub.
             job.snapshot_ts = cluster.ts_floor
+            if job.scrub:
+                # A sync-insert PI can land before its base cell (DESIGN
+                # §11.3): let every base write logged so far reach its
+                # memtable, so the scrub never refutes a put in flight.
+                yield all_of(self.sim, [server.log_device.barrier()
+                                        for server in cluster.alive_servers()])
             self._enter(job,
                         JobPhase.BACKFILL if job.scrub else JobPhase.VERIFY)
         if job.phase is JobPhase.BACKFILL:

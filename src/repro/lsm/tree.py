@@ -337,8 +337,11 @@ class LSMTree:
             stats.blocks_from_disk += 1
 
     def get(self, key: bytes, max_ts: Optional[int] = None,
-            stats: Optional[ReadStats] = None) -> Optional[Cell]:
-        """Newest visible version of ``key`` at or before ``max_ts``.
+            stats: Optional[ReadStats] = None,
+            tombstones: bool = False) -> Optional[Cell]:
+        """Newest visible version of ``key`` at or before ``max_ts``, or
+        with ``tombstones`` a deleted key's masking tombstone in place of
+        None (from the same walk, at no extra charge).
 
         Takes each component's newest admissible run and skips, before
         its bloom probe, a file whose timestamp window cannot hold the
@@ -357,7 +360,12 @@ class LSMTree:
             if run and run[0].ts >= best_ts:
                 best_ts = run[0].ts
                 cells.extend(run)
-        return resolve_get(cells)
+        found = resolve_get(cells)
+        if found is None and tombstones and cells:
+            # No value outlives every tombstone, so one sits at best_ts.
+            return next(c for c in cells
+                        if c.ts == best_ts and c.is_tombstone)
+        return found
 
     def probe_ts(self, key: bytes, stats: Optional[ReadStats] = None,
                  ) -> Optional[Tuple[int, bool]]:

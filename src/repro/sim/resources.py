@@ -102,6 +102,7 @@ class GroupCommitLog:
     arriving meanwhile join the batch that goes next (never the write in
     flight), which runs as ONE write of ``write_cost(total records)`` and
     releases them together.  ``observe`` sees each write's record total.
+    ``barrier`` waits for the writes already asked for without adding one.
     """
 
     def __init__(self, sim: Simulator, write_cost: Callable[[int], float],
@@ -109,27 +110,32 @@ class GroupCommitLog:
         self.sim = sim
         self.write_cost = write_cost
         self.observe = observe
-        self._busy = False
-        self._next: Optional[Future] = None   # the batch that goes next
+        self._inflight: Optional[Future] = None   # the batch being written
+        self._next: Optional[Future] = None       # the batch that goes next
         self._next_records = 0
 
     def sync(self, records: int) -> Future:
         batch = self._next = self._next or Future()
         self._next_records += records
-        if not self._busy:
+        if self._inflight is None:
             self._write()
         return batch
+
+    def barrier(self) -> Future:
+        """Resolves once every sync asked for so far is durable, after its
+        writers have resumed (they registered first)."""
+        return self._next or self._inflight or RESOLVED_NONE
 
     def _write(self) -> None:
         batch, records = self._next, self._next_records
         self._next, self._next_records = None, 0
-        self._busy = True
+        self._inflight = batch
         self.observe(records)
         self.sim.call_later(self.write_cost(records), self._end, batch)
 
     def _end(self, batch: Future) -> None:
         # The next batch is in flight before this one's writers resume.
-        self._busy = False
+        self._inflight = None
         if self._next is not None:
             self._write()
         batch.set_result(None)

@@ -107,6 +107,14 @@ def _churned_cluster(scheme, rounds=5):
 
 
 def _compact_index(cluster, index):
+    """Compact every index region, once any compaction the maintenance
+    loop already started has finished: ``LSMTree.compact`` merges at once
+    (``lsm_compactions``), but the purge counter ticks only after that
+    compaction's disk charge (``compactions_completed``)."""
+    while cluster.metrics.total("lsm_compactions") > sum(
+            server.compactions_completed
+            for server in cluster.servers.values()):
+        cluster.advance(1.0)
     for server in cluster.alive_servers():
         for region in list(server.regions.values()):
             if region.table.name == index.table_name:

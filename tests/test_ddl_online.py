@@ -412,3 +412,33 @@ def test_adaptive_controller_online_actuation_returns_job():
     cluster.run(job.wait())
     assert job.phase is JobPhase.ACTIVE
     assert cluster.index_descriptor("ix").scheme is IndexScheme.ASYNC_SIMPLE
+
+
+def test_alter_scrub_waits_for_a_put_whose_pi_landed_first():
+    """A sync-insert PI ships beside its base log write, so an ALTER can
+    find an entry whose base cell has not landed yet.  The scrub must not
+    refute that put: it waits out every base write logged before it."""
+    cluster = MiniCluster(num_servers=3, seed=7).start()
+    cluster.create_table("t")
+    cluster.create_index(IndexDescriptor("ix", "t", ("c",),
+                                         scheme=IndexScheme.SYNC_INSERT))
+    client = cluster.new_client()
+    base, _region = cluster.locate("t", b"r1")
+    index_table = cluster.index_descriptor("ix").table_name
+    assert base is not cluster.locate(index_table, b"")[0]
+    write_cost = base.log_device.write_cost
+    base.log_device.write_cost = lambda records: write_cost(records) + 10.0
+    put = cluster.spawn(client.put("t", b"r1", {"c": b"new"}))
+    cluster.advance(3.0)
+    assert not put.future.done()
+    assert check_index(cluster, "ix").stale      # entry in, base cell not
+
+    job = cluster.change_index_scheme("ix", IndexScheme.SYNC_FULL,
+                                      online=True)
+    cluster.run(job.wait())
+    assert put.future.done()
+    assert job.stale_deleted == 0
+    cluster.quiesce()
+    assert check_index(cluster, "ix").is_consistent
+    hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
+    assert [h.rowkey for h in hits] == [b"r1"]

@@ -152,3 +152,37 @@ def test_sync_full_failure_while_pi_overlaps_rb_di(monkeypatch, failing):
     hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
     assert sorted(h.rowkey for h in hits) == rows
     assert cluster.run(client.get_by_index("ix", equals=[b"old"])) == []
+
+
+def test_sync_insert_pi_lost_beside_the_base_log_write(monkeypatch):
+    """Sync-insert's PI ships beside the base log write.  A PI lost while
+    that write is still in flight must degrade every task of the batch to
+    the AUQ exactly once, after the base write, never as an unjoined
+    crash; the AUQ then converges the index."""
+    cluster = build(0.0, scheme=IndexScheme.SYNC_INSERT, seed=23)
+    client = cluster.new_client()
+    rows = [b"r1", b"r2", b"r3"]
+    cluster.run(client.batch_put("t", [(row, {"c": b"old"})
+                                       for row in rows]))
+    degraded = []
+    original = RegionServer.degrade_to_auq
+
+    def degrade_to_auq(self, task):
+        degraded.append((task.row, self.sim.now()))
+        original(self, task)
+
+    monkeypatch.setattr(RegionServer, "degrade_to_auq", degrade_to_auq)
+    log = _inject(monkeypatch, fail="put")
+    cluster.run(client.batch_put("t", [(row, {"c": b"new"})
+                                       for row in rows]))
+    assert sorted(row for row, _at in degraded) == rows
+    [(_, kind, lost_at)] = log
+    [wal] = [span for span in cluster.tracer.children_of(
+        cluster.tracer.spans("multi_put")[-1]) if span.name == "wal_append"]
+    assert kind == "put" and lost_at < wal.end_ms
+    assert all(at >= wal.end_ms for _row, at in degraded)
+    monkeypatch.undo()
+    cluster.quiesce()
+    assert check_index(cluster, "ix").is_consistent
+    hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
+    assert sorted(h.rowkey for h in hits) == rows

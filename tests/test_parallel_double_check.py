@@ -15,18 +15,25 @@ def double_check_sequential(client, index, hits):
     metrics = client.cluster.metrics
     checks = metrics.counter("read_repair_checks", index=index.name)
     repairs = metrics.counter("read_repair_repairs", index=index.name)
+    deferred = metrics.counter("read_repair_deferred", index=index.name)
     confirmed = []
     for hit in hits:
         checks.inc()
-        row_data = yield from client.get(index.base_table, hit.rowkey,
-                                         columns=list(index.columns))
-        current = {col: value for col, (value, _ts) in row_data.items()}
+        rows = yield from client.multi_get(index.base_table, [hit.rowkey],
+                                           columns=list(index.columns),
+                                           tombstones=True)
+        row_data = rows.get(hit.rowkey, {})
+        current = {col: value for col, (value, _ts) in row_data.items()
+                   if value is not None}
         if extract_index_values(index, current) == hit.values:
             confirmed.append(hit)
-        else:
+        elif max((ts for _value, ts in row_data.values()),
+                 default=-1) >= hit.ts:
             repairs.inc()
             yield from client.delete_index_entry(index.table_name,
                                                  hit.index_key, hit.ts)
+        else:
+            deferred.inc()     # no cell as new as the entry: leave it
     return confirmed
 
 

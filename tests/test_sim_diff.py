@@ -97,14 +97,16 @@ def test_compare_judges_the_median_over_common_seeds(tmp_path, capsys):
         "(bound 15%, better lower) worse",
         "w update_p99_sim_ms seed=1 1 -> 1.05 +5.0% "
         "(bound 15%, better lower) ok",
-        "w update_p99_sim_ms median +10.0% (bound 15%, better lower) ok"]
+        "w update_p99_sim_ms median +10.0% (bound 15%, better lower) ok "
+        "(1 of 3 seeds worse)"]
 
     # Two of three seeds over the bound: the median is, exit 1.
     after.write_text("w seed=42 update_p99_sim_ms=1.2\n"
                      "w seed=7 update_p99_sim_ms=1.2\n")
     assert sim_diff.main(["--compare", str(before), str(after)]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "w update_p99_sim_ms median +20.0% (bound 15%, better lower) WORSE")
+        "w update_p99_sim_ms median +20.0% (bound 15%, better lower) WORSE "
+        "(2 of 2 seeds worse)")
 
     # No seed in common: nothing to judge, exit 2.
     after.write_text("w seed=3 update_p99_sim_ms=1.0\n")
@@ -142,9 +144,16 @@ def test_compare_prints_layer_means_when_both_reports_name_them(
         "w mean span_ms{span=PI} median 1.5 -> 1.125 -25.0%",
         "w mean wal_group_commit_size{server=rs1} seed=42 1 -> 2 +100.0%"]
     assert lines[2] == ("w update_p50_sim_ms median -7.5% "
-                        "(bound 5%, better lower) ok")
+                        "(bound 5%, better lower) ok (0 of 2 seeds worse)")
 
     # A report without --names lines gives no mean lines.
     after.write_text("w seed=42 update_p50_sim_ms=1.8\n")
     assert sim_diff.main(["--compare", str(before), str(after)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def test_seeds_accept_ranges():
+    sim_diff = _load()
+    assert sim_diff.parse_seeds("42") == [42]
+    assert sim_diff.parse_seeds("1-3,42,7") == [1, 2, 3, 42, 7]
+    assert sim_diff.parse_seeds("42,7,1-2,5-5") == [42, 7, 1, 2, 5]

@@ -142,6 +142,39 @@ def test_group_commit_log_is_idle_after_the_last_batch():
     assert writes == [1, 1, 5]
 
 
+def test_group_commit_barrier_waits_for_every_sync_asked_for():
+    """A barrier adds no write: it resolves with the last batch pending
+    when it was taken, after that batch's writers resumed, and at once
+    on an idle log."""
+    sim = Simulator()
+    writes, order = [], []
+    log = GroupCommitLog(sim, cost, writes.append)
+    assert log.barrier().done()
+
+    def writer(name, records):
+        yield log.sync(records)
+        order.append((name, sim.now()))
+
+    def barrier():
+        yield Timeout(0.1)
+        yield log.barrier()
+        order.append(("barrier", sim.now()))
+
+    sim.spawn(writer("a", 1))
+    sim.spawn(barrier())
+    sim.run()
+    assert order == [("a", cost(1)), ("barrier", cost(1))]
+    sim.spawn(writer("b", 1))
+    sim.spawn(writer("c", 2))       # joins the batch after b's
+    sim.spawn(barrier())
+    sim.run()
+    end = cost(1) + cost(1) + cost(2)
+    assert order[2:] == [("b", cost(1) + cost(1)), ("c", end),
+                         ("barrier", end)]
+    assert writes == [1, 1, 2]
+    assert log.barrier().done()
+
+
 def test_group_commit_same_seed_runs_are_identical():
     def writers(seed):
         rng = RandomStream(seed)
