@@ -127,15 +127,14 @@ class GroupCommitLog:
         return self._next or self._inflight or RESOLVED_NONE
 
     def _write(self) -> None:
-        batch, records = self._next, self._next_records
+        self._inflight, records = self._next, self._next_records
         self._next, self._next_records = None, 0
-        self._inflight = batch
         self.observe(records)
-        self.sim.call_later(self.write_cost(records), self._end, batch)
+        self.sim.call_later(self.write_cost(records), self._end)
 
-    def _end(self, batch: Future) -> None:
+    def _end(self) -> None:
         # The next batch is in flight before this one's writers resume.
-        self._inflight = None
+        batch, self._inflight = self._inflight, None
         if self._next is not None:
             self._write()
         batch.set_result(None)
