@@ -28,11 +28,11 @@ from repro.errors import (EncodingError, NoSuchRegionError, RpcError,
                           ServerDownError)
 from repro.core.auq import (IndexTask, aps_worker, live_index_ops,
                             maintain_indexes)
-from repro.core.coprocessor import (IndexOpContext, join_beside_log,
-                                    spawn_beside_log)
+from repro.core.coprocessor import IndexOpContext
 from repro.core.encoding import decode_index_key
 from repro.core.index import IndexState, extract_index_values
 from repro.core.local import local_scan_range, plan_local_index_cells
+from repro.core.observers import HintShip
 from repro.lsm.cache import BlockCache
 from repro.lsm.tree import ReadStats
 from repro.lsm.types import DELTA_MS, Cell, KeyRange
@@ -40,7 +40,7 @@ from repro.lsm.wal import WriteAheadLog
 from repro.cluster.region import Region, compose_cell_key
 from repro.replication.replica import FollowerReplica
 from repro.replication.ship import replication_ship_loop
-from repro.sim.kernel import Timeout, all_of
+from repro.sim.kernel import Timeout
 from repro.sim.resources import (AsyncQueue, Gate, GroupCommitLog, Latch,
                                   Resource, use)
 from repro.sim.scatter import FANOUT_BUCKETS
@@ -272,9 +272,10 @@ class RegionServer:
             raise
 
     def region_for(self, table: str, row: bytes) -> Optional[Region]:
-        return next((region for region in self.regions.values()
-                     if region.table.name == table
-                     and region.contains_row(row)), None)
+        for region in self.regions.values():
+            if region.table.name == table and region.contains_row(row):
+                return region
+        return None
 
     def _require_region(self, table: str, row: bytes) -> Region:
         region = self.region_for(table, row)
@@ -356,7 +357,8 @@ class RegionServer:
         yield pool.acquire()
         try:
             yield Timeout(self.cluster.model._v(self.cluster.model.rpc_cpu_ms))
-            return (yield from body())
+            result = yield from body()
+            return result
         finally:
             pool.release()
 
@@ -470,7 +472,7 @@ class RegionServer:
             row_region.setdefault(item[2], item[4])
         locked: List[bytes] = []
         span = None
-        beside: list = []    # hook processes shipping beside the log write
+        hints = None     # sync-insert's PI, shipped beside the log write
         try:
             for row in sorted(row_region):
                 yield row_region[row].locks.acquire(row)
@@ -520,8 +522,7 @@ class RegionServer:
                     batch_rows.append((row, new_values, ts))
                     results[i] = ("ok", ts, old_values)
                 if wave is waves[-1]:    # every row has its ts (§11.3)
-                    beside = spawn_beside_log(self, descriptor, batch_rows,
-                                              span)
+                    hints = HintShip(self, descriptor, batch_rows, span)
 
                 # Group commit: every mutation keeps its own WAL record
                 # and seqno; the wave is ONE writer of a shared log sync.
@@ -542,10 +543,11 @@ class RegionServer:
             for observer in self.cluster.observers_for(table):
                 yield from observer.post_batch(self, descriptor, batch_rows,
                                                span)
-            yield from join_beside_log(self, beside)
+            yield from hints.join()
             return results
         except Exception:
-            yield all_of(self.sim, beside)   # no index write outlives a lock
+            if hints is not None:
+                yield from hints.settle()
             raise
         finally:
             if span is not None:

@@ -3,12 +3,11 @@
 HBase coprocessors are the extension point Diff-Index is built on (§7):
 "they listen to and intercept each data entry made to the hosting table,
 and act based on the schemes they implement."  A :class:`RegionObserver`
-registers for three hooks: ``post_batch`` runs inside the write RPC, after
+registers for two hooks: ``post_batch`` runs inside the write RPC, after
 the base write and before the ack, with every row the RPC wrote — a
 single put or delete is a batch of one, and a delete is a row with
-``values=None`` (§4.3); ``beside_log`` sees the same rows as soon as each
-has its ts and may start work that runs beside the base log write;
-``pre_flush`` is the pause-and-drain hook of Figure 5.
+``values=None`` (§4.3); ``pre_flush`` is the pause-and-drain hook of
+Figure 5.
 
 :class:`IndexOpContext` is the toolbox handed to observers and to the
 APS: versioned base reads and per-server batches of index writes, each
@@ -20,14 +19,12 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import RpcError
-from repro.sim.kernel import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.server import RegionServer
     from repro.cluster.table import TableDescriptor
 
-__all__ = ["RegionObserver", "IndexOpContext", "spawn_beside_log",
-           "join_beside_log"]
+__all__ = ["RegionObserver", "IndexOpContext"]
 
 
 class RegionObserver:
@@ -48,40 +45,10 @@ class RegionObserver:
         return
         yield  # pragma: no cover
 
-    def beside_log(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
-                                          int]],
-                   span: Any = None) -> Optional[Process]:
-        """The same rows as ``post_batch``, once every one has its ts and
-        before the base log write.  Only an index whose entries reads
-        check against the base row (a hint) may be written here.  Returns
-        the spawned process or None; the handler joins it after
-        ``post_batch``, row locks still held, and queues the
-        ``IndexTask`` list it returns to the AUQ (§6.2)."""
-        return None
-
     def pre_flush(self, server: "RegionServer", region_name: str,
                   ) -> Generator[Any, Any, None]:
         return
         yield  # pragma: no cover
-
-
-def spawn_beside_log(server: "RegionServer", table: TableDescriptor,
-                     batch_rows: list, span: Any = None) -> List[Process]:
-    """Every observer's ``beside_log`` for one write RPC: the processes
-    to join once its base write has landed (DESIGN.md §11.3)."""
-    return [process for observer in server.cluster.observers_for(table.name)
-            if (process := observer.beside_log(server, table, batch_rows,
-                                               span)) is not None]
-
-
-def join_beside_log(server: "RegionServer", processes: List[Process],
-                    ) -> Generator[Any, Any, None]:
-    """Join what :func:`spawn_beside_log` started and queue every
-    ``IndexTask`` a process returns to the AUQ (§6.2)."""
-    for process in processes:
-        for task in (yield process):
-            server.degrade_to_auq(task)
 
 
 class IndexOpContext:

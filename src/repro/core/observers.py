@@ -5,8 +5,8 @@
   put is acknowledged only when all of it is done (causal consistency).
 * :class:`SyncInsertObserver` — Algorithm 1 truncated to SU1+SU2: only
   the insert is synchronous; stale entries are repaired at read time.
-  Reads check every hit against its base row, so the insert is a hint
-  and ships from ``beside_log``, beside the base log write.
+  Reads check every hit against its base row, so the insert is a hint:
+  a :class:`HintShip` ships it beside the base log write.
 * :class:`AsyncObserver` — Algorithm 3: enqueue an :class:`IndexTask`
   into the AUQ and acknowledge immediately; Algorithm 4 runs in the APS.
 * :class:`ValidationObserver` — Luo & Carey's validation strategy: ship
@@ -41,8 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.server import RegionServer
     from repro.cluster.table import TableDescriptor
 
-__all__ = ["SyncFullObserver", "SyncInsertObserver", "ValidationObserver",
-           "AsyncObserver", "build_observers"]
+__all__ = ["SyncFullObserver", "SyncInsertObserver", "HintShip",
+           "ValidationObserver", "AsyncObserver", "build_observers"]
 
 
 def _owned_indexes(table: TableDescriptor,
@@ -104,24 +104,38 @@ class SyncInsertObserver(RegionObserver):
     existing entries stale, and reads repair them (Algorithm 2).
 
     Algorithm 2 checks every hit against its base row, so an entry is a
-    hint and its PI need not wait for the base log write: it ships beside
-    it (DESIGN.md §11.3), and the double-check leaves alone a hit that no
-    newer base cell refutes."""
+    hint and its PI need not wait for the base log write: the write
+    handler ships it beside that write as a :class:`HintShip` (DESIGN.md
+    §11.3), and the double-check leaves alone a hit that no newer base
+    cell refutes.  Nothing is left for ``post_batch``."""
 
     SCHEMES = frozenset({IndexScheme.SYNC_INSERT})
 
-    def beside_log(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: _Rows, span: Any = None) -> Optional[Process]:
-        """The call's inserts grouped per target server, one RPC + one
-        group commit per group, spawned to run beside the log write.  The
-        ship is :func:`settled`, so a lost RPC or stale route comes back
-        as every task owed to the AUQ (§6.2) when the handler joins it,
-        never as an unjoined crash."""
-        names = _owned_indexes(table, self.SCHEMES)
+
+class HintShip:
+    """One write call's sync-insert PI, shipped beside its base log write.
+
+    The handler builds it once every row of the call has its ts, right
+    before the last wave's log write, and joins it after every observer's
+    ``post_batch``, row locks still held.  The ship is :func:`settled`,
+    so a lost RPC or stale route comes back as every task owed to the AUQ
+    (§6.2) when the handler joins it, never as an unjoined crash."""
+
+    def __init__(self, server: "RegionServer", table: TableDescriptor,
+                 batch_rows: _Rows, span: Any = None):
+        self.server, self.table = server, table
+        self.batch_rows, self.span = batch_rows, span
+        self.names = _owned_indexes(table, SyncInsertObserver.SCHEMES)
+        self.process = self._spawn(self.names)
+
+    def _spawn(self, names: Tuple[str, ...]) -> Optional[Process]:
+        """The inserts ``names`` owe, grouped per target server, one RPC +
+        one group commit per group."""
+        server, table, span = self.server, self.table, self.span
         if not names:
             return None
         tasks = [_task(server, table, names, row, values, ts, span)
-                 for row, values, ts in batch_rows if values is not None]
+                 for row, values, ts in self.batch_rows if values is not None]
         if not tasks:
             return None
         obs = server.tracer.start("sync_index", parent=span, scheme="insert",
@@ -138,6 +152,24 @@ class SyncInsertObserver(RegionObserver):
             return [] if error is None else tasks
 
         return server.sim.spawn(ship(), name="PI")
+
+    def join(self) -> Generator[Any, Any, None]:
+        """Wait for the PI and queue every task it lost to the AUQ.  An
+        ALTER that moved an index to sync-insert during the base write
+        left it out of the ship: its PI ships now, before the ack (the
+        scheme's ``post_batch`` is empty, so nothing else would)."""
+        late = tuple(name for name in _owned_indexes(
+            self.table, SyncInsertObserver.SCHEMES) if name not in self.names)
+        for process in (self.process, self._spawn(late)):
+            if process is not None:
+                for task in (yield process):
+                    self.server.degrade_to_auq(task)
+
+    def settle(self) -> Generator[Any, Any, None]:
+        """Wait for the PI on the handler's error path, so no index write
+        of the call outlives its row locks."""
+        if self.process is not None:
+            yield self.process
 
 
 class ValidationObserver(RegionObserver):

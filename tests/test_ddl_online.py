@@ -5,6 +5,7 @@ offline/online equivalence guarantee."""
 import pytest
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster, check_index
+from repro.core.encoding import encode_index_key
 from repro.core.verify import actual_entries
 from repro.ddl.jobs import JobPhase
 from repro.ddl.manager import DdlConfig, DdlManager
@@ -414,21 +415,31 @@ def test_adaptive_controller_online_actuation_returns_job():
     assert cluster.index_descriptor("ix").scheme is IndexScheme.ASYNC_SIMPLE
 
 
-def test_alter_scrub_waits_for_a_put_whose_pi_landed_first():
-    """A sync-insert PI ships beside its base log write, so an ALTER can
-    find an entry whose base cell has not landed yet.  The scrub must not
-    refute that put: it waits out every base write logged before it."""
+def _slow_put(scheme, old=None):
+    """A 3-server cluster whose index ``ix`` (``scheme``) lives off the
+    base server of row r1, optionally holding r1 = ``old``; returns it, a
+    client, and a put of r1 = new spawned behind a base log write slowed
+    by 10 ms, so a DDL step can land while the put is in that write."""
     cluster = MiniCluster(num_servers=3, seed=7).start()
     cluster.create_table("t")
-    cluster.create_index(IndexDescriptor("ix", "t", ("c",),
-                                         scheme=IndexScheme.SYNC_INSERT))
+    cluster.create_index(IndexDescriptor("ix", "t", ("c",), scheme=scheme))
     client = cluster.new_client()
+    if old is not None:
+        cluster.run(client.put("t", b"r1", {"c": old}))
     base, _region = cluster.locate("t", b"r1")
     index_table = cluster.index_descriptor("ix").table_name
     assert base is not cluster.locate(index_table, b"")[0]
     write_cost = base.log_device.write_cost
     base.log_device.write_cost = lambda records: write_cost(records) + 10.0
-    put = cluster.spawn(client.put("t", b"r1", {"c": b"new"}))
+    return cluster, client, cluster.spawn(client.put("t", b"r1",
+                                                     {"c": b"new"}))
+
+
+def test_alter_scrub_waits_for_a_put_whose_pi_landed_first():
+    """A sync-insert PI ships beside its base log write, so an ALTER can
+    find an entry whose base cell has not landed yet.  The scrub must not
+    refute that put: it waits out every base write logged before it."""
+    cluster, client, put = _slow_put(IndexScheme.SYNC_INSERT)
     cluster.advance(3.0)
     assert not put.future.done()
     assert check_index(cluster, "ix").stale      # entry in, base cell not
@@ -440,5 +451,52 @@ def test_alter_scrub_waits_for_a_put_whose_pi_landed_first():
     assert job.stale_deleted == 0
     cluster.quiesce()
     assert check_index(cluster, "ix").is_consistent
+    hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
+    assert [h.rowkey for h in hits] == [b"r1"]
+
+
+def test_alter_to_sync_insert_during_a_put_still_ships_its_pi():
+    """An online ALTER from sync-full to sync-insert that lands while a
+    put is in its base log write: the put started no PI beside that write
+    (its index was sync-full then), and sync-insert's ``post_batch`` does
+    nothing, so the put must ship the PI before it acks."""
+    cluster, client, put = _slow_put(IndexScheme.SYNC_FULL, old=b"old")
+    cluster.advance(3.0)
+    job = cluster.change_index_scheme("ix", IndexScheme.SYNC_INSERT,
+                                      online=True)
+    assert not job.scrub
+    cluster.advance(0.1)
+    assert cluster.index_descriptor("ix").scheme is IndexScheme.SYNC_INSERT
+    assert not put.future.done()
+    cluster.run(job.wait())
+    cluster.advance(20.0)
+    assert put.future.done()
+    assert not check_index(cluster, "ix").missing
+    hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
+    assert [h.rowkey for h in hits] == [b"r1"]
+
+
+def test_offline_scrub_leaves_a_put_whose_pi_landed_first():
+    """The offline ALTER scrub runs at one instant and cannot wait for a
+    base write, so it must tell an entry whose put is still in flight
+    (row locked, no base cell as new as the entry) from a stale one, and
+    from one no put will ever back (r9: same ts, row not locked)."""
+    cluster, client, put = _slow_put(IndexScheme.SYNC_INSERT, old=b"old")
+    cluster.advance(3.0)
+    assert not put.future.done()
+    index = cluster.index_descriptor("ix")
+    entries = actual_entries(cluster, index)
+    ts = entries[encode_index_key([b"new"], b"r1")]    # landed first
+    orphan = encode_index_key([b"new"], b"r9")
+    server, _region = cluster.locate(index.table_name, orphan)
+    cluster.run(server.handle_index_ops([("put", index.table_name, orphan,
+                                          ts)]))
+    assert len(check_index(cluster, "ix").stale) == 2
+    cluster.change_index_scheme("ix", IndexScheme.SYNC_FULL)
+    cluster.advance(20.0)
+    assert put.future.done()
+    cluster.quiesce()
+    report = check_index(cluster, "ix")
+    assert report.is_consistent, (report.missing, report.stale)
     hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
     assert [h.rowkey for h in hits] == [b"r1"]

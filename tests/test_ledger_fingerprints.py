@@ -9,7 +9,7 @@ intent, update the constant in the same diff and say why.
 
 Last moved on purpose, for ``read_heavy_insert`` alone, when
 sync-insert's PI began to ship beside the base log write of its call's
-last wave (``RegionObserver.beside_log``), so an update waits for
+last wave (``core.observers.HintShip``), so an update waits for
 max(WAL + memtable, PI) rather than their sum, and Algorithm 2's
 double-check began to repair a refuted entry only when the row's newest
 indexed cell, value or tombstone, is at least as new as the entry.

@@ -5,8 +5,20 @@ per-row charges, same repairs, same final index state."""
 import pytest
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster, check_index
+from repro.cluster.region import compose_cell_key
 from repro.core import reader
+from repro.core.encoding import encode_index_key
 from repro.core.index import extract_index_values
+
+
+def newest_indexed_ts(cluster, index, row):
+    """Uncharged oracle: the newest ts among ``row``'s indexed cells,
+    value or tombstone, from every version its LSM tree holds."""
+    server, region_name = cluster.locate(index.base_table, row)
+    tree = server.regions[region_name].tree
+    return max((cell.ts for col in index.columns
+                for cell in tree._collect_cells(compose_cell_key(row, col),
+                                                None, None)), default=-1)
 
 
 def double_check_sequential(client, index, hits):
@@ -19,16 +31,12 @@ def double_check_sequential(client, index, hits):
     confirmed = []
     for hit in hits:
         checks.inc()
-        rows = yield from client.multi_get(index.base_table, [hit.rowkey],
-                                           columns=list(index.columns),
-                                           tombstones=True)
-        row_data = rows.get(hit.rowkey, {})
-        current = {col: value for col, (value, _ts) in row_data.items()
-                   if value is not None}
+        row_data = yield from client.get(index.base_table, hit.rowkey,
+                                         columns=list(index.columns))
+        current = {col: value for col, (value, _ts) in row_data.items()}
         if extract_index_values(index, current) == hit.values:
             confirmed.append(hit)
-        elif max((ts for _value, ts in row_data.values()),
-                 default=-1) >= hit.ts:
+        elif newest_indexed_ts(client.cluster, index, hit.rowkey) >= hit.ts:
             repairs.inc()
             yield from client.delete_index_entry(index.table_name,
                                                  hit.index_key, hit.ts)
@@ -92,6 +100,48 @@ def test_parallel_matches_sequential_everything(monkeypatch, value,
         }
     assert observations[True] == observations[False]
     assert observations[True]["rows"] == expected_rows
+
+
+def deletes_and_an_unbacked_entry(cluster, client):
+    """r0..r5 hold v; r1 and r4 then lose the column, so a tombstone newer
+    than their entries refutes them.  r9 gets a v-entry above every base
+    ts with no cell behind it, as a put still in its base log write
+    leaves one: the check must filter it and keep it."""
+    for i in range(6):
+        cluster.run(client.put("t", f"r{i}".encode(), {"c": b"v"}))
+    for row in (b"r1", b"r4"):
+        cluster.run(client.delete("t", row, columns=["c"]))
+    index_table = cluster.index_descriptor("ix").table_name
+    key = encode_index_key([b"v"], b"r9")
+    server, _region = cluster.locate(index_table, key)
+    cluster.run(server.handle_index_ops(
+        [("put", index_table, key, cluster.ts_floor + 1000)],
+        background=False))
+
+
+def test_parallel_matches_sequential_on_tombstones_and_unbacked_entries(
+        monkeypatch):
+    observations = {}
+    for mode in modes(monkeypatch):
+        cluster, client = build()
+        deletes_and_an_unbacked_entry(cluster, client)
+        before = cluster.counters.snapshot()
+        hits = cluster.run(client.get_by_index("ix", equals=[b"v"]))
+        diff = cluster.counters.since(before)
+        observations[mode] = {
+            "rows": sorted(h.rowkey for h in hits),
+            "counters": repair_counters(cluster),
+            "deferred": cluster.metrics.counter(
+                "read_repair_deferred", index="ix").value,
+            "base_read": diff.base_read,
+            "index_delete": diff.index_delete,
+            "stale_after": sorted(check_index(cluster, "ix").stale),
+        }
+    assert observations[True] == observations[False]
+    assert observations[True]["rows"] == [b"r0", b"r2", b"r3", b"r5"]
+    assert observations[True]["counters"] == (7, 2)
+    assert observations[True]["deferred"] == 1
+    assert len(observations[True]["stale_after"]) == 1     # r9's, kept
 
 
 def test_parallel_read_pays_k_base_reads_across_regions():
