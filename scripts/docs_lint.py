@@ -28,7 +28,14 @@ Fails CI when:
   its name literal;
 * DESIGN.md, OPERATIONS.md or README.md names a bare backticked
   ``handle_*`` RPC (no ``RegionServer.`` in front, so the member check
-  above cannot see it) that no ``RegionServer`` method defines.
+  above cannot see it) that no ``RegionServer`` method defines;
+* a code block in a user-facing doc runs ``from repro[.pkg] import A, B``
+  and one of the names cannot be imported from there (a snippet left
+  behind by a deletion would fail on its first line);
+* a user-facing doc's prose names a knob bare — a backticked name that is
+  a field of ``ServerConfig``, ``LSMConfig``, ``ReplicationConfig`` or
+  ``PlacementConfig`` — instead of as ``Class.field``, which the member
+  check above can then follow through renames and deletions.
 
 Run as ``PYTHONPATH=src python scripts/docs_lint.py`` from the repo root.
 """
@@ -36,6 +43,7 @@ Run as ``PYTHONPATH=src python scripts/docs_lint.py`` from the repo root.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -60,6 +68,14 @@ METRIC = re.compile(r"`([a-z][a-z0-9_]*)\{[^`]*\}`"
 # `handle_index_ops(background=True)`.
 HANDLER = re.compile(r"`(handle_\w+)")
 HANDLER_DOCS = ("DESIGN.md", "OPERATIONS.md", "README.md")
+FENCE = re.compile(r"^```.*?^```", re.S | re.M)
+# `from repro.x import A, B` or `from repro import (A,\n B)` in a code block.
+REPRO_IMPORT = re.compile(
+    r"^\s*from\s+(repro(?:\.\w+)*)\s+import\s+(\([^)]*\)|[^\n]*)", re.M)
+BARE_NAME = re.compile(r"`([a-z_][a-z0-9_]*)`")
+CONFIG_CLASSES = (("repro.cluster", "ServerConfig"), ("repro.lsm", "LSMConfig"),
+                  ("repro.replication", "ReplicationConfig"),
+                  ("repro.placement", "PlacementConfig"))
 
 
 def repro_packages() -> list:
@@ -268,6 +284,61 @@ def check_handler_names(errors: list) -> None:
                           f"method defines")
 
 
+def dead_code_imports(text: str) -> list:
+    """``module.name`` for every name a code block of ``text`` imports
+    from a ``repro`` module that does not provide it."""
+    dead = []
+    for block in FENCE.findall(text):
+        for module_name, names in REPRO_IMPORT.findall(block):
+            try:
+                module = importlib.import_module(module_name)
+            except ImportError:
+                dead.append(module_name)
+                continue
+            names = re.sub(r"#[^\n]*", "", names).strip().strip("()")
+            for item in names.split(","):
+                name = item.split(" as ")[0].strip()
+                parts = module_name.split(".") + [name]
+                if name and not (hasattr(module, name)
+                                 or _is_module_file(parts)
+                                 or _is_package(parts)):
+                    dead.append(f"{module_name}.{name}")
+    return dead
+
+
+def check_code_imports(errors: list) -> None:
+    for doc in USER_DOCS:
+        for mention in dead_code_imports((REPO / doc).read_text()):
+            errors.append(f"{doc} has a code block importing `{mention}`, "
+                          f"which cannot be imported")
+
+
+def config_fields() -> dict:
+    """Knob name → the config classes that define it as a field."""
+    fields: dict = {}
+    for module_name, class_name in CONFIG_CLASSES:
+        cls = getattr(importlib.import_module(module_name), class_name)
+        for field in dataclasses.fields(cls):
+            fields.setdefault(field.name, []).append(class_name)
+    return fields
+
+
+def bare_knob_names(text: str, fields: dict) -> list:
+    """Backticked bare knob names in ``text``'s prose (code blocks pass
+    knobs as keyword arguments and are left alone)."""
+    return sorted({name for name in BARE_NAME.findall(FENCE.sub("", text))
+                   if name in fields})
+
+
+def check_bare_knobs(errors: list) -> None:
+    fields = config_fields()
+    for doc in USER_DOCS:
+        for name in bare_knob_names((REPO / doc).read_text(), fields):
+            owners = " or ".join(f"`{owner}.{name}`"
+                                 for owner in fields[name])
+            errors.append(f"{doc} names knob `{name}` bare; write {owners}")
+
+
 def check_public_docstrings(errors: list) -> None:
     import repro
     for name in repro.__all__:
@@ -290,6 +361,8 @@ def main() -> int:
     check_span_names(errors)
     check_metric_names(errors)
     check_handler_names(errors)
+    check_code_imports(errors)
+    check_bare_knobs(errors)
     check_public_docstrings(errors)
     if errors:
         for error in errors:

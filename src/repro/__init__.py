@@ -33,7 +33,7 @@ from repro.cluster import (Client, FaultPlan, MiniCluster,
 from repro.lsm import Cell, KeyRange
 from repro.obs import MetricsRegistry, Tracer
 from repro.placement import PlacementConfig, PlacementManager
-from repro.replication import LatencyBound, ReadMode, ReplicationConfig
+from repro.replication import ReplicationConfig
 from repro.sim import LatencyModel
 
 __version__ = "1.0.0"
@@ -41,7 +41,7 @@ __version__ = "1.0.0"
 __all__ = [
     "MiniCluster", "Client", "MutationBatch", "ServerConfig", "FaultPlan",
     "PlacementConfig", "PlacementManager",
-    "ReplicationConfig", "ReadMode", "LatencyBound",
+    "ReplicationConfig",
     "IndexDescriptor", "IndexScheme", "IndexScope", "ConsistencyLevel",
     "WorkloadProfile", "recommend_scheme",
     "IndexHit", "IndexReport", "Session", "check_index",

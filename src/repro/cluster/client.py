@@ -24,8 +24,6 @@ from repro.core.reader import IndexHit
 from repro.core.schemes import IndexScheme
 from repro.core.session import Session
 from repro.lsm.types import Cell, KeyRange
-from repro.cluster.region import compose_cell_key
-from repro.replication.config import LatencyBound, ReadMode
 from repro.sim.kernel import Timeout
 from repro.sim.scatter import scatter_gather
 
@@ -71,25 +69,11 @@ class Client:
 
     def __init__(self, cluster: "MiniCluster", name: str = "client",
                  max_route_retries: int = 60, retry_backoff_ms: float = 50.0,
-                 max_fanout: int = 16, read_mode: Any = ReadMode.LEADER,
-                 max_staleness_ms: Optional[float] = None):
+                 max_fanout: int = 16):
         self.cluster = cluster
         self.name = name
         self.max_route_retries = max_route_retries
         self.retry_backoff_ms = retry_backoff_ms
-        # Default read mode for `get`: one of the ReadMode strings or a
-        # LatencyBound instance; overridable per call.
-        self.read_mode = read_mode
-        # Staleness bound for follower reads; a follower whose measured
-        # lag exceeds it is inadmissible and the read falls back to the
-        # leader, so the bound is a GUARANTEE, not a hint.
-        self.max_staleness_ms = (cluster.replication.max_staleness_ms
-                                 if max_staleness_ms is None
-                                 else max_staleness_ms)
-        # Measured staleness of the last get (0.0 for leader-served
-        # reads): the observable half of the bounded-staleness contract.
-        self.last_read_staleness_ms = 0.0
-        self._follower_rr = 0
         # Bound on concurrent outbound RPCs for scatter paths (multi-region
         # scans, multigets, read-repair deletes) — the client-side analogue
         # of an HBase connection pool size.
@@ -312,240 +296,18 @@ class Client:
             columns: Optional[List[str]] = None,
             max_ts: Optional[int] = None,
             session: Optional[Session] = None,
-            read_mode: Any = None,
             ) -> Generator[Any, Any, Dict[str, Tuple[bytes, int]]]:
-        """Read one row: one ``handle_read`` of ``[row]`` in every read
-        mode.  ``read_mode`` (default: the client's) picks a point on the
-        consistency/latency spectrum:
-
-        * ``"leader"`` — strong: the region leader answers.
-        * ``"follower"`` — bounded staleness: a follower answers iff its
-          measured lag is within ``max_staleness_ms``, else the leader.
-        * ``"quorum"`` — strong + anti-entropy: leader and followers are
-          read together; the leader's answer wins and lagging followers
-          are read-repaired toward it.
-        * a :class:`LatencyBound` — fastest admissible replica via
-          scatter: first answer within its staleness bound wins, the
-          leader once the latency budget runs out.
-
-        ``self.last_read_staleness_ms`` reports how stale the returned
-        data may be (0.0 when the leader served it).
-        """
-        mode = self.read_mode if read_mode is None else read_mode
-        if isinstance(mode, LatencyBound):
-            read = self._latency_bound_get(table, row, columns, max_ts, mode)
-        elif mode == ReadMode.FOLLOWER:
-            read = self._follower_get(table, row, columns, max_ts)
-        elif mode == ReadMode.QUORUM:
-            read = self._quorum_get(table, row, columns, max_ts)
-        else:
-            # A plain routed call, not a scatter of one, which would add a
-            # spawn and a scatter_fanout observation to every get.
-            read = self._routed(table, row, lambda server: server.handle_read(
-                table, [row], columns, max_ts))
-        row_map, self.last_read_staleness_ms = yield from read
+        """Read one row from its region's leader: one ``handle_read`` of
+        ``[row]``.  A plain routed call, not a scatter of one, which would
+        add a spawn and a scatter_fanout observation to every get."""
+        row_map = yield from self._routed(
+            table, row,
+            lambda server: server.handle_read(table, [row], columns, max_ts))
         result = row_map[row]
         if session is not None and not session.disabled:
             session.touch(self.cluster.sim.now())
             result = session.merge_base_row(table, row, result)
         return result
-
-    # -- replicated read paths ---------------------------------------------------
-
-    def _follower_targets(self, info: "RegionInfo") -> List["RegionInfo"]:
-        """Live follower hosts for ``info``, rotated round-robin so a
-        client spreads its follower reads over the replica set."""
-        servers = [self.cluster.servers[name]
-                   for name in info.replica_servers
-                   if name in self.cluster.servers
-                   and self.cluster.servers[name].alive]
-        if not servers:
-            return []
-        start = self._follower_rr % len(servers)
-        self._follower_rr += 1
-        return servers[start:] + servers[:start]
-
-    def _read_one(self, server, table: str, row: bytes,
-                  columns: Optional[List[str]], max_ts: Optional[int],
-                  replica: Optional[str],
-                  ) -> Generator[Any, Any, Tuple[Dict, float]]:
-        """One ``handle_read`` of ``row`` on ``server`` — on its follower
-        copy of region ``replica`` when one is named — sent as this
-        client, so per-link degradation applies."""
-        return self.cluster.network.call(
-            server, lambda: server.handle_read(table, [row], columns, max_ts,
-                                               replica=replica),
-            source=self.name)
-
-    def _follower_get(self, table: str, row: bytes,
-                      columns: Optional[List[str]],
-                      max_ts: Optional[int],
-                      ) -> Generator[Any, Any, Tuple[Dict, float]]:
-        """Bounded-staleness read: try followers round-robin, accept the
-        first whose advertised lag is within the bound; otherwise the
-        leader serves (staleness 0 — the bound still holds)."""
-        def attempt():
-            info = self._locate(table, row)
-            for follower in self._follower_targets(info):
-                try:
-                    answer = yield from self._read_one(
-                        follower, table, row, columns, max_ts,
-                        info.region_name)
-                except (ServerDownError, NoSuchRegionError):
-                    continue   # next follower; leader is the backstop
-                if answer[1] <= self.max_staleness_ms:
-                    return answer
-            leader = self.cluster.servers[info.server_name]
-            return (yield from self._read_one(leader, table, row, columns,
-                                              max_ts, None))
-        return self._retrying(attempt)
-
-    def _quorum_get(self, table: str, row: bytes,
-                    columns: Optional[List[str]],
-                    max_ts: Optional[int],
-                    ) -> Generator[Any, Any, Tuple[Dict, float]]:
-        """Quorum read: scatter over the leader and every follower, wait
-        for all (collect_errors), require a majority of the replica set to
-        have answered.  The leader's answer is authoritative — naive
-        newest-timestamp merging would resurrect tombstoned columns from
-        a lagging follower — and followers whose answers lag it are
-        read-repaired toward the leader's cells."""
-        def attempt():
-            info = self._locate(table, row)
-            leader = self.cluster.servers[info.server_name]
-            followers = [self.cluster.servers[name]
-                         for name in info.replica_servers
-                         if name in self.cluster.servers]
-            answers = yield scatter_gather(
-                self.cluster.sim,
-                [lambda: self._read_one(leader, table, row, columns, max_ts,
-                                        None)]
-                + [lambda f=f: self._read_one(f, table, row, columns, max_ts,
-                                              info.region_name)
-                   for f in followers],
-                max_fanout=self.max_fanout, collect_errors=True,
-                name="quorum_get", metrics=self.cluster.metrics,
-                site="quorum_get")
-            for answer in answers:
-                if (isinstance(answer, BaseException)
-                        and not isinstance(answer, (ServerDownError,
-                                                    NoSuchRegionError))):
-                    raise answer
-            if isinstance(answers[0], BaseException):
-                # No authoritative copy — surface the routing failure
-                # and retry after recovery promotes a follower.
-                raise answers[0]
-            quorum = (1 + len(info.replica_servers)) // 2 + 1
-            reachable = sum(1 for answer in answers
-                            if not isinstance(answer, BaseException))
-            if reachable < quorum:
-                raise ServerDownError(
-                    f"quorum read of {table!r}/{row!r}: only "
-                    f"{reachable}/{quorum} replicas answered")
-            authoritative = answers[0]
-            yield from self._repair_followers(
-                table, info.region_name, row, authoritative[0][row],
-                [(follower, answer[0][row]) for follower, answer
-                 in zip(followers, answers[1:])
-                 if not isinstance(answer, BaseException)])
-            return authoritative
-        return self._retrying(attempt)
-
-    def _repair_followers(self, table: str, region_name: str, row: bytes,
-                          authoritative: Dict[str, Tuple[bytes, int]],
-                          follower_answers,
-                          ) -> Generator[Any, Any, None]:
-        """Push the leader's newer cells to any follower whose quorum
-        answer lagged them.  Repairs are point fixes: columns the
-        follower has that the leader lacks are left to the ship loop
-        (the delete record is on its way; inventing a tombstone here
-        would need a timestamp we do not have)."""
-        repairs = []
-        for follower, answer in follower_answers:
-            cells = tuple(
-                Cell(compose_cell_key(row, column), ts, value)
-                for column, (value, ts) in sorted(authoritative.items())
-                if column not in answer or answer[column][1] < ts)
-            if cells:
-                repairs.append((follower, cells))
-        if not repairs:
-            return
-        def repair_one(follower, cells):
-            count = yield from self.cluster.network.call(
-                follower,
-                lambda: follower.handle_replica_repair(table, region_name,
-                                                       cells),
-                source=self.name)
-            return count
-        # collect_errors: a follower dying mid-repair must not fail the
-        # read — its replica died with it.
-        yield scatter_gather(
-            self.cluster.sim,
-            [lambda f=f, c=c: repair_one(f, c) for f, c in repairs],
-            max_fanout=self.max_fanout, collect_errors=True,
-            name="quorum_repair", metrics=self.cluster.metrics,
-            site="quorum_repair")
-
-    def _latency_bound_get(self, table: str, row: bytes,
-                           columns: Optional[List[str]],
-                           max_ts: Optional[int], bound: LatencyBound,
-                           ) -> Generator[Any, Any, Tuple[Dict, float]]:
-        """Latency-bound read: scatter to the leader AND every live
-        follower at once, poll, and return the first admissible answer —
-        a follower within ``bound.max_staleness_ms``, or the leader
-        (always admissible).  When ``bound.budget_ms`` runs out with no
-        admissible answer yet, block on the leader: the budget buys
-        speculation, not weaker consistency.  A round where every read
-        failed, or came back inadmissible with the leader down, is a
-        stale route and retries like any other read."""
-        sim = self.cluster.sim
-
-        def spawn_read(server, label, replica):
-            proc = sim.spawn(self._read_one(server, table, row, columns,
-                                            max_ts, replica),
-                             name=f"{self.name}/lb-{label}")
-            proc._waited_on = True      # polled below
-            return proc
-
-        def attempt():
-            info = self._locate(table, row)
-            leader_proc = spawn_read(self.cluster.servers[info.server_name],
-                                     "leader", None)
-            follower_procs = []
-            for name in info.replica_servers:
-                follower = self.cluster.servers.get(name)
-                if follower is not None and follower.alive:
-                    follower_procs.append(
-                        spawn_read(follower, name, info.region_name))
-            deadline = sim.now() + bound.budget_ms
-            while True:
-                if (leader_proc.future.done()
-                        and leader_proc.future.exception() is None):
-                    return leader_proc.future.result()
-                admissible = None
-                for proc in follower_procs:
-                    if not proc.future.done() or proc.future.exception():
-                        continue
-                    answer = proc.future.result()
-                    if answer[1] <= bound.max_staleness_ms and (
-                            admissible is None or answer[1] < admissible[1]):
-                        admissible = answer
-                if admissible is not None:
-                    return admissible
-                still_running = [p for p in ([leader_proc] + follower_procs)
-                                 if not p.future.done()]
-                if not still_running or (sim.now() >= deadline
-                                         and leader_proc.future.done()):
-                    break
-                if sim.now() >= deadline:
-                    # Budget spent with nothing admissible: commit to the
-                    # leader (strong) instead of polling on.
-                    return (yield leader_proc)
-                yield Timeout(0.5)
-            raise ServerDownError(
-                f"latency-bound read of {table!r}/{row!r}: no replica "
-                f"answered admissibly") from leader_proc.future.exception()
-        return self._retrying(attempt)
 
     def multi_get(self, table: str, rows: Sequence[bytes],
                   columns: Optional[List[str]] = None,
@@ -577,7 +339,7 @@ class Client:
             def one_server(server_name: str):
                 server = self.cluster.servers[server_name]
                 batch = groups[server_name]
-                rows_read, _staleness = yield from self.cluster.network.call(
+                rows_read = yield from self.cluster.network.call(
                     server, lambda: server.handle_read(
                         table, batch, columns, max_ts,
                         timestamps_only=timestamps_only,

@@ -443,9 +443,8 @@ class MiniCluster:
 
     # -- clients & driving --------------------------------------------------------------
 
-    def new_client(self, name: str = "client",
-                   read_mode: Any = "leader") -> Client:
-        return Client(self, name=name, read_mode=read_mode)
+    def new_client(self, name: str = "client") -> Client:
+        return Client(self, name=name)
 
     def run(self, gen: Generator, name: str = "task") -> Any:
         """Blocking facade: drive the simulator until ``gen`` completes."""

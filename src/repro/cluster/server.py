@@ -24,8 +24,8 @@ import dataclasses
 from typing import (Any, Dict, Generator, List, Optional, Set, Tuple,
                     TYPE_CHECKING)
 
-from repro.errors import (EncodingError, NoSuchRegionError, RpcError,
-                          ServerDownError)
+from repro.errors import (EncodingError, NoSuchRegionError,
+                          NoSuchTableError, RpcError, ServerDownError)
 from repro.core.auq import (IndexTask, aps_worker, live_index_ops,
                             maintain_indexes)
 from repro.core.coprocessor import IndexOpContext
@@ -153,13 +153,6 @@ class RegionServer:
         self.cache.bind_metrics(metrics, server=name)
         self.obs_cache_hit_rate = metrics.gauge("block_cache_hit_rate",
                                                 server=name)
-        # Replication probes: follower-read and quorum-repair counters
-        # resolve once here; the per-region replication_lag_ms histogram
-        # is looked up at observe time (ship cadence, not a hot path).
-        self.obs_follower_reads = metrics.counter("follower_reads_total",
-                                                  server=name)
-        self.obs_quorum_repairs = metrics.counter("quorum_repairs_total",
-                                                  server=name)
         # Index entries a major compaction proved dead against the base
         # table (lazy schemes' GC; DESIGN.md §14).
         self.obs_dead_purged = metrics.counter(
@@ -560,51 +553,32 @@ class RegionServer:
     def handle_read(self, table: str, rows: List[bytes],
                     columns: Optional[List[str]] = None,
                     max_ts: Optional[int] = None, background: bool = False,
-                    replica: Optional[str] = None,
                     timestamps_only: bool = False, tombstones: bool = False,
-                    ) -> Generator[Any, Any, Tuple[Dict[bytes, Dict], float]]:
+                    ) -> Generator[Any, Any, Dict[bytes, Dict]]:
         """The one row-read RPC: ``rows`` under ONE handler slot, one
         ``local_read_row`` per listed row in list order.  Duplicates stay
         duplicated and each is charged and counted as one base read, so
         Table 2 op counts match the equivalent sequence of single gets.
 
-        Rows resolve against the led ``regions`` or, when ``replica``
-        names a region, against this server's follower copy of it.
+        Rows resolve against the regions this server leads.
         ``timestamps_only`` answers each row's newest ``(ts, is_tombstone)
         | None`` per listed column instead of its values: the validation
         read's timestamp check (DESIGN.md §14.2); ``tombstones`` answers a
         deleted column as ``(None, ts)``: Algorithm 2's check (§11.3).
-        Returns ``(row_map, staleness_ms)``: 0.0 from the leader, the
-        follower's measured lag otherwise — every write acknowledged at
-        least that long ago is guaranteed visible in the result."""
+        Returns ``{row: row_data}``."""
         return (yield from self._with_handler(
             lambda: self._read_body(table, rows, columns, max_ts, background,
-                                    replica, timestamps_only, tombstones)))
+                                    timestamps_only, tombstones)))
 
-    def _read_body(self, table, rows, columns, max_ts, background, replica,
+    def _read_body(self, table, rows, columns, max_ts, background,
                    timestamps_only, tombstones):
-        follower = (None if replica is None
-                    else self._require_follower(table, replica))
         out: Dict[bytes, Dict[str, Tuple]] = {}
         for row in rows:
-            if follower is None:
-                region = self._require_region(table, row)
-            else:
-                region = follower.region
-                if not region.contains_row(row):
-                    raise NoSuchRegionError(
-                        f"follower {replica} on {self.name} does not cover "
-                        f"{row!r}")
+            region = self._require_region(table, row)
             out[row] = yield from self.local_read_row(
                 region, row, columns, max_ts, background, timestamps_only,
                 tombstones)
-        if follower is None:
-            return out, 0.0
-        self.obs_follower_reads.inc(len(rows))
-        staleness = follower.staleness_at(self.sim.now())
-        self.cluster.metrics.histogram(
-            "follower_read_staleness_ms", server=self.name).observe(staleness)
-        return out, staleness
+        return out
 
     def handle_scan(self, table: str, key_range: KeyRange,
                     limit: Optional[int] = None,
@@ -811,25 +785,6 @@ class RegionServer:
             replica.staleness_at(self.sim.now()))
         return replica.applied_seqno
 
-    def handle_replica_repair(self, table: str, region_name: str,
-                              cells: Tuple[Cell, ...],
-                              ) -> Generator[Any, Any, int]:
-        """Quorum read-repair: install leader-authoritative cells into a
-        lagging follower's memtable.  Repairs are point fixes — they do
-        not advance either watermark (the data was already durable on
-        the leader, and a repair proves nothing about coverage)."""
-        return (yield from self._with_handler(
-            lambda: self._replica_repair_body(table, region_name, cells)))
-
-    def _replica_repair_body(self, table, region_name, cells):
-        replica = self._require_follower(table, region_name)
-        for cell in cells:
-            replica.region.tree.add(cell)
-        if cells:
-            yield Timeout(self.cluster.model.memtable_op() * len(cells))
-        self.obs_quorum_repairs.inc(len(cells))
-        return len(cells)
-
     # -- AUQ ----------------------------------------------------------------------
 
     def enqueue_index_tasks(self, tasks: List[IndexTask],
@@ -1000,7 +955,7 @@ class RegionServer:
             try:
                 server, region_name = cluster.locate(index.base_table, rowkey)
                 base_region = server.regions[region_name]
-            except Exception:
+            except (NoSuchTableError, NoSuchRegionError, KeyError):
                 return False     # recovery/move window: keep, retry later
             if base_region.locks.is_held(rowkey):
                 return False     # its put may be in flight (DESIGN §11.3)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional, Tuple, TYPE_CHECKING
 
-from repro.errors import NoSuchRegionError, RpcError
+from repro.errors import NoSuchRegionError, NoSuchTableError, RpcError
 from repro.core.index import extract_index_values, row_index_key
 from repro.lsm.types import DELTA_MS
 from repro.sim.kernel import Timeout, all_of
@@ -344,7 +344,7 @@ def _process_batch(server: Any, ctx: "IndexOpContext",
         _kind, table, key = op[0], op[1], op[2]
         try:
             target, _region = server.cluster.locate(table, key)
-        except Exception:  # noqa: BLE001 - mid-recovery; retry below
+        except (NoSuchTableError, NoSuchRegionError):  # mid-recovery; retry
             target = None
         groups.setdefault(target, []).append(op)
 
@@ -374,7 +374,7 @@ def _process_batch(server: Any, ctx: "IndexOpContext",
                 try:
                     target, _region = server.cluster.locate(ops[0][1],
                                                             ops[0][2])
-                except Exception:  # noqa: BLE001
+                except (NoSuchTableError, NoSuchRegionError):
                     target = None
 
     # Targets are delivered in parallel, each retrying on its own.

@@ -86,7 +86,7 @@ class IndexOpContext:
             target_server, _region_name = self.server.cluster.locate(table,
                                                                      row)
             network = self.server.cluster.network
-            rows, _staleness = yield from network.call(
+            rows = yield from network.call(
                 target_server,
                 lambda: target_server.handle_read(table, [row], columns,
                                                   max_ts,

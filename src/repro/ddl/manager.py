@@ -509,7 +509,7 @@ class DdlManager:
         for op in ops:
             try:
                 target, _region = cluster.locate(op[1], op[2])
-            except Exception:  # noqa: BLE001 - mid-recovery
+            except (NoSuchTableError, NoSuchRegionError):  # mid-recovery
                 target = None
             groups.setdefault(target, []).append(op)
         for target, group in groups.items():
@@ -532,7 +532,7 @@ class DdlManager:
                     try:
                         target, _region = cluster.locate(group[0][1],
                                                          group[0][2])
-                    except Exception:  # noqa: BLE001
+                    except (NoSuchTableError, NoSuchRegionError):
                         target = None
 
     def _catch_up(self, job: DdlJob) -> Generator[Any, Any, None]:

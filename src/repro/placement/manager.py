@@ -576,7 +576,7 @@ class PlacementManager:
         for info in self.cluster.master.regions_on(server.name):
             score += (cfg.region_count_weight
                       + cfg.qps_weight * rates.get(info.region_name, 0.0))
-        # A hosted follower is roughly half a leader's load: it takes
-        # shipped writes and follower reads but no foreground write path.
+        # A hosted follower is roughly half a leader's load: it applies
+        # shipped writes but serves no foreground reads or writes.
         score += 0.5 * cfg.region_count_weight * len(server.follower_regions)
         return score

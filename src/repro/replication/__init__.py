@@ -8,20 +8,17 @@ Extends the single-copy serving layer with a leader/follower scheme:
   (:mod:`repro.replication.ship`);
 * followers apply shipped records into their own memtables and track
   two watermarks — applied seqno and a leader-clock coverage time —
-  from which every staleness bound is computed
+  from which the ``replication_lag_ms`` histogram is measured
   (:mod:`repro.replication.replica`);
-* :class:`~repro.cluster.client.Client` grows a ``read_mode`` knob
-  spanning the consistency/latency spectrum: ``leader``, ``follower``
-  (bounded staleness), ``quorum`` (read-repair across a majority) and
-  :class:`LatencyBound` (fastest admissible replica, scatter-gather);
 * failover becomes *promotion*: recovery hands a replicated region to
   its most caught-up follower and replays only the catch-up tail,
   instead of the full WAL slice (:mod:`repro.replication.promote`).
 
-Everything is off at the default ``replication_factor=1``.
+Clients read and write the leader only; a follower copy exists to be
+promoted.  Everything is off at the default ``replication_factor=1``.
 """
 
-from repro.replication.config import LatencyBound, ReadMode, ReplicationConfig
+from repro.replication.config import ReplicationConfig
 from repro.replication.promote import (create_follower, ensure_replicas,
                                        find_promotion_candidate,
                                        promote_follower, resync_followers)
@@ -29,7 +26,7 @@ from repro.replication.replica import FollowerReplica
 from repro.replication.ship import replication_ship_loop
 
 __all__ = [
-    "ReplicationConfig", "ReadMode", "LatencyBound", "FollowerReplica",
+    "ReplicationConfig", "FollowerReplica",
     "replication_ship_loop",
     "create_follower", "ensure_replicas", "find_promotion_candidate",
     "promote_follower", "resync_followers",

@@ -1,4 +1,4 @@
-"""Replication knobs and the read-mode types the client accepts.
+"""Replication knobs.
 
 ``replication_factor=1`` (the default) keeps every region single-copy
 and the whole subsystem inert: no follower regions are placed, no ship
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 
-__all__ = ["ReplicationConfig", "ReadMode", "LatencyBound"]
+__all__ = ["ReplicationConfig"]
 
 
 @dataclasses.dataclass
@@ -23,14 +23,11 @@ class ReplicationConfig:
     batches of up to ``ship_batch_size`` records; an empty ship doubles
     as a heartbeat so a follower's coverage time — and therefore the
     staleness it advertises — keeps advancing on an idle region.
-    ``max_staleness_ms`` is the default bound a ``read_mode="follower"``
-    client enforces before falling back to the leader.
     """
 
     replication_factor: int = 1
     ship_interval_ms: float = 10.0
     ship_batch_size: int = 128
-    max_staleness_ms: float = 150.0
 
     def __post_init__(self) -> None:
         if self.replication_factor < 1:
@@ -41,32 +38,3 @@ class ReplicationConfig:
     @property
     def enabled(self) -> bool:
         return self.replication_factor > 1
-
-
-class ReadMode:
-    """Names for the client's consistency/latency read spectrum.
-
-    ``LEADER`` is today's linearizable-per-row read from the hosting
-    server; ``FOLLOWER`` is the bounded-staleness regime (the read
-    surfaces its measured lag and falls back to the leader past the
-    bound); ``QUORUM`` reads a majority and read-repairs stale
-    followers.  A :class:`LatencyBound` instance is the fourth mode.
-    """
-
-    LEADER = "leader"
-    FOLLOWER = "follower"
-    QUORUM = "quorum"
-
-    ALL = (LEADER, FOLLOWER, QUORUM)
-
-
-@dataclasses.dataclass(frozen=True)
-class LatencyBound:
-    """Latency-bounded read mode (Zhu et al.'s staging idea): hedge the
-    read across every replica and return the first answer whose
-    advertised staleness is within ``max_staleness_ms``; once
-    ``budget_ms`` of simulated time has elapsed, settle for the leader's
-    (always-fresh) answer instead of waiting for a faster follower."""
-
-    budget_ms: float
-    max_staleness_ms: float

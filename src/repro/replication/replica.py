@@ -22,8 +22,8 @@ Two watermarks drive every consistency decision:
     complete (untruncated) ship batches — which carry the leader's send
     time — and by flush points (recorded synchronously with the WAL
     roll-forward, so the store files cover everything up to the prepare
-    time).  ``now - caught_up_through`` is the staleness a follower read
-    advertises, and the bound the client enforces.
+    time).  ``now - caught_up_through`` is the follower's staleness, the
+    ``replication_lag_ms`` each ship observes.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import pytest
 from repro import IndexDescriptor, IndexScheme, MiniCluster, check_index
 from repro.core.auq import (APS_RETRY_BACKOFF_CAP_MS, APS_RETRY_BACKOFF_MS,
                             IndexTask, _process_batch)
-from repro.errors import RpcError
+from repro.errors import ProcessCrashed, RpcError
 from repro.obs import MetricsRegistry, Tracer
 from repro.sim.kernel import Simulator, Timeout
 
@@ -218,3 +218,29 @@ def test_aps_retries_until_success_after_injected_failures():
     assert cluster.metrics.total("aps_retries") == 5
     # despite the failures, the index converged — no task was lost
     assert check_index(cluster, "ix").is_consistent
+
+
+def test_non_routing_error_in_locate_surfaces():
+    """Only a stale route is retried.  A routing lookup that fails with
+    anything but ``NoSuchTableError``/``NoSuchRegionError`` is a bug, and
+    it must crash the APS worker loudly instead of spinning in its retry
+    loop (or the index would silently never converge)."""
+    cluster = MiniCluster(num_servers=3, seed=21).start()
+    cluster.create_table("t")
+    cluster.create_index(IndexDescriptor("ix", "t", ("c",),
+                                         scheme=IndexScheme.ASYNC_SIMPLE))
+    for server in cluster.servers.values():
+        server.aps_gate.close()           # hold the task in the AUQ
+    client = cluster.new_client()
+    cluster.run(client.put("t", b"r1", {"c": b"x"}))
+    assert cluster.auq_backlog() == 1
+
+    def broken_locate(table, row):
+        raise TypeError("routing bug")
+
+    cluster.locate = broken_locate
+    for server in cluster.servers.values():
+        server.aps_gate.open()
+    with pytest.raises(ProcessCrashed) as crashed:
+        cluster.advance(100.0)
+    assert isinstance(crashed.value.cause, TypeError)

@@ -61,3 +61,29 @@ def test_bare_handler_names_must_be_region_server_rpcs():
             "`handle_get` are gone.")
     assert lint.dead_handler_names(text, lint.region_server_rpcs()) == [
         "handle_get", "handle_index_scan"]
+
+
+def test_code_block_imports_must_resolve():
+    lint = _load_lint()
+    text = ("Prose may say `from repro import Gone`.\n"
+            "```python\n"
+            "from repro import MiniCluster, ReadMode as RM  # a comment\n"
+            "from repro.lsm import (LSMConfig,  # storage, one value\n"
+            "                       LearnedBlockIndex)\n"
+            "from repro.core import auq\n"
+            "from repro.nowhere import Anything\n"
+            "```\n")
+    assert lint.dead_code_imports(text) == [
+        "repro.ReadMode", "repro.lsm.LearnedBlockIndex", "repro.nowhere"]
+
+
+def test_knobs_are_named_with_their_class():
+    lint = _load_lint()
+    fields = lint.config_fields()
+    text = ("`ship_interval_ms` and `block_bytes` are bare; "
+            "`ReplicationConfig.ship_batch_size`, `replication_factor=3`, "
+            "`read_row` and `LSMConfig.block_bytes` pass.\n"
+            "```python\nReplicationConfig(`ship_batch_size`)\n```\n")
+    assert lint.bare_knob_names(text, fields) == ["block_bytes",
+                                                  "ship_interval_ms"]
+    assert fields["ship_interval_ms"] == ["ReplicationConfig"]

@@ -1,14 +1,11 @@
 """A get is a multi-get of one: ``client.get`` and a one-row
 ``multi_get`` take the same server path (one ``handle_read`` RPC) and so
-cost and return exactly the same thing; a follower read through that
-RPC still advertises its staleness; and every read mode rides out a
-leader change through the client's one retry loop."""
+cost and return exactly the same thing; and a get rides out a leader
+change through the client's one retry loop."""
 
 import pytest
 
-from repro import (Client, LatencyBound, MiniCluster, ReadMode,
-                   ReplicationConfig)
-from repro.errors import NoSuchRegionError
+from repro import MiniCluster, ReplicationConfig
 
 
 def _leader_reads(read):
@@ -53,50 +50,10 @@ def _replicated():
     return cluster
 
 
-def test_follower_read_advertises_staleness_and_counts():
+@pytest.mark.parametrize("disruption", ["move", "kill"])
+def test_get_retries_across_a_leader_change(disruption):
     cluster = _replicated()
     client = cluster.new_client()
-    cluster.run(client.put("t", b"k", {"c": b"v"}))
-    cluster.advance(100.0)                  # shipped to every follower
-    info = cluster.master.locate("t", b"k")
-    follower = cluster.servers[info.replica_servers[0]]
-    histogram = cluster.metrics.histogram("follower_read_staleness_ms",
-                                          server=follower.name)
-
-    def read(rows):
-        return cluster.network.call(follower, lambda: follower.handle_read(
-            "t", rows, replica=info.region_name))
-
-    rows, staleness = cluster.run(read([b"k"]))
-    assert rows == {b"k": {"c": (b"v", rows[b"k"]["c"][1])}}
-    assert 0.0 < staleness <= cluster.replication.max_staleness_ms
-    assert follower.obs_follower_reads.value == 1
-    assert (histogram.count, histogram.sum) == (1, staleness)
-
-    # The follower copy keeps its range check: a row of the other
-    # region is a stale route, not an empty answer.
-    with pytest.raises(NoSuchRegionError):
-        cluster.run(read([b"z"]))
-
-    leader = cluster.servers[info.server_name]
-    _rows, leader_staleness = cluster.run(cluster.network.call(
-        leader, lambda: leader.handle_read("t", [b"k"])))
-    assert leader_staleness == 0.0
-
-
-# Follower answers are never admissible at a zero staleness bound, so
-# every mode has to reach the leader that moved or died, fail, refresh
-# its layout and retry.
-READ_MODES = [ReadMode.LEADER, ReadMode.FOLLOWER, ReadMode.QUORUM,
-              LatencyBound(budget_ms=5.0, max_staleness_ms=0.0)]
-
-
-@pytest.mark.parametrize("disruption", ["move", "kill"])
-@pytest.mark.parametrize("mode", READ_MODES,
-                         ids=["leader", "follower", "quorum", "latency_bound"])
-def test_every_read_mode_retries_across_a_leader_change(mode, disruption):
-    cluster = _replicated()
-    client = Client(cluster, max_staleness_ms=0.0)
     cluster.run(client.put("t", b"k", {"c": b"old"}))
     cluster.run(client.put("t", b"k", {"c": b"new"}))
     cluster.advance(100.0)
@@ -109,7 +66,7 @@ def test_every_read_mode_retries_across_a_leader_change(mode, disruption):
             "t", info.region_name, target))
     else:
         cluster.kill_server(leader)
-    got = cluster.run(client.get("t", b"k", read_mode=mode))
+    got = cluster.run(client.get("t", b"k"))
     assert got["c"][0] == b"new"
     assert client.route_refreshes >= 1
     assert cluster.master.locate("t", b"k").server_name != leader
