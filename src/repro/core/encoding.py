@@ -25,7 +25,8 @@ from repro.errors import EncodingError
 
 __all__ = [
     "encode_value", "decode_value", "encode_index_key", "decode_index_key",
-    "index_prefix", "prefix_upper_bound", "IndexableValue",
+    "index_prefix", "index_split_keys", "prefix_upper_bound",
+    "IndexableValue",
 ]
 
 IndexableValue = Union[bytes, str, int, float]
@@ -185,6 +186,18 @@ def decode_index_key(index_key: bytes, num_values: int,
 def index_prefix(values: Sequence[Optional[IndexableValue]]) -> bytes:
     """The scan prefix selecting every index entry with these leading values."""
     return b"".join(encode_value(v) for v in values)
+
+
+def index_split_keys(values: Sequence[Optional[IndexableValue]],
+                     ) -> List[bytes]:
+    """Region boundaries for an index pre-split at these leading values.
+
+    Built with the same encoder as the entries (``encode_index_key``) and
+    the scan bounds (``index_scan_range``), so a split key always falls
+    inside the keyspace its index actually uses.  The value is the one
+    the index stores: a column holding ``encode_value(1.5)`` splits at
+    ``index_split_keys([encode_value(1.5)])``, not at ``[1.5]``."""
+    return [index_prefix([v]) for v in values]
 
 
 def prefix_upper_bound(prefix: bytes) -> Optional[bytes]:

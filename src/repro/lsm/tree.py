@@ -118,7 +118,7 @@ class LSMTree:
         # contract (BENCHMARK.json, ledger/layers.py) still derives
         # ratio.learned_fallback from this counter, so it counts each
         # point-read probe (the ratio reads 1.0) until the contract drops
-        # that name (ROADMAP.md item 8(g)); then this counter goes too.
+        # that name (ROADMAP.md item 11(g)); then this counter goes too.
         self._obs_bisect_probes = registry.counter(
             "learned_index_fallbacks_total", **labels)
 

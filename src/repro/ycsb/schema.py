@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List
 
-from repro.core.encoding import encode_value
+from repro.core.encoding import encode_value, index_split_keys
 from repro.sim.random import RandomStream
 
 __all__ = ["ItemSchema", "TITLE_COLUMN", "INDEXED_PRICE_COLUMN",
@@ -96,16 +96,21 @@ class ItemSchema:
                 for i in range(1, num_regions)]
 
     def price_split_keys(self, num_regions: int) -> List[bytes]:
-        """Even pre-split of the price-index keyspace."""
+        """Even pre-split of the price-index keyspace.  The index stores
+        the column's bytes (``price_bytes``), so the split keys encode
+        those bytes, not the float."""
         if num_regions < 2:
             return []
         span = PRICE_MAX - PRICE_MIN
-        return [encode_value(PRICE_MIN + span * i / num_regions)
-                for i in range(1, num_regions)]
+        return index_split_keys(
+            [self.price_bytes(PRICE_MIN + span * i / num_regions)
+             for i in range(1, num_regions)])
 
     def title_split_keys(self, num_regions: int) -> List[bytes]:
+        """Even pre-split of the title-index keyspace."""
         if num_regions < 2:
             return []
         cardinality = self.title_cardinality or self.record_count
-        return [encode_value(f"title-{(cardinality * i) // num_regions:08d}")
-                for i in range(1, num_regions)]
+        return index_split_keys(
+            [f"title-{(cardinality * i) // num_regions:08d}".encode()
+             for i in range(1, num_regions)])

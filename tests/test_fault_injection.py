@@ -8,7 +8,7 @@ from repro import (FaultPlan, IndexDescriptor, IndexScheme, MiniCluster,
 from repro.cluster.server import RegionServer
 from repro.core.coprocessor import IndexOpContext
 from repro.errors import RpcError
-from repro.sim.kernel import Timeout
+from repro.sim.kernel import Future, Timeout
 from repro.sim.random import RandomStream
 
 
@@ -186,3 +186,60 @@ def test_sync_insert_pi_lost_beside_the_base_log_write(monkeypatch):
     assert check_index(cluster, "ix").is_consistent
     hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
     assert sorted(h.rowkey for h in hits) == rows
+
+
+class _LogDeviceFailed(Exception):
+    """An injected base log write failure."""
+
+
+@pytest.mark.parametrize("pi", ["lands", "lost"])
+def test_sync_insert_failed_log_write_settles_pi_under_row_lock(
+        monkeypatch, pi):
+    """Sync-insert's error path (``HintShip.settle``): the base log write
+    of a put fails after its PI was spawned beside it.  The handler must
+    wait for the PI, landed or lost, before it releases the row lock, and
+    the PI process must not be left for the simulator to report as
+    crashed.  The put fails, so the row keeps its old value."""
+    cluster = build(0.0, scheme=IndexScheme.SYNC_INSERT, seed=23)
+    client = cluster.new_client()
+    row = b"r1"
+    cluster.run(client.put("t", row, {"c": b"old"}))
+    server, region_name = cluster.locate("t", row)
+    locks = server.regions[region_name].locks
+    device = server.log_device
+    original_sync = device.sync
+
+    def failing_sync(records):
+        monkeypatch.setattr(device, "sync", original_sync)
+        failed = Future()
+        failed.set_exception(_LogDeviceFailed("log device write failed"))
+        return failed
+
+    monkeypatch.setattr(device, "sync", failing_sync)
+    log = _inject(monkeypatch, fail="put" if pi == "lost" else None)
+    original_batch = IndexOpContext.index_ops_batch
+    held_at_pi_end = []
+
+    def index_ops_batch(self, target, ops, background=True):
+        try:
+            yield from original_batch(self, target, ops, background)
+        finally:
+            if not background:
+                held_at_pi_end.append(locks.is_held(row))
+
+    monkeypatch.setattr(IndexOpContext, "index_ops_batch", index_ops_batch)
+    with pytest.raises(_LogDeviceFailed):
+        cluster.run(client.put("t", row, {"c": b"new"}))
+    failed_at = cluster.sim.now()
+    assert held_at_pi_end == [True]
+    assert [event for event, _kind, _at in log] == (
+        ["landed"] if pi == "lands" else ["lost"])
+    assert all(at <= failed_at for _event, _kind, at in log)
+    assert not locks.is_held(row)
+    monkeypatch.undo()
+    cluster.quiesce()                  # no orphaned ProcessCrashed here
+    assert cluster.run(client.get("t", row))["c"][0] == b"old"
+    assert [h.rowkey for h in cluster.run(
+        client.get_by_index("ix", equals=[b"old"]))] == [row]
+    assert cluster.run(client.get_by_index("ix", equals=[b"new"])) == []
+    assert not check_index(cluster, "ix").missing

@@ -252,6 +252,39 @@ def test_move_to_dead_target_falls_back_to_source():
     assert len(all_rows(cluster, client)) == 30
 
 
+def test_move_aborted_when_region_reassigned_during_close(monkeypatch):
+    """The layout reassigns the region while the move's close runs: the
+    move gives up, counts a failure, and re-opens the region it closed on
+    the source instead of leaving it refusing writes."""
+    cluster, client = build()
+    load_rows(cluster, client, 30)
+    [info] = cluster.master.layout["t"]
+    source = cluster.servers[info.server_name]
+    target, bystander = [n for n in cluster.servers if n != source.name]
+    close = source.handle_split_close
+
+    def close_then_reassign(table, region_name):
+        yield from close(table, region_name)
+        cluster.master.reassign(
+            cluster.master.region_info(table, region_name), bystander)
+
+    monkeypatch.setattr(source, "handle_split_close", close_then_reassign)
+    failures = cluster.placement.obs_move_failures.value
+    moved = cluster.run(cluster.placement.move_region(
+        "t", info.region_name, target))
+    assert not moved
+    assert cluster.placement.obs_move_failures.value == failures + 1
+    region = source.regions[info.region_name]
+    assert not region.closing
+    assert info.region_name not in cluster.servers[target].regions
+    # Hand the range back to the source: it takes the put at once.
+    cluster.master.reassign(cluster.master.region_info(
+        "t", info.region_name), source.name)
+    cluster.run(client.put("t", b"row99999", {"v": b"after"}))
+    assert region.read_row(b"row99999")["v"][0] == b"after"
+    assert len(all_rows(cluster, client)) == 31
+
+
 # -- crash safety -----------------------------------------------------------
 
 
