@@ -11,13 +11,18 @@ read-only, and the side that runs first alternates from pair to pair.
     git worktree add ../parent HEAD~1
     python scripts/host_ab.py --parent ../parent --workload open_async_rf3
 
-The change is the tree holding this script.  It prints every pair, each
-side's median and quartiles of ``ops_per_cpu_s`` and of the setup CPU
-seconds, the win count, and the claim rule's verdict: the change must
+The change is the tree holding this script.  It prints every pair, and
+each side's median and quartiles of the three host metrics:
+``ops_per_cpu_s``; ``setup_cpu_s``, the set-up CPU seconds the ledger
+reports as ``setup_s``; and ``peak_rss_mb``, the child's
+``ru_maxrss / 1024`` as ``ledger/run.py`` measures it.  Then the win
+count and the claim rule's verdict on ``ops_per_cpu_s``: the change must
 win at least 9 of every 10 pairs and its median must beat the parent's
-by more than the parent's interquartile range.  It exits 1 when the two
-sides' ``fingerprint``s differ — a host claim needs the same simulated
-model on both sides.
+by more than the parent's interquartile range.  Last, each metric's
+median change against its end-to-end bound in ``BENCHMARK.json``.  It
+exits 1 when a median is worse than its bound, or when the two sides'
+``fingerprint``s differ — a host claim needs the same simulated model
+on both sides.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ WIN_SHARE = 0.9
 # One side of one pair: the tree is argv[1], and nothing is written into
 # it (no bytecode caches).
 CHILD = """
-import json, sys
+import json, resource, sys
 sys.dont_write_bytecode = True
 tree, workload, seed, scale = sys.argv[1:]
 sys.path[:0] = [tree, tree + "/src"]
@@ -52,8 +57,16 @@ run_repeat(spec, int(seed), float(scale) / 8)   # the ledger's warm-up
 repeat = run_repeat(spec, int(seed), float(scale))
 print(json.dumps({"ops_per_cpu_s": repeat.ops / repeat.run_cpu_s,
                   "setup_cpu_s": repeat.setup_cpu_s,
+                  "peak_rss_mb": resource.getrusage(
+                      resource.RUSAGE_SELF).ru_maxrss / 1024.0,
                   "fingerprint": repeat.fingerprint}))
 """
+
+# Each host metric with the BENCHMARK.json end-to-end name it is judged
+# under and its digits when printed.
+METRICS = (("ops_per_cpu_s", "ops_per_cpu_s", 1),
+           ("setup_cpu_s", "setup_s", 3),
+           ("peak_rss_mb", "peak_rss_mb", 1))
 
 
 def run_side(tree: pathlib.Path, workload: str, seed: int,
@@ -91,6 +104,21 @@ def _summary(name: str, values: list, digits: int) -> str:
     return f"{name} {median:.{digits}f} [{q1:.{digits}f}, {q3:.{digits}f}]"
 
 
+def bounds(path: pathlib.Path = REPO / "BENCHMARK.json") -> dict:
+    """``{name: (bound, better)}`` for every end-to-end metric."""
+    contract = json.loads(path.read_text())
+    return {m["name"]: (m["bound"], m["better"])
+            for m in contract["end_to_end"]}
+
+
+def judge(parent: list, change: list, bound: float, better: str) -> tuple:
+    """The change's median against the parent's: ``(relative change,
+    worse by more than bound)``."""
+    parent_median = quartiles(parent)[1]
+    delta = (quartiles(change)[1] - parent_median) / parent_median
+    return delta, (-delta if better == "higher" else delta) > bound
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=pathlib.Path,
@@ -113,16 +141,29 @@ def main(argv=None) -> int:
               f"{runs['parent'][-1]['ops_per_cpu_s']:.1f} change "
               f"{runs['change'][-1]['ops_per_cpu_s']:.1f}", flush=True)
 
-    ops = {side: [r["ops_per_cpu_s"] for r in runs[side]] for side in runs}
+    values = {key: {side: [r[key] for r in runs[side]] for side in runs}
+              for key, _name, _digits in METRICS}
     for side in runs:
-        setup = [r["setup_cpu_s"] for r in runs[side]]
-        print(f"{side}: {_summary('ops_per_cpu_s', ops[side], 1)}; "
-              f"{_summary('setup_cpu_s', setup, 3)}")
+        print(f"{side}: " + "; ".join(
+            _summary(key, values[key][side], digits)
+            for key, _name, digits in METRICS))
+    ops = values["ops_per_cpu_s"]
     verdict = claim(ops["parent"], ops["change"])
     print(f"wins {verdict['wins']}/{verdict['pairs']}; median gap "
           f"{verdict['gap']:+.1f} ops/cpu-s ({verdict['gain']:+.1%}) vs "
           f"parent IQR {verdict['parent_iqr']:.1f}; claim "
           f"{'holds' if verdict['holds'] else 'does not hold'}")
+    contract = bounds()
+    crossed = False
+    judged = []
+    for key, name, _digits in METRICS:
+        bound, better = contract[name]
+        delta, worse = judge(values[key]["parent"], values[key]["change"],
+                             bound, better)
+        crossed |= worse
+        judged.append(f"{name} {delta:+.1%} "
+                      f"{'worse than' if worse else 'within'} {bound:.0%}")
+    print("bounds: " + "; ".join(judged))
 
     fingerprints = {side: {r["fingerprint"] for r in runs[side]}
                     for side in runs}
@@ -130,7 +171,7 @@ def main(argv=None) -> int:
         print(f"fingerprints differ: {fingerprints}", file=sys.stderr)
         return 1
     print(f"fingerprint {fingerprints['change'].pop()} on both sides")
-    return 0
+    return 1 if crossed else 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from typing import (Any, Dict, Generator, List, Optional, Tuple,
                     TYPE_CHECKING)
 
 from repro.errors import NoSuchIndexError, SimulationError
-from repro.core.encoding import decode_index_key
 from repro.core.index import IndexDescriptor, IndexState, row_index_entry
 from repro.core.observers import build_observers
 from repro.core.staleness import StalenessTracker
@@ -292,71 +291,27 @@ class MiniCluster:
         stamped = self._attach_index_descriptor(index, IndexState.BUILDING)
         return self.ddl.submit_create(stamped)
 
-    def change_index_scheme(self, index_name: str,
-                            new_scheme, scrub: bool = True,
-                            online: bool = False):
-        """Switch an index's maintenance scheme at runtime (the adaptive
-        controller's actuator; see :mod:`repro.core.adaptive`).
+    def change_index_scheme(self, index_name: str, new_scheme):
+        """ALTER INDEX ... SCHEME (the adaptive controller's actuator; see
+        :mod:`repro.core.adaptive`): returns the online DdlJob, or None
+        when the index already uses ``new_scheme``.
 
         Moving away from a lazy scheme (sync-insert's read repair,
         validation's read filter) to a scheme whose reads trust the
-        index requires removing the stale entries first — ``scrub`` does
-        that: synchronously and cost-free by default, or
-        (``online=True``) as a chunked sim-time scrub job during which
-        reads keep the Algorithm 2 double-check (IndexState.TRANSITION)
-        — returns the DdlJob in that case.  Switching between two lazy
-        schemes (sync-insert ↔ validation) never scrubs: both read
-        paths tolerate the same stale entries.
+        index requires removing the stale entries first: the job scrubs
+        them in chunks inside simulated time, while reads keep the
+        Algorithm 2 double-check (IndexState.TRANSITION).  Switching
+        between two lazy schemes (sync-insert ↔ validation) never scrubs:
+        both read paths tolerate the same stale entries.
         Pending AUQ work from an async phase needs no special handling:
         deliveries are idempotent and timestamped, so they stay correct
         under the new scheme."""
         index = self.index_descriptor(index_name)
         if index.scheme is new_scheme:
             return None
-        leaving_lazy = index.scheme.is_lazy
-        needs_scrub = scrub and leaving_lazy and not new_scheme.is_lazy
-        if online and not index.is_local:
-            return self.ddl.submit_alter(index, new_scheme,
-                                         scrub=needs_scrub)
-        new_descriptor = dataclasses.replace(index, scheme=new_scheme)
-        self._set_index_descriptor(new_descriptor)
-        if needs_scrub:
-            self._scrub_stale_entries(new_descriptor)
-        return None
-
-    def _scrub_stale_entries(self, index: IndexDescriptor) -> None:
-        """Tombstone every stale entry (WAL-logged, cost-free DDL path)."""
-        from repro.core.verify import actual_entries, expected_entries
-        expected = expected_entries(self, index)
-        actual = actual_entries(self, index)
-        for key, ts in actual.items():
-            if key in expected or self._put_in_flight(index, key, ts):
-                continue
-            info = self.master.locate(index.table_name, key)
-            server = self.servers[info.server_name]
-            region = server.regions[info.region_name]
-            tomb = Cell(key, ts, None)
-            record = server.wal.append(info.region_name, index.table_name,
-                                       (tomb,))
-            region.tree.add(tomb, seqno=record.seqno)
-
-    def _put_in_flight(self, index: IndexDescriptor, key: bytes,
-                       ts: int) -> bool:
-        """Whether entry ``key``@``ts`` may belong to a put still in
-        flight: a sync-insert PI ships beside its base log write (DESIGN
-        §11.3), so its row is locked and has no indexed cell, value or
-        tombstone, as new as the entry yet.  The scrub keeps such an
-        entry; the put's own maintenance settles it."""
-        if index.is_local:
-            return False     # local entries share their row's WAL record
-        _values, row = decode_index_key(key, len(index.columns))
-        info = self.master.locate(index.base_table, row)
-        region = self.servers[info.server_name].regions.get(info.region_name)
-        if region is None or not region.locks.is_held(row):
-            return False
-        cells = region.read_row(row, list(index.columns), tombstones=True)
-        return max((cell_ts for _value, cell_ts in cells.values()),
-                   default=-1) < ts
+        # Validate before submitting: a local index stays sync-full.
+        dataclasses.replace(index, scheme=new_scheme)
+        return self.ddl.submit_alter(index, new_scheme)
 
     def drop_index(self, index_name: str, online: bool = False):
         """DROP INDEX.  ``online=True`` routes through the DDL job (a

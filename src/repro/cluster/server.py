@@ -30,7 +30,7 @@ from repro.core.auq import (IndexTask, aps_worker, live_index_ops,
                             maintain_indexes)
 from repro.core.coprocessor import IndexOpContext
 from repro.core.encoding import decode_index_key
-from repro.core.index import IndexState, extract_index_values
+from repro.core.index import DEAD, IndexState, entry_verdict
 from repro.core.local import local_scan_range, plan_local_index_cells
 from repro.core.observers import HintShip
 from repro.lsm.cache import BlockCache
@@ -927,14 +927,15 @@ class RegionServer:
         """Predicate for the compaction-time index GC (DESIGN.md §14), or
         None when this region is not an index table under a lazy scheme.
 
-        An entry is dead when it is *settled* (older than now − δ, so no
+        An entry is purged when it is *settled* (older than now − δ, so no
         in-flight blind ship or AUQ delivery for its own base put can
-        still be racing) and the base row's current indexed values no
-        longer match it.  The ts−δ discipline makes this final: a base
-        row updated back to an old value re-inserts a NEW entry version,
-        it never revives a purged one.  The base probe is the cost-free
-        oracle read (``Region.read_row`` with no stats) — the simulated
-        I/O charge stays the compaction's own ``compact_cost``.
+        still be racing) and :func:`entry_verdict` calls it dead against
+        the base row's current indexed cells and row lock.  The ts−δ
+        discipline makes this final: a base row updated back to an old
+        value re-inserts a NEW entry version, it never revives a purged
+        one.  The base probe is the cost-free oracle read
+        (``Region.read_row`` with no stats) — the simulated I/O charge
+        stays the compaction's own ``compact_cost``.
         """
         index = self.cluster.index_by_table.get(region.table.name)
         if (index is None or not index.scheme.is_lazy
@@ -957,17 +958,11 @@ class RegionServer:
                 base_region = server.regions[region_name]
             except (NoSuchTableError, NoSuchRegionError, KeyError):
                 return False     # recovery/move window: keep, retry later
-            if base_region.locks.is_held(rowkey):
-                return False     # its put may be in flight (DESIGN §11.3)
-            row_data = base_region.read_row(rowkey, columns=columns)
-            current = {col: value for col, (value, _ts) in row_data.items()}
-            if extract_index_values(index, current) == tuple(values):
-                return False
-            newest_base_ts = max(
-                (ts for _col, (_value, ts) in row_data.items()), default=None)
-            if newest_base_ts is not None and cell.ts > newest_base_ts:
-                return False     # entry outruns the visible base row: keep
-            return True
+            row = base_region.read_row(rowkey, columns=columns,
+                                       tombstones=True)
+            return entry_verdict(
+                index, cell.ts, tuple(values), row,
+                base_region.locks.is_held(rowkey)) == DEAD
 
         return dead
 

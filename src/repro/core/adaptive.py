@@ -15,10 +15,11 @@ scheme *within* that consistency class:
   a read-heavy eventual workload still prefers it);
 * read-your-writes requirement pins async-session.
 
-Switching is performed through
-:meth:`repro.cluster.cluster.MiniCluster.change_index_scheme`, which
-scrubs stale entries when moving from a lazily-repaired scheme to one
-whose reads do not double-check.
+Each switch is an online ALTER job
+(:meth:`repro.cluster.cluster.MiniCluster.change_index_scheme`, kept in
+``jobs``) that runs inside simulated time and scrubs stale entries when
+moving from a lazily-repaired scheme to one whose reads do not
+double-check.
 """
 
 from __future__ import annotations
@@ -87,24 +88,18 @@ class AdaptiveController:
     def __init__(self, cluster: "MiniCluster", index_name: str,
                  required_consistency: ConsistencyLevel,
                  needs_read_your_writes: bool = False,
-                 policy: Optional[AdaptivePolicy] = None,
-                 online_actuation: bool = False):
+                 policy: Optional[AdaptivePolicy] = None):
         self.cluster = cluster
         self.index_name = index_name
         self.required_consistency = required_consistency
         self.needs_read_your_writes = needs_read_your_writes
         self.policy = policy or AdaptivePolicy()
-        # True: actuate through the online DDL job (chunked scrub inside
-        # simulated time — the repro.ddl subsystem); False: the legacy
-        # instantaneous switch.  Online actuation requires the simulator
-        # to be running so the job can make progress.
-        self.online_actuation = online_actuation
         self._window: Deque[str] = deque(maxlen=self.policy.window_ops)
         self._ops_since_switch = 0
         self._slo: Optional[SloSignal] = None
         self.switches: list = []
         self.switch_events: list = []   # dicts: at_ms/from/to/reason
-        self.jobs: list = []     # DdlJob handles from online actuations
+        self.jobs: list = []     # DdlJob handles, one per switch
 
     # -- observation hooks (call from the application / driver) ---------------
 
@@ -205,10 +200,8 @@ class AdaptiveController:
                 or len(self._window) < self.policy.min_ops_to_act
                 or self._ops_since_switch < self.policy.cooldown_ops):
             return decision
-        job = self.cluster.change_index_scheme(self.index_name, recommended,
-                                               online=self.online_actuation)
-        if job is not None:
-            self.jobs.append(job)
+        self.jobs.append(self.cluster.change_index_scheme(self.index_name,
+                                                          recommended))
         self._ops_since_switch = 0
         now = self.cluster.sim.now()
         self.switches.append((now, current, recommended))

@@ -17,8 +17,9 @@ from repro.core.encoding import IndexableValue, encode_index_key
 from repro.core.schemes import IndexScheme
 
 __all__ = ["IndexDescriptor", "IndexScope", "IndexState", "row_index_key",
-           "row_index_entry", "checks_timestamps", "entry_is_current",
-           "extract_index_values", "INDEX_TABLE_PREFIX", "index_table_name"]
+           "row_index_entry", "checks_timestamps", "LIVE", "DEAD", "UNSETTLED",
+           "entry_verdict", "extract_index_values", "INDEX_TABLE_PREFIX",
+           "index_table_name"]
 
 
 class IndexScope(enum.Enum):
@@ -154,7 +155,7 @@ def row_index_entry(index: IndexDescriptor, rowkey: bytes,
 
 def checks_timestamps(index: IndexDescriptor) -> bool:
     """Whether the validation read checks ``index``'s entries by
-    timestamp (:func:`entry_is_current`) instead of by value
+    timestamp (:func:`entry_verdict`) instead of by value
     (DESIGN.md §14.2).  Only a single-column index qualifies: a put or
     delete may touch a strict subset of a composite index's columns, and
     the blind ship then derives an entry from the put alone (``(a, None)``
@@ -163,15 +164,38 @@ def checks_timestamps(index: IndexDescriptor) -> bool:
     return not index.is_composite
 
 
-def entry_is_current(entry_ts: int,
-                     stamp: Optional[Tuple[int, bool]]) -> bool:
-    """The validation read's timestamp check (DESIGN.md §14.2): is an
-    entry of a single-column index written at ``entry_ts`` still its
-    row's entry, given the indexed column's newest ``(ts, is_tombstone)``
-    (None when the row never had the column)?
+# The three answers of :func:`entry_verdict`: plain strings, not an
+# enum, because the read loops ask once per hit and an enum member
+# lookup costs more than the rule itself.
+LIVE, DEAD, UNSETTLED = "live", "dead", "unsettled"
 
-    Every entry carries the ts of the indexed cell it was derived from
-    (the blind ship's put ts, ``row_index_entry`` for a backfill), so the
-    entry is current exactly when that cell is still the newest one: no
-    newer cell, and not masked by a tombstone."""
-    return stamp is not None and not stamp[1] and stamp[0] <= entry_ts
+
+def entry_verdict(index: IndexDescriptor, entry_ts: int,
+                  entry_values: tuple, row: Dict[str, Tuple],
+                  row_locked: Optional[bool] = None, *,
+                  timestamps_only: bool = False) -> str:
+    """The one stale-entry rule (DESIGN.md §11.3) for the entry
+    ``entry_values``@``entry_ts``.  ``row`` is the indexed columns'
+    newest cells, ``{col: (value, ts)}`` with a tombstone as ``(None,
+    ts)``, or with ``timestamps_only`` a single-column index's
+    ``{col: (ts, is_tombstone) | None}``.
+
+    LIVE when the row derives the entry: by value, or by timestamp when
+    the newest indexed cell is a value no newer than the entry.  DEAD
+    when not live and a cell at least as new refutes it, or when
+    ``row_locked is False`` (no put can still land a cell for it).
+    UNSETTLED otherwise: the entry may belong to a put still in flight.
+    """
+    if timestamps_only:
+        stamp = row.get(index.columns[0])
+        if stamp is not None and not stamp[1] and stamp[0] <= entry_ts:
+            return LIVE
+        newest = -1 if stamp is None else stamp[0]
+    else:
+        values = {col: value for col, (value, _ts) in row.items()}
+        if extract_index_values(index, values) == entry_values:
+            return LIVE
+        newest = max((ts for _value, ts in row.values()), default=-1)
+    if newest >= entry_ts or row_locked is False:
+        return DEAD
+    return UNSETTLED

@@ -26,8 +26,8 @@ from repro.errors import NoSuchIndexError
 from repro.core.encoding import (IndexableValue, decode_index_key,
                                  encode_value, index_prefix,
                                  prefix_upper_bound)
-from repro.core.index import (IndexDescriptor, checks_timestamps,
-                              entry_is_current, extract_index_values)
+from repro.core.index import (DEAD, LIVE, IndexDescriptor, checks_timestamps,
+                              entry_verdict)
 from repro.core.schemes import IndexScheme
 from repro.core.session import Session
 from repro.lsm.types import KeyRange
@@ -193,10 +193,9 @@ def _double_check(client: "Client", index: IndexDescriptor,
     """Algorithm 2, SR2: for every candidate, read the base row; keep the
     entry if the base value still matches, otherwise filter it out.  A
     filtered entry is deleted from the index table (lazy repair) only
-    when the row's newest indexed cell, value or tombstone, is at least
-    as new as the entry: a sync-insert PI ships beside its base log
-    write (DESIGN.md §11.3), so an entry that outruns its row may belong
-    to a put still in flight, and is left alone (``read_repair_deferred``).
+    when :func:`entry_verdict` calls it dead, i.e. a newer indexed cell
+    refutes it: an entry that outruns its row may belong to a put still
+    in flight, and is left alone (``read_repair_deferred``).
 
     The K base reads travel as parallel per-server multigets (~1 round
     trip instead of K), and the repair deletes scatter too; counters,
@@ -219,13 +218,11 @@ def _double_check(client: "Client", index: IndexDescriptor,
     stale: List[IndexHit] = []
     for hit in hits:
         checks.inc()
-        row_data = row_map.get(hit.rowkey, {})
-        current = {col: value for col, (value, _ts) in row_data.items()
-                   if value is not None}
-        if extract_index_values(index, current) == hit.values:
+        verdict = entry_verdict(index, hit.ts, hit.values,
+                                row_map.get(hit.rowkey, {}))
+        if verdict == LIVE:
             confirmed.append(hit)
-        elif max((ts for _value, ts in row_data.values()),
-                 default=-1) >= hit.ts:
+        elif verdict == DEAD:
             # Refuted by a newer cell: DI(v_index ⊕ k, ts) — delete that
             # exact entry version.
             repairs.inc()
@@ -249,12 +246,11 @@ def _validate(client: "Client", index: IndexDescriptor,
               ) -> Generator[Any, Any, List[IndexHit]]:
     """The validation scheme's read path (DESIGN.md §14.2): K parallel
     base reads — one scatter round trip, each row counted as one base
-    read.  A single-column index reads timestamps only and keeps a hit
-    by :func:`entry_is_current`; a composite one reads the indexed values
-    and keeps a hit whose tuple they still derive, as Algorithm 2 does
-    (:func:`checks_timestamps` says why).  Stale entries are only
-    *filtered*, never repaired inline; they are handed to the background
-    cleaner for deferred deletion.
+    read.  A single-column index reads timestamps only, a composite one
+    the indexed values (:func:`checks_timestamps` says why); a hit is
+    kept when :func:`entry_verdict` calls it live.  Stale entries are
+    only *filtered*, never repaired inline; they are handed to the
+    background cleaner for deferred deletion.
     """
     if not hits:
         return []
@@ -271,14 +267,9 @@ def _validate(client: "Client", index: IndexDescriptor,
     now = cluster.sim.now()
     confirmed: List[IndexHit] = []
     for hit in hits:
-        reply = replies.get(hit.rowkey, {})
-        if by_ts:
-            current = entry_is_current(hit.ts, reply.get(index.columns[0]))
-        else:
-            current = extract_index_values(
-                index, {col: value for col, (value, _ts) in reply.items()}
-            ) == hit.values
-        if current:
+        if entry_verdict(index, hit.ts, hit.values,
+                         replies.get(hit.rowkey, {}),
+                         timestamps_only=by_ts) == LIVE:
             validated.inc()
             confirmed.append(hit)
         else:

@@ -32,8 +32,8 @@ from repro.errors import (NoSuchIndexError, NoSuchRegionError,
                           NoSuchTableError, RpcError, StorageError)
 from repro.core.auq import live_index_ops
 from repro.core.encoding import decode_index_key
-from repro.core.index import (IndexDescriptor, IndexState,
-                              extract_index_values, row_index_entry)
+from repro.core.index import (DEAD, IndexDescriptor, IndexState,
+                              entry_verdict, row_index_entry)
 from repro.core.schemes import IndexScheme
 from repro.lsm.types import Cell, KeyRange
 from repro.cluster.region import compose_cell_key, split_cell_key
@@ -119,10 +119,11 @@ class DdlManager:
         self._register(job)
         return job
 
-    def submit_alter(self, index: IndexDescriptor, new_scheme: IndexScheme,
-                     scrub: bool) -> DdlJob:
-        job = self._new_job(JobKind.ALTER, index,
-                            new_scheme=new_scheme.value, scrub=scrub)
+    def submit_alter(self, index: IndexDescriptor,
+                     new_scheme: IndexScheme) -> DdlJob:
+        job = self._new_job(JobKind.ALTER, index, new_scheme=new_scheme.value,
+                            scrub=index.scheme.is_lazy
+                            and not new_scheme.is_lazy)
         self._register(job)
         return job
 
@@ -483,9 +484,9 @@ class DdlManager:
             columns=list(index.columns))
         dels = []
         for cell, values, rowkey in decoded:
-            current = {col: value for col, (value, _ts)
-                       in row_map.get(rowkey, {}).items()}
-            if extract_index_values(index, current) != values:
+            # Past the log barrier, no put in flight can back an entry.
+            if entry_verdict(index, cell.ts, values, row_map.get(rowkey, {}),
+                             row_locked=False) == DEAD:
                 # Stale: tombstone that exact entry version.  An entry the
                 # new scheme wrote for the same key sits at a newer ts and
                 # survives the tombstone.

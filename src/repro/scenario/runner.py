@@ -92,7 +92,7 @@ class _TenantState:
             self.controller = AdaptiveController(
                 cluster, spec.index_name,
                 required_consistency=spec.consistency,
-                policy=SCENARIO_POLICY, online_actuation=True)
+                policy=SCENARIO_POLICY)
         self.in_flight = 0
         self.issued = 0
         self.acked_writes: List[bytes] = []

@@ -81,7 +81,8 @@ def test_full_lifecycle(world):
     for i in range(10):
         cluster.run(client.delete("item", schema.rowkey(i),
                                   columns=schema.all_columns))
-    cluster.change_index_scheme("item_title", IndexScheme.SYNC_FULL)
+    cluster.run(cluster.change_index_scheme("item_title",
+                                            IndexScheme.SYNC_FULL).wait())
     cluster.run(mixed(100), name="phase3")
 
     # Quiesce; every index must be exactly consistent.

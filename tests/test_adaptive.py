@@ -17,15 +17,23 @@ def cluster():
 
 # -- runtime scheme switching ----------------------------------------------------
 
+def alter(cluster, scheme):
+    """ALTER ``ix`` to ``scheme`` and run the online job to its end."""
+    job = cluster.change_index_scheme("ix", scheme)
+    if job is not None:
+        cluster.run(job.wait())
+    return job
+
+
 def test_change_scheme_updates_catalog(cluster):
-    cluster.change_index_scheme("ix", IndexScheme.ASYNC_SIMPLE)
+    alter(cluster, IndexScheme.ASYNC_SIMPLE)
     assert cluster.index_descriptor("ix").scheme is IndexScheme.ASYNC_SIMPLE
 
 
 def test_change_scheme_changes_put_behaviour(cluster):
     client = cluster.new_client()
     cluster.run(client.put("t", b"r1", {"c": b"a"}))   # sync-full: 1 read
-    cluster.change_index_scheme("ix", IndexScheme.SYNC_INSERT)
+    alter(cluster, IndexScheme.SYNC_INSERT)
     base = cluster.counters.snapshot()
     cluster.run(client.put("t", b"r1", {"c": b"b"}))
     diff = cluster.counters.since(base)
@@ -35,11 +43,11 @@ def test_change_scheme_changes_put_behaviour(cluster):
 
 def test_switch_from_sync_insert_scrubs_stale(cluster):
     client = cluster.new_client()
-    cluster.change_index_scheme("ix", IndexScheme.SYNC_INSERT)
+    alter(cluster, IndexScheme.SYNC_INSERT)
     cluster.run(client.put("t", b"r1", {"c": b"old"}))
     cluster.run(client.put("t", b"r1", {"c": b"new"}))
     assert len(check_index(cluster, "ix").stale) == 1
-    cluster.change_index_scheme("ix", IndexScheme.SYNC_FULL)
+    alter(cluster, IndexScheme.SYNC_FULL)
     # The scrub removed the stale entry, so trusting reads are safe:
     assert check_index(cluster, "ix").is_consistent
     got = cluster.run(client.get_by_index("ix", equals=[b"old"]))
@@ -48,16 +56,16 @@ def test_switch_from_sync_insert_scrubs_stale(cluster):
 
 def test_switch_to_async_then_back_converges(cluster):
     client = cluster.new_client()
-    cluster.change_index_scheme("ix", IndexScheme.ASYNC_SIMPLE)
+    alter(cluster, IndexScheme.ASYNC_SIMPLE)
     for i in range(10):
         cluster.run(client.put("t", f"r{i}".encode(), {"c": b"x"}))
-    cluster.change_index_scheme("ix", IndexScheme.SYNC_FULL)
+    alter(cluster, IndexScheme.SYNC_FULL)
     cluster.quiesce()    # pending AUQ deliveries are idempotent and safe
     assert check_index(cluster, "ix").is_consistent
 
 
 def test_change_to_same_scheme_is_noop(cluster):
-    cluster.change_index_scheme("ix", IndexScheme.SYNC_FULL)
+    assert alter(cluster, IndexScheme.SYNC_FULL) is None
     assert cluster.index_descriptor("ix").scheme is IndexScheme.SYNC_FULL
 
 
@@ -112,6 +120,7 @@ def test_evaluate_acts_and_respects_cooldown(cluster):
     feed(ctrl, updates=45, reads=5)
     decision = ctrl.evaluate()
     assert decision.acted and decision.recommended is IndexScheme.ASYNC_SIMPLE
+    cluster.run(ctrl.jobs[-1].wait())
     assert cluster.index_descriptor("ix").scheme is IndexScheme.ASYNC_SIMPLE
     # Immediately feeding the opposite profile does nothing (cooldown).
     feed(ctrl, reads=5, updates=0)
@@ -142,6 +151,8 @@ def test_adaptive_end_to_end_switches_with_workload(cluster):
         cluster.run(client.get_by_index("ix", equals=[f"v{i % 3}".encode()]))
         ctrl.observe_read()
         ctrl.evaluate()
+    for job in ctrl.jobs:
+        cluster.run(job.wait())
     assert cluster.index_descriptor("ix").scheme is IndexScheme.SYNC_FULL
     cluster.quiesce()
     assert check_index(cluster, "ix").is_consistent

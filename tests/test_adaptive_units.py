@@ -66,6 +66,7 @@ def test_causal_class_alternates_between_sync_schemes(cluster):
         ctrl.observe_read()
     decision = ctrl.evaluate()
     assert decision.recommended is IndexScheme.SYNC_FULL
+    cluster.run(ctrl.jobs[-1].wait())
     assert cluster.index_descriptor("ix").scheme is IndexScheme.SYNC_FULL
 
 

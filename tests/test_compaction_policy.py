@@ -2,9 +2,11 @@
 (DESIGN.md §14)."""
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster, check_index
+from repro.core.encoding import encode_index_key
 from repro.core.verify import actual_entries
 from repro.lsm import Cell, LSMConfig, LSMTree
 from repro.lsm.compaction import CompactionPolicy
+from repro.lsm.types import DELTA_MS
 
 # Single-run leveling: every round merges every file, as a major
 # compaction, once ``min_files`` files exist.
@@ -159,6 +161,44 @@ def test_purge_settles_staleness_debt():
     _compact_index(cluster, index)
     cluster.quiesce()
     assert cluster.staleness.stale_debt == 0
+
+
+def test_major_compaction_keeps_a_put_in_flight():
+    """A sync-insert PI ships beside its base log write, so a major
+    compaction can meet a settled entry (older than now − δ) whose put
+    has not landed its base cell: no cell backs it, but its row is
+    locked, so the purge must keep it.  An entry no put backs (r9: same
+    ts, row not locked) is purged."""
+    from tests.test_ddl_online import _slow_put
+
+    cluster, client, put = _slow_put(
+        IndexScheme.SYNC_INSERT,
+        compaction=CompactionPolicy(min_files=1, major_every=1))
+    cluster.advance(3.0)
+    index = cluster.index_descriptor("ix")
+    entry = encode_index_key([b"new"], b"r1")
+    orphan = encode_index_key([b"new"], b"r9")
+    ts = actual_entries(cluster, index)[entry]          # PI landed first
+    server, region_name = cluster.locate(index.table_name, entry)
+    region = server.regions[region_name]
+    cluster.run(server.handle_index_ops([("put", index.table_name, orphan,
+                                          ts)]))
+    cluster.run(server.flush_region(region))
+    base, base_region = cluster.locate("t", b"r1")
+    assert not put.future.done()
+    assert not base.regions[base_region].read_row(b"r1")
+    assert ts <= cluster.sim.now() - DELTA_MS           # settled
+    cluster.run(server.compact_region(region))
+    assert cluster.metrics.total("compaction_dead_entries_purged_total") == 1
+    assert set(actual_entries(cluster, index)) == {entry}
+
+    cluster.advance(20.0)
+    assert put.future.done()
+    hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
+    assert [h.rowkey for h in hits] == [b"r1"]
+    cluster.quiesce()
+    report = check_index(cluster, "ix")
+    assert report.is_consistent, (report.missing, report.stale)
 
 
 def test_minor_compaction_never_purges():

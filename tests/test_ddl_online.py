@@ -1,6 +1,7 @@
 """Online index DDL (repro.ddl): the crash-safe CREATE/ALTER/DROP state
 machine, concurrent-write backfill, resume after crashes, and the
-offline/online equivalence guarantee."""
+offline/online CREATE equivalence guarantee.  Every ALTER is the online
+job."""
 
 import pytest
 
@@ -308,8 +309,7 @@ def test_online_alter_scrubs_stale_entries_in_chunks():
     _load(cluster, client, "t", 150, value=b"new")   # updates -> stale entries
     assert not check_index(cluster, "ix").is_consistent  # lazy by design
 
-    job = cluster.change_index_scheme("ix", IndexScheme.SYNC_FULL,
-                                      online=True)
+    job = cluster.change_index_scheme("ix", IndexScheme.SYNC_FULL)
     assert job.scrub
     cluster.run(job.wait())
     assert job.phase is JobPhase.ACTIVE
@@ -333,8 +333,7 @@ def test_reads_stay_correct_during_alter_transition():
     _load(cluster, client, "t", 120, value=b"old")
     _load(cluster, client, "t", 120, value=b"new")
 
-    job = cluster.change_index_scheme("ix", IndexScheme.SYNC_FULL,
-                                      online=True)
+    job = cluster.change_index_scheme("ix", IndexScheme.SYNC_FULL)
 
     def mid_scrub():
         while job.phase is not JobPhase.BACKFILL or job.chunks_done < 1:
@@ -361,8 +360,7 @@ def test_alter_without_scrub_skips_backfill():
                                          scheme=IndexScheme.SYNC_FULL))
     client = cluster.new_client()
     _load(cluster, client, "t", 40)
-    job = cluster.change_index_scheme("ix", IndexScheme.ASYNC_SIMPLE,
-                                      online=True)
+    job = cluster.change_index_scheme("ix", IndexScheme.ASYNC_SIMPLE)
     assert not job.scrub                   # sync-full leaves nothing stale
     cluster.run(job.wait())
     assert job.phase is JobPhase.ACTIVE
@@ -391,7 +389,7 @@ def test_online_drop_persists_intent_then_drops():
 # Adaptive controller actuates through the online job
 # ---------------------------------------------------------------------------
 
-def test_adaptive_controller_online_actuation_returns_job():
+def test_adaptive_controller_returns_the_alter_job():
     from repro.core.adaptive import AdaptiveController
     from repro.core.schemes import ConsistencyLevel
 
@@ -402,27 +400,43 @@ def test_adaptive_controller_online_actuation_returns_job():
     client = cluster.new_client()
     _load(cluster, client, "t", 60)
 
-    controller = AdaptiveController(
-        cluster, "ix", ConsistencyLevel.EVENTUAL, online_actuation=True)
+    controller = AdaptiveController(cluster, "ix", ConsistencyLevel.EVENTUAL)
     for _ in range(200):
         controller.observe_update()
     decision = controller.evaluate()
     assert decision.acted and decision.recommended is IndexScheme.ASYNC_SIMPLE
     assert len(controller.jobs) == 1
     job = controller.jobs[0]
+    # The switch is a job inside simulated time, not a free catalog swap.
+    assert cluster.index_descriptor("ix").scheme is IndexScheme.SYNC_FULL
     cluster.run(job.wait())
     assert job.phase is JobPhase.ACTIVE
     assert cluster.index_descriptor("ix").scheme is IndexScheme.ASYNC_SIMPLE
 
 
-def _slow_put(scheme, old=None):
-    """A 3-server cluster whose index ``ix`` (``scheme``) lives off the
-    base server of row r1, optionally holding r1 = ``old``; returns it, a
-    client, and a put of r1 = new spawned behind a base log write slowed
-    by 10 ms, so a DDL step can land while the put is in that write."""
+def test_alter_of_a_local_index_raises_before_submitting_a_job():
+    from repro.core.index import IndexScope
+
+    cluster = MiniCluster(num_servers=2, seed=3).start()
+    cluster.create_table("t")
+    cluster.create_index(IndexDescriptor("lx", "t", ("c",),
+                                         scope=IndexScope.LOCAL))
+    with pytest.raises(ValueError):
+        cluster.change_index_scheme("lx", IndexScheme.ASYNC_SIMPLE)
+    assert not cluster.ddl.jobs
+    assert cluster.change_index_scheme("lx", IndexScheme.SYNC_FULL) is None
+
+
+def _slow_put(scheme, old=None, compaction=None):
+    """A 3-server cluster whose index ``ix`` (``scheme``, ``compaction``
+    policy) lives off the base server of row r1, optionally holding r1 =
+    ``old``; returns it, a client, and a put of r1 = new spawned behind a
+    base log write slowed by 10 ms, so a DDL step or an index compaction
+    can land while the put is in that write."""
     cluster = MiniCluster(num_servers=3, seed=7).start()
     cluster.create_table("t")
-    cluster.create_index(IndexDescriptor("ix", "t", ("c",), scheme=scheme))
+    cluster.create_index(IndexDescriptor("ix", "t", ("c",), scheme=scheme),
+                         compaction=compaction)
     client = cluster.new_client()
     if old is not None:
         cluster.run(client.put("t", b"r1", {"c": old}))
@@ -444,8 +458,7 @@ def test_alter_scrub_waits_for_a_put_whose_pi_landed_first():
     assert not put.future.done()
     assert check_index(cluster, "ix").stale      # entry in, base cell not
 
-    job = cluster.change_index_scheme("ix", IndexScheme.SYNC_FULL,
-                                      online=True)
+    job = cluster.change_index_scheme("ix", IndexScheme.SYNC_FULL)
     cluster.run(job.wait())
     assert put.future.done()
     assert job.stale_deleted == 0
@@ -462,8 +475,7 @@ def test_alter_to_sync_insert_during_a_put_still_ships_its_pi():
     nothing, so the put must ship the PI before it acks."""
     cluster, client, put = _slow_put(IndexScheme.SYNC_FULL, old=b"old")
     cluster.advance(3.0)
-    job = cluster.change_index_scheme("ix", IndexScheme.SYNC_INSERT,
-                                      online=True)
+    job = cluster.change_index_scheme("ix", IndexScheme.SYNC_INSERT)
     assert not job.scrub
     cluster.advance(0.1)
     assert cluster.index_descriptor("ix").scheme is IndexScheme.SYNC_INSERT
@@ -476,11 +488,11 @@ def test_alter_to_sync_insert_during_a_put_still_ships_its_pi():
     assert [h.rowkey for h in hits] == [b"r1"]
 
 
-def test_offline_scrub_leaves_a_put_whose_pi_landed_first():
-    """The offline ALTER scrub runs at one instant and cannot wait for a
-    base write, so it must tell an entry whose put is still in flight
-    (row locked, no base cell as new as the entry) from a stale one, and
-    from one no put will ever back (r9: same ts, row not locked)."""
+def test_alter_scrub_removes_an_orphan_but_keeps_a_put_in_flight():
+    """An ALTER scrub that starts while a sync-insert put's PI has landed
+    and its base cell has not must keep that entry (r1), and still
+    scrub one no put will ever back (r9: same ts, no row) and the
+    entry r1's put supersedes."""
     cluster, client, put = _slow_put(IndexScheme.SYNC_INSERT, old=b"old")
     cluster.advance(3.0)
     assert not put.future.done()
@@ -492,9 +504,10 @@ def test_offline_scrub_leaves_a_put_whose_pi_landed_first():
     cluster.run(server.handle_index_ops([("put", index.table_name, orphan,
                                           ts)]))
     assert len(check_index(cluster, "ix").stale) == 2
-    cluster.change_index_scheme("ix", IndexScheme.SYNC_FULL)
-    cluster.advance(20.0)
+    job = cluster.change_index_scheme("ix", IndexScheme.SYNC_FULL)
+    cluster.run(job.wait())
     assert put.future.done()
+    assert job.stale_deleted == 2                     # r9 and r1's "old"
     cluster.quiesce()
     report = check_index(cluster, "ix")
     assert report.is_consistent, (report.missing, report.stale)

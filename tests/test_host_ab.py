@@ -24,9 +24,12 @@ def test_one_pair_against_the_same_tree(capsys):
     assert out[0].startswith("pair 1: parent first, ops_per_cpu_s parent ")
     assert out[1].startswith("parent: ops_per_cpu_s ")
     assert out[2].startswith("change: ops_per_cpu_s ")
-    assert "setup_cpu_s" in out[1] and "setup_cpu_s" in out[2]
+    for line in out[1:3]:
+        assert "setup_cpu_s" in line and "peak_rss_mb" in line
     assert out[3].startswith("wins ") and "/1;" in out[3]
-    assert out[4].endswith("on both sides")
+    assert out[4].startswith("bounds: ops_per_cpu_s ")
+    assert "setup_s" in out[4] and "peak_rss_mb" in out[4]
+    assert out[5].endswith("on both sides")
 
 
 def test_claim_rule_needs_nine_wins_and_a_gap_beyond_parent_iqr():
@@ -43,11 +46,25 @@ def test_claim_rule_needs_nine_wins_and_a_gap_beyond_parent_iqr():
     assert verdict["wins"] == 10 and not verdict["holds"]
 
 
+def test_judge_reads_each_bound_in_its_direction():
+    host_ab = _load()
+    bounds = host_ab.bounds()
+    assert bounds["peak_rss_mb"] == (0.1, "lower")
+    assert bounds["setup_s"][1] == "lower"
+    assert bounds["ops_per_cpu_s"][1] == "higher"
+    assert host_ab.judge([100.0], [111.0], 0.1, "lower")[1]
+    assert not host_ab.judge([100.0], [109.0], 0.1, "lower")[1]
+    assert host_ab.judge([100.0], [70.0], 0.25, "higher")[1]
+    assert not host_ab.judge([100.0], [130.0], 0.25, "higher")[1]
+    assert host_ab.judge([100.0], [70.0], 0.25, "higher")[0] == -0.3
+
+
 def test_differing_fingerprints_exit_nonzero(monkeypatch, capsys):
     host_ab = _load()
 
     def fake_side(tree, workload, seed, scale):
         return {"ops_per_cpu_s": 1000.0, "setup_cpu_s": 0.1,
+                "peak_rss_mb": 80.0,
                 "fingerprint": "change" if tree == REPO else "parent"}
 
     monkeypatch.setattr(host_ab, "run_side", fake_side)

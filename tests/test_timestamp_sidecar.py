@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from repro import IndexDescriptor, IndexScheme, MiniCluster
 from repro.core import reader
-from repro.core.index import (checks_timestamps, entry_is_current,
-                              extract_index_values)
+from repro.core.index import (DEAD, LIVE, UNSETTLED, checks_timestamps,
+                              entry_verdict, extract_index_values)
 from repro.lsm import (BlockCache, Cell, CompactionPolicy, KeyRange,
                        LSMConfig, LSMTree, ReadStats, SSTableBuilder,
                        cell_size)
@@ -210,15 +210,41 @@ def value_check(client, index, hits):
     return kept
 
 
-def test_entry_is_current_rule():
-    """Current iff the indexed cell's newest version is a value no newer
-    than the entry; a tombstone at the entry's own ts masks it."""
-    assert entry_is_current(5, (5, False))
-    assert entry_is_current(5, (4, False))
-    assert not entry_is_current(5, (6, False))
-    assert not entry_is_current(5, (5, True))
-    assert not entry_is_current(5, (3, True))
-    assert not entry_is_current(5, None)
+def test_entry_verdict_timestamp_rule():
+    """By timestamp, live iff the indexed cell's newest version is a value
+    no newer than the entry; a tombstone at the entry's own ts masks it.
+    A cell at least as new refutes the entry; none leaves it unsettled
+    unless the caller knows the row is not locked."""
+    ix = IndexDescriptor("ix", "t", ("c",))
+
+    def verdict(stamp, row_locked=None):
+        return entry_verdict(ix, 5, (b"v",), {"c": stamp}, row_locked,
+                             timestamps_only=True)
+
+    assert verdict((5, False)) == LIVE
+    assert verdict((4, False)) == LIVE
+    assert verdict((6, False)) == DEAD
+    assert verdict((5, True)) == DEAD
+    assert verdict((3, True)) == UNSETTLED
+    assert verdict(None) == UNSETTLED
+    assert verdict(None, row_locked=True) == UNSETTLED
+    assert verdict(None, row_locked=False) == DEAD
+
+
+def test_entry_verdict_value_rule():
+    """By value, live iff the row's cells derive the entry's tuple, whatever
+    their timestamps; otherwise the same refute-or-unlocked rule."""
+    ix = IndexDescriptor("ix", "t", ("c", "d"))
+
+    def verdict(row, row_locked=None):
+        return entry_verdict(ix, 5, (b"a", b"b"), row, row_locked)
+
+    assert verdict({"c": (b"a", 9), "d": (b"b", 2)}) == LIVE
+    assert verdict({"c": (b"a", 5), "d": (None, 5)}) == DEAD
+    assert verdict({"c": (b"x", 4)}) == UNSETTLED
+    assert verdict({"c": (b"x", 4)}, row_locked=True) == UNSETTLED
+    assert verdict({"c": (b"x", 4)}, row_locked=False) == DEAD
+    assert verdict({}, row_locked=False) == DEAD
 
 
 def test_only_single_column_indexes_check_timestamps():

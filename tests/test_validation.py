@@ -190,10 +190,8 @@ def test_online_alter_insert_to_validation_to_async():
         cluster.run(client.put("t", f"r{i}".encode(), {"c": b"b"}))
     assert len(check_index(cluster, "ix").stale) == 8
 
-    job = cluster.change_index_scheme("ix", IndexScheme.VALIDATION,
-                                      online=True)
-    if job is not None:
-        cluster.run(job.wait())
+    job = cluster.change_index_scheme("ix", IndexScheme.VALIDATION)
+    cluster.run(job.wait())
     assert cluster.index_descriptor("ix").scheme is IndexScheme.VALIDATION
     # lazy -> lazy never scrubs: the stale entries are still there...
     assert len(check_index(cluster, "ix").stale) == 8
@@ -201,10 +199,8 @@ def test_online_alter_insert_to_validation_to_async():
     assert hits(cluster, client, b"a") == []
     assert len(hits(cluster, client, b"b")) == 8
 
-    job = cluster.change_index_scheme("ix", IndexScheme.ASYNC_SIMPLE,
-                                      online=True)
-    if job is not None:
-        cluster.run(job.wait())
+    job = cluster.change_index_scheme("ix", IndexScheme.ASYNC_SIMPLE)
+    cluster.run(job.wait())
     cluster.quiesce()
     assert cluster.index_descriptor("ix").scheme is IndexScheme.ASYNC_SIMPLE
     assert check_index(cluster, "ix").is_consistent
