@@ -248,9 +248,9 @@ def _validate(client: "Client", index: IndexDescriptor,
     base reads — one scatter round trip, each row counted as one base
     read.  A single-column index reads timestamps only, a composite one
     the indexed values (:func:`checks_timestamps` says why); a hit is
-    kept when :func:`entry_verdict` calls it live.  Stale entries are
-    only *filtered*, never repaired inline; they are handed to the
-    background cleaner for deferred deletion.
+    kept when :func:`entry_verdict` calls it live.  The rest are only
+    *filtered*, never repaired inline; the dead ones are handed to the
+    background cleaner (an unsettled one may be a put still in flight).
     """
     if not hits:
         return []
@@ -267,9 +267,10 @@ def _validate(client: "Client", index: IndexDescriptor,
     now = cluster.sim.now()
     confirmed: List[IndexHit] = []
     for hit in hits:
-        if entry_verdict(index, hit.ts, hit.values,
-                         replies.get(hit.rowkey, {}),
-                         timestamps_only=by_ts) == LIVE:
+        verdict = entry_verdict(index, hit.ts, hit.values,
+                                replies.get(hit.rowkey, {}),
+                                timestamps_only=by_ts)
+        if verdict == LIVE:
             validated.inc()
             confirmed.append(hit)
         else:
@@ -278,6 +279,7 @@ def _validate(client: "Client", index: IndexDescriptor,
             # dead entry has lingered).
             filtered.inc()
             cluster.staleness.note_stale(now - hit.ts, served=False)
-            cluster.validation_cleaner.note(index.table_name, hit.index_key,
-                                            hit.ts)
+            if verdict == DEAD:
+                cluster.validation_cleaner.note(index.table_name,
+                                                hit.index_key, hit.ts)
     return confirmed

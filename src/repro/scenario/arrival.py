@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Generator, Optional, Tuple
 
 from repro.sim.random import RandomStream
 from repro.ycsb.distributions import KeyChooser
+from repro.ycsb.workload import MixSchedule
 
 __all__ = ["RateCurve", "ConstantRate", "DiurnalRate", "SpikedRate",
            "poisson_arrivals", "expected_ops", "HotspotPhase",
@@ -224,65 +225,3 @@ class HotspotChooser:
             lo = max(0, min(lo, self.item_count - span))
             return lo + rng.randint(0, span - 1)
         return self.base.next_index(rng)
-
-
-# ---------------------------------------------------------------------------
-# Time-varying operation mixes
-# ---------------------------------------------------------------------------
-
-
-class MixSchedule:
-    """Piecewise-constant operation mix over simulated time.
-
-    ``phases`` maps a start time to an op-proportions dict (values need
-    not sum to 1; they are normalised).  The phase whose start is the
-    latest one ≤ ``t`` is active; times before the first phase use the
-    first phase."""
-
-    def __init__(self, phases: Sequence[Tuple[float, Dict[str, float]]]):
-        if not phases:
-            raise ValueError("MixSchedule needs at least one phase")
-        ordered = sorted(phases, key=lambda p: p[0])
-        self._phases: List[Tuple[float, List[Tuple[float, str]]]] = []
-        for start, proportions in ordered:
-            total = sum(proportions.values())
-            if total <= 0:
-                raise ValueError(f"phase at {start}: proportions must sum "
-                                 f"to a positive value")
-            cumulative: List[Tuple[float, str]] = []
-            acc = 0.0
-            for op, weight in proportions.items():
-                if weight < 0:
-                    raise ValueError(f"negative weight for {op!r}")
-                acc += weight / total
-                cumulative.append((acc, op))
-            self._phases.append((start, cumulative))
-
-    def proportions_at(self, t_ms: float) -> List[Tuple[float, str]]:
-        chosen = self._phases[0][1]
-        for start, cumulative in self._phases:
-            if start <= t_ms:
-                chosen = cumulative
-            else:
-                break
-        return chosen
-
-    def draw(self, t_ms: float, rng: RandomStream) -> str:
-        cumulative = self.proportions_at(t_ms)
-        roll = rng.random()
-        for threshold, op in cumulative:
-            if roll <= threshold:
-                return op
-        return cumulative[-1][1]
-
-    def update_fraction_at(self, t_ms: float) -> float:
-        """The nominal update share of the active phase (used by reports
-        to annotate windows with the *offered* mix)."""
-        cumulative = self.proportions_at(t_ms)
-        fraction = 0.0
-        prev = 0.0
-        for threshold, op in cumulative:
-            if op in ("update", "insert"):
-                fraction += threshold - prev
-            prev = threshold
-        return fraction

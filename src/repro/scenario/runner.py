@@ -29,12 +29,13 @@ exact, replayable history.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, Iterator, List, Optional
 
 from repro.cluster.cluster import MiniCluster
 from repro.cluster.network import FaultPlan
 from repro.core.adaptive import AdaptiveController, AdaptivePolicy
 from repro.core.index import IndexDescriptor
+from repro.errors import ReproError
 from repro.replication.config import ReplicationConfig
 from repro.scenario.arrival import HotspotChooser, poisson_arrivals
 from repro.scenario.report import ScenarioReport, TenantResult
@@ -42,9 +43,9 @@ from repro.scenario.slo import WindowAccumulator, WindowReport
 from repro.scenario.spec import ScenarioSpec, StormEvent, TenantSpec
 from repro.sim.kernel import Timeout
 from repro.sim.random import RandomStream
-from repro.ycsb.driver import load_direct
+from repro.ycsb.driver import OpRecorder, load_direct, open_loop
 from repro.ycsb.schema import ItemSchema, TITLE_COLUMN
-from repro.ycsb.workload import CoreWorkload
+from repro.ycsb.workload import CoreWorkload, Op, OpType
 
 __all__ = ["ScenarioRunner"]
 
@@ -59,10 +60,13 @@ SCENARIO_POLICY = AdaptivePolicy(window_ops=150, min_ops_to_act=40,
                                  cooldown_ops=60)
 
 
-class _TenantState:
-    """Everything the runner tracks for one tenant at run time."""
+class _TenantState(OpRecorder):
+    """Everything the runner tracks for one tenant at run time, and the
+    recorder of its ops: the open window, the adaptive controller's op
+    mix and the acked rows the audit reads back."""
 
     def __init__(self, runner: "ScenarioRunner", spec: TenantSpec):
+        super().__init__()
         cluster = runner.cluster
         self.spec = spec
         self.schema = ItemSchema(
@@ -93,10 +97,29 @@ class _TenantState:
                 cluster, spec.index_name,
                 required_consistency=spec.consistency,
                 policy=SCENARIO_POLICY)
-        self.in_flight = 0
-        self.issued = 0
         self.acked_writes: List[bytes] = []
         self._staleness_floor = 0   # index into cluster.staleness.lags_ms
+
+    def record(self, kind: str, latency_ms: float,
+               acked_row: Optional[bytes]) -> None:
+        self.accumulator.record(kind, latency_ms)
+        self._observe(kind)
+        if acked_row is not None:
+            self.acked_writes.append(acked_row)
+
+    def record_failure(self, kind: str) -> None:
+        self.accumulator.record_failure()   # storms make ops fail
+        self._observe(kind)
+
+    def record_shed(self) -> None:
+        self.accumulator.record_shed()
+
+    def _observe(self, kind: str) -> None:
+        if self.controller is not None:
+            if kind in OpType.WRITES:
+                self.controller.observe_update()
+            else:
+                self.controller.observe_read()
 
     def window_staleness(self, cluster: MiniCluster) -> float:
         """Worst index-completion lag the tracker observed since the
@@ -154,65 +177,25 @@ class ScenarioRunner:
 
     # -- load generation -------------------------------------------------------
 
-    def _one_op(self, state: _TenantState, op: str,
-                ) -> Generator[Any, Any, None]:
-        sim = self.cluster.sim
-        start = sim.now()
-        state.in_flight += 1
-        state.issued += 1
-        controller = state.controller
-        try:
-            workload, client, rng = state.workload, state.client, state.rng
-            if op == "update":
-                row, values = workload.next_update(rng)
-                yield from client.put(state.spec.table, row, values)
-                state.acked_writes.append(row)
-            elif op == "insert":
-                row, values = workload.next_insert(rng)
-                yield from client.put(state.spec.table, row, values)
-                state.acked_writes.append(row)
-            elif op == "index_read":
-                title = workload.next_title_query(rng)
-                yield from client.get_by_index(state.spec.index_name,
-                                               equals=[title])
-            elif op == "base_read":
-                row = workload.next_rowkey(rng)
-                yield from client.get(state.spec.table, row)
-            else:
-                raise ValueError(f"unknown scenario op {op!r}")
-        except Exception:   # noqa: BLE001 — storms make ops fail; count them
-            state.accumulator.record_failure()
-            return
-        finally:
-            state.in_flight -= 1
-            if controller is not None:
-                if op in ("update", "insert"):
-                    controller.observe_update()
-                else:
-                    controller.observe_read()
-        state.accumulator.record(op, sim.now() - start)
-
     def _tenant_loadgen(self, state: _TenantState, end_ms: float,
                         ) -> Generator[Any, Any, None]:
         """Open-loop arrival process for one tenant: walk the thinned
         Poisson schedule, spawning each op as its own process (arrivals
         never wait for completions)."""
         sim = self.cluster.sim
-        spec = state.spec
-        for at in poisson_arrivals(spec.arrival, state.arrival_rng,
-                                   sim.now(), end_ms):
-            delay = at - sim.now()
-            if delay > 0:
-                yield Timeout(delay)
-            if sim.now() >= end_ms:
-                return
-            if state.in_flight >= MAX_IN_FLIGHT:
-                state.accumulator.record_shed()
-                continue
-            op = spec.mix.draw(sim.now(), state.rng)
-            proc = sim.spawn(self._one_op(state, op),
-                             name=f"{spec.name}-op")
-            proc._waited_on = True   # failures are counted, not raised
+        spec, workload, rng = state.spec, state.workload, state.rng
+
+        def ops() -> Iterator[Op]:
+            while True:
+                yield workload.draw(spec.mix.draw(sim.now(), rng), rng)
+
+        def delays() -> Iterator[float]:
+            for at in poisson_arrivals(spec.arrival, state.arrival_rng,
+                                       sim.now(), end_ms):
+                yield at - sim.now()
+
+        return open_loop(state.client, spec.table, ops(), delays(), end_ms,
+                         state, MAX_IN_FLIGHT)
 
     # -- storm schedule --------------------------------------------------------
 
@@ -293,14 +276,12 @@ class ScenarioRunner:
             for row in rows:
                 try:
                     found = yield from client.get(state.spec.table, row)
-                except Exception:   # noqa: BLE001 — a loss, not a crash
-                    lost += 1
-                    continue
+                except ReproError:   # a loss, not a crash
+                    found = None
                 if not found:
                     lost += 1
 
-        if rows:
-            self.cluster.run(audit(), name=f"audit-{state.spec.name}")
+        self.cluster.run(audit(), name=f"audit-{state.spec.name}")
         return {"acked": len(state.acked_writes),
                 "audited": len(rows), "lost": lost}
 
@@ -314,15 +295,11 @@ class ScenarioRunner:
         end = start + self.spec.duration_ms
         promotions0 = int(cluster.metrics.total("promotions_total"))
 
-        procs = [sim.spawn(self._tenant_loadgen(state, end),
-                           name=f"loadgen-{name}")
-                 for name, state in self.tenants.items()]
-        procs.append(sim.spawn(self._storm_process(start), name="storm"))
+        for name, state in self.tenants.items():
+            sim.spawn(self._tenant_loadgen(state, end), name=f"loadgen-{name}")
+        sim.spawn(self._storm_process(start), name="storm")
         sampler = sim.spawn(self._sampler_process(start, end),
                             name="slo-sampler")
-        procs.append(sampler)
-        for proc in procs:
-            proc._waited_on = True
         # The sampler is the metronome: it closes the last window exactly
         # at the horizon, after which stragglers may still be in flight.
         while not sampler.future.done():

@@ -21,15 +21,13 @@ from typing import Dict, List, Optional
 
 from repro.core.adaptive import SloSignal
 from repro.scenario.spec import SloSpec
+from repro.ycsb.workload import OpType
 
 __all__ = ["WindowAccumulator", "WindowReport", "MIN_SAMPLES"]
 
 # Below this many samples of an op kind in a window, its SLO bound is
 # held vacuously (too little evidence to call a violation).
 MIN_SAMPLES = 5
-
-_READ_OPS = ("index_read", "index_range", "base_read")
-_WRITE_OPS = ("update", "insert")
 
 
 def _p95(samples: List[float]) -> float:
@@ -106,9 +104,9 @@ class WindowAccumulator:
         self.shed = 0
 
     def record(self, op: str, latency_ms: float) -> None:
-        if op in _WRITE_OPS:
+        if op in OpType.WRITES:
             self.write_lat.append(latency_ms)
-        elif op in _READ_OPS:
+        else:
             self.read_lat.append(latency_ms)
 
     def record_failure(self) -> None:

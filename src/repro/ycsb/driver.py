@@ -9,6 +9,11 @@ Figures 7, 8 and 10.
 completions — the arrival process that lets the AUQ build a backlog when
 the offered load exceeds the APS's capacity.
 
+Both drivers, and the scenario runner's tenants, run on one op core: an
+op is data (:data:`~repro.ycsb.workload.Op`), :func:`timed_op` issues it
+and reports to an :class:`OpRecorder`, and :func:`closed_loop` and
+:func:`open_loop` are the two load shapes.
+
 Loading: :func:`load_direct` materialises the dataset straight into the
 regions (WAL-logged, so recovery still works) to keep wall-clock time
 reasonable; :func:`load_via_client` drives real puts for smaller tests.
@@ -17,20 +22,22 @@ reasonable; :func:`load_via_client` drives real puts for smaller tests.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, Iterator, Optional
 
 from repro.cluster.client import Client
 from repro.cluster.cluster import MiniCluster
 from repro.cluster.region import compose_cell_key
+from repro.errors import ReproError
 from repro.lsm.types import Cell
-from repro.sim.kernel import Timeout, all_of
+from repro.sim.kernel import Future, Process, Timeout, all_of
 from repro.sim.random import RandomStream
 from repro.ycsb.schema import ItemSchema
 from repro.ycsb.stats import LatencyRecorder
-from repro.ycsb.workload import CoreWorkload, OpType
+from repro.ycsb.workload import CoreWorkload, Op, OpType
 
 __all__ = ["load_direct", "load_via_client", "ClosedLoopDriver",
-           "OpenLoopDriver", "DriverResult"]
+           "OpenLoopDriver", "DriverResult", "OpRecorder", "timed_op",
+           "closed_loop", "open_loop"]
 
 
 def load_direct(cluster: MiniCluster, schema: ItemSchema, table: str,
@@ -72,27 +79,99 @@ def load_direct(cluster: MiniCluster, schema: ItemSchema, table: str,
 
 def load_via_client(cluster: MiniCluster, client: Client,
                     schema: ItemSchema, table: str, seed: int = 7,
-                    batch_size: int = 1) -> Generator[Any, Any, int]:
-    """Load through ordinary puts (index maintenance runs normally).
-
-    ``batch_size > 1`` loads through ``Client.batch_put`` instead:
-    identical rows and values, ~1/batch_size the round trips and WAL
-    group commits amortised across each batch."""
+                    ) -> Generator[Any, Any, int]:
+    """Load through ordinary puts (index maintenance runs normally)."""
     rng = RandomStream(seed)
-    if batch_size <= 1:
-        for i in range(schema.record_count):
-            yield from client.put(table, schema.rowkey(i),
-                                  schema.row_values(i, rng))
-        return schema.record_count
-    pending = []
     for i in range(schema.record_count):
-        pending.append((schema.rowkey(i), schema.row_values(i, rng)))
-        if len(pending) >= batch_size:
-            yield from client.batch_put(table, pending)
-            pending = []
-    if pending:
-        yield from client.batch_put(table, pending)
+        yield from client.put(table, schema.rowkey(i),
+                              schema.row_values(i, rng))
     return schema.record_count
+
+
+# -- the op core: one timed op, one closed loop, one open loop -----------------
+
+# One client call per op kind, returned rather than delegated to: an op
+# carries no extra generator frame down the benchmarks' hottest resume chain.
+_CALLS = {
+    OpType.UPDATE: lambda c, t, row, values: c.put(t, row, values),
+    OpType.INSERT: lambda c, t, row, values: c.put(t, row, values),
+    OpType.INDEX_READ: lambda c, t, index, kw: c.get_by_index(index, **kw),
+    OpType.INDEX_RANGE: lambda c, t, index, kw: c.get_by_index(index, **kw),
+    OpType.BASE_READ: lambda c, t, row, _none: c.get(t, row),
+}
+
+
+class OpRecorder:
+    """Where the op core reports each op it runs: ``record(kind,
+    latency_ms, acked_row)`` for a completed one (``acked_row`` is a
+    write's row, else None), ``record_failure(kind)`` for one whose call
+    raised a :class:`ReproError`, and ``record_shed()`` for an open-loop
+    arrival dropped at the in-flight cap.  The core keeps ``issued`` and
+    ``in_flight`` here."""
+
+    def __init__(self) -> None:
+        self.issued = 0
+        self.in_flight = 0
+        self.drained: Optional[Future] = None   # the open loop's last wait
+
+
+def timed_op(client: Client, table: str, op: Op, recorder: OpRecorder,
+             ) -> Generator[Any, Any, None]:
+    """Run one op, timed from the instant it is issued (closed loop) or
+    due (open loop: it is spawned at its arrival).  Only a
+    :class:`ReproError` counts as a failed op; anything else is a bug and
+    crashes the process."""
+    sim = client.cluster.sim
+    kind, first, second = op
+    start = sim.now()
+    recorder.issued += 1
+    recorder.in_flight += 1
+    try:
+        yield from _CALLS[kind](client, table, first, second)
+    except ReproError:
+        recorder.record_failure(kind)
+    else:
+        recorder.record(kind, sim.now() - start,
+                        first if kind in OpType.WRITES else None)
+    recorder.in_flight -= 1
+    if recorder.drained is not None and not recorder.in_flight:
+        recorder.drained.set_result(None)
+
+
+def closed_loop(client: Client, table: str, ops: Iterator[Op],
+                recorder: OpRecorder) -> Generator[Any, Any, None]:
+    """One client thread: each op is issued when the previous one
+    completes."""
+    for op in ops:
+        yield from timed_op(client, table, op, recorder)
+
+
+def open_loop(client: Client, table: str, ops: Iterator[Op],
+              delays: Iterator[float], until: float, recorder: OpRecorder,
+              max_in_flight: int) -> Generator[Any, Any, None]:
+    """Arrivals independent of completions: sleep each of ``delays``,
+    then spawn the next op, or shed the arrival while ``max_in_flight``
+    ops are running.  Each delay is the caller's own sleep arithmetic;
+    one that is not positive does not sleep.  Ends once the clock
+    reaches ``until`` and every op it spawned has completed."""
+    sim = client.cluster.sim
+    name = f"{client.name}-op"
+    for delay in delays:
+        if delay > 0:
+            yield Timeout(delay)
+        if sim.now() >= until:
+            break
+        if recorder.in_flight >= max_in_flight:
+            recorder.record_shed()
+            continue
+        sim.spawn(timed_op(client, table, next(ops), recorder), name=name)
+    if recorder.in_flight:
+        recorder.drained = Future()
+        yield recorder.drained
+        recorder.drained = None
+
+
+# -- the paper's drivers -------------------------------------------------------
 
 
 @dataclasses.dataclass
@@ -100,6 +179,8 @@ class DriverResult:
     recorder: LatencyRecorder
     issued: int
     failed: int
+    # Open-loop arrivals dropped at the in-flight cap.
+    shed: int = 0
     # A cluster-wide metrics snapshot (repro.obs) taken at the end of the
     # run: AUQ depth/lag, per-phase span latencies, RPC histograms, ...
     metrics: Optional[dict] = None
@@ -111,100 +192,62 @@ class DriverResult:
         return self.recorder.overall()
 
 
-class _DriverBase:
+class _DriverBase(OpRecorder):
     def __init__(self, cluster: MiniCluster, workload: CoreWorkload,
-                 table: str, seed: int = 11, batch_size: int = 1):
+                 table: str, seed: int = 11):
+        super().__init__()
         self.cluster = cluster
         self.workload = workload
         self.table = table
         self.seed = seed
-        # Write batching: UPDATE/INSERT ops carry this many rows through
-        # one batch_put (1 = the classic per-row put path).  One timed op
-        # then covers the whole batch, so latency is per-batch while
-        # rows/sec throughput scales with the batch width.
-        self.batch_size = max(1, batch_size)
         self.recorder = LatencyRecorder()
-        self.issued = 0
         self.failed = 0
+        self.shed = 0
 
-    def _timed_op(self, client: Client, op: str, rng: RandomStream,
-                  ) -> Generator[Any, Any, None]:
-        # Dispatch is inlined rather than delegated through a helper
-        # generator: every op otherwise carries an extra generator frame
-        # down the hottest resume chain in the benchmark.
-        sim = self.cluster.sim
-        start = sim.now()
-        self.issued += 1
-        workload = self.workload
-        try:
-            if op == OpType.UPDATE:
-                if self.batch_size > 1:
-                    items = [workload.next_update(rng)
-                             for _ in range(self.batch_size)]
-                    yield from client.batch_put(self.table, items)
-                else:
-                    row, values = workload.next_update(rng)
-                    yield from client.put(self.table, row, values)
-            elif op == OpType.INSERT:
-                if self.batch_size > 1:
-                    items = [workload.next_insert(rng)
-                             for _ in range(self.batch_size)]
-                    yield from client.batch_put(self.table, items)
-                else:
-                    row, values = workload.next_insert(rng)
-                    yield from client.put(self.table, row, values)
-            elif op == OpType.INDEX_READ:
-                title = workload.next_title_query(rng)
-                yield from client.get_by_index(workload.title_index_name,
-                                               equals=[title])
-            elif op == OpType.INDEX_RANGE:
-                low, high = workload.next_price_range(rng)
-                yield from client.get_by_index(workload.price_index_name,
-                                               low=low, high=high)
-            elif op == OpType.BASE_READ:
-                row = workload.next_rowkey(rng)
-                yield from client.get(self.table, row)
-            else:
-                raise ValueError(f"unknown op {op!r}")
-        except Exception:  # noqa: BLE001 - workload survives op failures
-            self.failed += 1
-            return
-        self.recorder.record(op, sim.now() - start)
+    def record(self, kind: str, latency_ms: float,
+               acked_row: Optional[bytes]) -> None:
+        self.recorder.record(kind, latency_ms)
 
+    def record_failure(self, kind: str) -> None:
+        self.failed += 1
 
-class ClosedLoopDriver(_DriverBase):
-    """N client threads, each issuing back-to-back requests (§8.1)."""
-
-    def __init__(self, cluster: MiniCluster, workload: CoreWorkload,
-                 table: str, num_threads: int, seed: int = 11,
-                 batch_size: int = 1):
-        super().__init__(cluster, workload, table, seed=seed,
-                         batch_size=batch_size)
-        self.num_threads = num_threads
+    def record_shed(self) -> None:
+        self.shed += 1
 
     def run(self, duration_ms: float, warmup_ms: float = 0.0) -> DriverResult:
         sim = self.cluster.sim
         start = sim.now()
         end = start + warmup_ms + duration_ms
         self.recorder.begin_window(start + warmup_ms)
-        if warmup_ms > 0:
-            self.recorder.recording = False
-            sim.call_at(start + warmup_ms,
-                        lambda: setattr(self.recorder, "recording", True))
-
-        def thread_body(thread_id: int) -> Generator[Any, Any, None]:
-            client = self.cluster.new_client(f"ycsb-{thread_id}")
-            rng = RandomStream(self.seed * 1000 + thread_id)
-            while sim.now() < end:
-                op = self.workload.next_op(rng)
-                yield from self._timed_op(client, op, rng)
-
-        threads = [sim.spawn(thread_body(i), name=f"driver-{i}")
-                   for i in range(self.num_threads)]
-        sim.run_until_complete(all_of(sim, threads))
+        if warmup_ms > 0:       # discards what the warm-up recorded
+            sim.call_at(start + warmup_ms, self.recorder.begin_window,
+                        start + warmup_ms)
+        sim.run_until_complete(self._load(end))
         self.recorder.end_window(min(sim.now(), end))
         return DriverResult(self.recorder, self.issued, self.failed,
-                            metrics=self.cluster.metrics.snapshot())
+                            self.shed, self.cluster.metrics.snapshot())
+
+    def _ops(self, rng: RandomStream, until: float) -> Iterator[Op]:
+        # Each op is drawn when it is due, while the clock is short of until.
+        sim, workload = self.cluster.sim, self.workload
+        while sim.now() < until:
+            yield workload.draw(workload.next_op(rng), rng)
+
+
+class ClosedLoopDriver(_DriverBase):
+    """N client threads, each issuing back-to-back requests (§8.1)."""
+
+    def __init__(self, cluster: MiniCluster, workload: CoreWorkload,
+                 table: str, num_threads: int, seed: int = 11):
+        super().__init__(cluster, workload, table, seed=seed)
+        self.num_threads = num_threads
+
+    def _load(self, end: float) -> Future:
+        sim = self.cluster.sim
+        return all_of(sim, [sim.spawn(closed_loop(
+            self.cluster.new_client(f"ycsb-{i}"), self.table,
+            self._ops(RandomStream(self.seed * 1000 + i), end), self),
+            name=f"driver-{i}") for i in range(self.num_threads)])
 
 
 class OpenLoopDriver(_DriverBase):
@@ -212,44 +255,20 @@ class OpenLoopDriver(_DriverBase):
 
     def __init__(self, cluster: MiniCluster, workload: CoreWorkload,
                  table: str, target_tps: float, seed: int = 11,
-                 max_in_flight: int = 10_000, batch_size: int = 1):
-        super().__init__(cluster, workload, table, seed=seed,
-                         batch_size=batch_size)
+                 max_in_flight: int = 10_000):
+        super().__init__(cluster, workload, table, seed=seed)
         self.target_tps = target_tps
         self.max_in_flight = max_in_flight
 
-    def run(self, duration_ms: float, warmup_ms: float = 0.0) -> DriverResult:
+    def _load(self, end: float) -> Process:
         sim = self.cluster.sim
-        start = sim.now()
-        end = start + warmup_ms + duration_ms
-        self.recorder.begin_window(start + warmup_ms)
-        if warmup_ms > 0:
-            self.recorder.recording = False
-            sim.call_at(start + warmup_ms,
-                        lambda: setattr(self.recorder, "recording", True))
-        client = self.cluster.new_client("ycsb-open")
         arrival_rng = RandomStream(self.seed)
-        op_rng = RandomStream(self.seed + 1)
-        in_flight: List[Any] = []
 
-        def arrivals() -> Generator[Any, Any, None]:
+        def gaps() -> Iterator[float]:
             while sim.now() < end:
-                yield Timeout(arrival_rng.expovariate(
-                    self.target_tps / 1000.0))
-                if sim.now() >= end:
-                    break
-                live = [p for p in in_flight if not p.future.done()]
-                in_flight[:] = live
-                if len(live) >= self.max_in_flight:
-                    continue  # shed load rather than grow without bound
-                op = self.workload.next_op(op_rng)
-                in_flight.append(sim.spawn(
-                    self._timed_op(client, op, op_rng), name="open-op"))
+                yield arrival_rng.expovariate(self.target_tps / 1000.0)
 
-        sim.run_until_complete(sim.spawn(arrivals(), name="arrivals"))
-        pending = [p for p in in_flight if not p.future.done()]
-        if pending:
-            sim.run_until_complete(all_of(sim, pending))
-        self.recorder.end_window(end)
-        return DriverResult(self.recorder, self.issued, self.failed,
-                            metrics=self.cluster.metrics.snapshot())
+        return sim.spawn(open_loop(
+            self.cluster.new_client("ycsb-open"), self.table,
+            self._ops(RandomStream(self.seed + 1), end), gaps(), end, self,
+            self.max_in_flight), name="arrivals")

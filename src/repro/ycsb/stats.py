@@ -66,7 +66,15 @@ class LatencyRecorder:
         return sum(len(v) for v in self._samples.values())
 
     def stats(self, op: str) -> OpStats:
-        samples = sorted(self._samples.get(op, []))
+        return self._summary(op, self._samples.get(op, []))
+
+    def overall(self) -> OpStats:
+        return self._summary("all", [latency
+                                     for samples in self._samples.values()
+                                     for latency in samples])
+
+    def _summary(self, op: str, samples: List[float]) -> OpStats:
+        samples = sorted(samples)
         window = self._window_ms()
         tput = len(samples) / (window / 1000.0) if window > 0 else 0.0
         if not samples:
@@ -81,18 +89,6 @@ class LatencyRecorder:
             max_ms=samples[-1],
             throughput_tps=tput,
         )
-
-    def overall(self) -> OpStats:
-        merged = sorted(latency for samples in self._samples.values()
-                        for latency in samples)
-        window = self._window_ms()
-        tput = len(merged) / (window / 1000.0) if window > 0 else 0.0
-        if not merged:
-            return OpStats("all", 0, 0.0, 0.0, 0.0, 0.0, 0.0, tput)
-        return OpStats(
-            "all", len(merged), sum(merged) / len(merged),
-            _percentile(merged, 50), _percentile(merged, 95),
-            _percentile(merged, 99), merged[-1], tput)
 
     def _window_ms(self) -> float:
         if self.window_start_ms is None or self.window_end_ms is None:

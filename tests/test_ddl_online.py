@@ -513,3 +513,22 @@ def test_alter_scrub_removes_an_orphan_but_keeps_a_put_in_flight():
     assert report.is_consistent, (report.missing, report.stale)
     hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
     assert [h.rowkey for h in hits] == [b"r1"]
+
+
+def test_validation_read_leaves_an_unsettled_entry_to_its_put():
+    """A validation read that finds a sync-insert put's entry before its
+    base cell (the PI ships beside the base log write) leaves the entry
+    out of the answer but must not hand it to the cleaner: the put acks,
+    and the cleaner would mask its entry for good."""
+    cluster, client, put = _slow_put(IndexScheme.SYNC_INSERT)
+    cluster.advance(3.0)
+    job = cluster.change_index_scheme("ix", IndexScheme.VALIDATION)
+    cluster.run(job.wait())
+    hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
+    assert hits == []                   # the entry is unsettled: filtered
+    cluster.advance(100.0)
+    assert put.future.done()
+    report = check_index(cluster, "ix")
+    assert report.is_consistent, (report.missing, report.stale)
+    hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
+    assert [h.rowkey for h in hits] == [b"r1"]

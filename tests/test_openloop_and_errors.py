@@ -41,6 +41,10 @@ def test_open_loop_sheds_when_backlogged():
     # far fewer ops issued than the target implies: shedding happened.
     assert driver.issued < 50_000 * 0.3 * 0.5
     assert result.recorder.count() <= driver.issued
+    # every arrival was either issued or shed (~15,000 Poisson arrivals).
+    assert result.shed > 50_000 * 0.3 * 0.5
+    assert driver.issued + result.shed == pytest.approx(50_000 * 0.3,
+                                                        rel=0.05)
 
 
 def test_driver_counts_failed_ops():

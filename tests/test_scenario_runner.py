@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+import repro.scenario.runner as runner_module
 from repro.core.schemes import ConsistencyLevel, IndexScheme
-from repro.scenario.arrival import ConstantRate, MixSchedule
+from repro.errors import ProcessCrashed
+from repro.scenario.arrival import ConstantRate, MixSchedule, poisson_arrivals
 from repro.scenario.runner import ScenarioRunner
 from repro.scenario.scenarios import SCENARIOS
 from repro.scenario.slo import MIN_SAMPLES, WindowAccumulator
@@ -16,11 +18,11 @@ from repro.scenario.spec import (ScenarioSpec, SloSpec, StormEvent,
 
 
 def tiny_spec(storm=(), slo=None, scheme=IndexScheme.SYNC_FULL,
-              duration_ms=800.0, **cluster_kw) -> ScenarioSpec:
+              duration_ms=800.0, tps=80.0, **cluster_kw) -> ScenarioSpec:
     tenant = TenantSpec(
         name="t1", records=120, scheme=scheme,
         consistency=ConsistencyLevel.EVENTUAL,
-        arrival=ConstantRate(tps=80.0),
+        arrival=ConstantRate(tps=tps),
         mix=MixSchedule([(0.0, {"update": 0.5, "index_read": 0.5})]),
         slo=slo or SloSpec())
     return ScenarioSpec(name="tiny", duration_ms=duration_ms,
@@ -93,6 +95,45 @@ def test_storm_kill_is_applied_and_logged():
     assert report.promotions >= 1
     # Acked writes survive the kill under rf=3.
     assert report.tenants["t1"].acked_write_loss == 0
+
+
+def _bug(*args, **kwargs):
+    raise TypeError("a bug, not a failed op")
+
+
+def test_a_bug_in_a_storm_event_crashes_the_run():
+    storm = (StormEvent(at_ms=200.0, kind="clear"),)
+    runner = ScenarioRunner(tiny_spec(storm=storm), seed=5)
+    runner._apply_storm_event = _bug
+    with pytest.raises(ProcessCrashed) as info:
+        runner.run()
+    assert isinstance(info.value.cause, TypeError)
+
+
+def test_a_bug_in_a_tenant_op_crashes_the_run():
+    """Only a ReproError is a failed op; anything else is a bug that must
+    surface, not be counted in a window's ``failed``."""
+    runner = ScenarioRunner(tiny_spec(), seed=5)
+    runner.tenants["t1"].client.put = _bug
+    with pytest.raises(ProcessCrashed) as info:
+        runner.run()
+    assert isinstance(info.value.cause, TypeError)
+
+
+def test_an_overloaded_tenant_sheds_at_its_in_flight_cap(monkeypatch):
+    """Arrivals beyond the in-flight cap are shed: counted in their
+    window's ``shed`` and never issued."""
+    monkeypatch.setattr(runner_module, "MAX_IN_FLIGHT", 2)
+    spec = tiny_spec(tps=1500.0, duration_ms=400.0)
+    runner = ScenarioRunner(spec, seed=5)
+    start = runner.cluster.sim.now()
+    arrivals = len(list(poisson_arrivals(
+        spec.tenants[0].arrival, runner.seeds.stream("tenant/t1/arrivals"),
+        start, start + spec.duration_ms)))
+    tenant = runner.run().tenants["t1"]
+    shed = sum(window.shed for window in tenant.windows)
+    assert any(window.shed > 0 for window in tenant.windows)
+    assert tenant.issued == arrivals - shed
 
 
 def test_storm_event_validation():
