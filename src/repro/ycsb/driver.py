@@ -112,7 +112,7 @@ class OpRecorder:
     def __init__(self) -> None:
         self.issued = 0
         self.in_flight = 0
-        self.drained: Optional[Future] = None   # the open loop's last wait
+        self.drained: Optional[Future] = None   # open_loop's wait at its end
 
 
 def timed_op(client: Client, table: str, op: Op, recorder: OpRecorder,
