@@ -17,12 +17,14 @@ each side's median and quartiles of the three host metrics:
 reports as ``setup_s``; and ``peak_rss_mb``, the child's
 ``ru_maxrss / 1024`` as ``ledger/run.py`` measures it.  Then the win
 count and the claim rule's verdict on ``ops_per_cpu_s``: the change must
-win at least 9 of every 10 pairs and its median must beat the parent's
-by more than the parent's interquartile range.  Last, each metric's
-median change against its end-to-end bound in ``BENCHMARK.json``.  It
-exits 1 when a median is worse than its bound, or when the two sides'
-``fingerprint``s differ — a host claim needs the same simulated model
-on both sides.
+win at least 9 of every 10 pairs, over at least ``MIN_PAIRS`` pairs, and
+its median must beat the parent's by more than the parent's
+interquartile range.  Last, each metric's median change against its
+end-to-end bound in ``BENCHMARK.json``.  Below ``MIN_PAIRS`` pairs host
+noise alone crosses a bound often, so the changes are printed but the
+bounds are not judged.  It exits 1 when the two sides' ``fingerprint``s
+differ — a host claim needs the same simulated model on both sides — or,
+from ``MIN_PAIRS`` pairs on, when a median is worse than its bound.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ sys.path[:0] = [str(REPO), str(REPO / "src")]
 from ledger.workloads import SPECS  # noqa: E402
 
 WIN_SHARE = 0.9
+# The fewest pairs the claim rule and the bounds are judged on.
+MIN_PAIRS = 10
 
 # One side of one pair: the tree is argv[1], and nothing is written into
 # it (no bytecode caches).
@@ -95,7 +99,8 @@ def claim(parent: list, change: list) -> dict:
     gap = quartiles(change)[1] - parent_median
     return {"wins": wins, "pairs": len(parent), "gap": gap,
             "gain": gap / parent_median, "parent_iqr": q3 - q1,
-            "holds": wins >= math.ceil(WIN_SHARE * len(parent))
+            "holds": len(parent) >= MIN_PAIRS
+            and wins >= math.ceil(WIN_SHARE * len(parent))
             and gap > q3 - q1}
 
 
@@ -154,6 +159,7 @@ def main(argv=None) -> int:
           f"parent IQR {verdict['parent_iqr']:.1f}; claim "
           f"{'holds' if verdict['holds'] else 'does not hold'}")
     contract = bounds()
+    judging = args.pairs >= MIN_PAIRS
     crossed = False
     judged = []
     for key, name, _digits in METRICS:
@@ -161,9 +167,10 @@ def main(argv=None) -> int:
         delta, worse = judge(values[key]["parent"], values[key]["change"],
                              bound, better)
         crossed |= worse
-        judged.append(f"{name} {delta:+.1%} "
-                      f"{'worse than' if worse else 'within'} {bound:.0%}")
-    print("bounds: " + "; ".join(judged))
+        word = ("worse than" if worse else "within") if judging else "bound"
+        judged.append(f"{name} {delta:+.1%} {word} {bound:.0%}")
+    print("bounds: " + "; ".join(judged) + (
+        "" if judging else f"; not judged below {MIN_PAIRS} pairs"))
 
     fingerprints = {side: {r["fingerprint"] for r in runs[side]}
                     for side in runs}
@@ -171,7 +178,7 @@ def main(argv=None) -> int:
         print(f"fingerprints differ: {fingerprints}", file=sys.stderr)
         return 1
     print(f"fingerprint {fingerprints['change'].pop()} on both sides")
-    return 1 if crossed else 0
+    return 1 if judging and crossed else 0
 
 
 if __name__ == "__main__":

@@ -27,8 +27,7 @@ from repro.core import (ConsistencyLevel, IndexDescriptor, IndexHit,
                         WorkloadProfile,
                         check_index, encode_value, decode_value,
                         recommend_scheme)
-from repro.cluster import (Client, FaultPlan, MiniCluster,
-                           MutationBatch, ServerConfig,
+from repro.cluster import (Client, FaultPlan, MiniCluster, ServerConfig,
                            even_split_keys)
 from repro.lsm import Cell, KeyRange
 from repro.obs import MetricsRegistry, Tracer
@@ -39,7 +38,7 @@ from repro.sim import LatencyModel
 __version__ = "1.0.0"
 
 __all__ = [
-    "MiniCluster", "Client", "MutationBatch", "ServerConfig", "FaultPlan",
+    "MiniCluster", "Client", "ServerConfig", "FaultPlan",
     "PlacementConfig", "PlacementManager",
     "ReplicationConfig",
     "IndexDescriptor", "IndexScheme", "IndexScope", "ConsistencyLevel",

@@ -1,7 +1,7 @@
 """Distributed LSM store substrate (HBase-like): regions, region servers,
 master, coordinator, simulated HDFS and network, and the client library."""
 
-from repro.cluster.client import Client, MutationBatch
+from repro.cluster.client import Client
 from repro.cluster.cluster import MiniCluster
 from repro.cluster.coordinator import Coordinator
 from repro.cluster.counters import OpCounters, Snapshot
@@ -15,7 +15,7 @@ from repro.cluster.table import (TableDescriptor, TableKind, even_split_keys,
                                  index_table_name)
 
 __all__ = [
-    "MiniCluster", "Client", "MutationBatch", "RegionServer", "ServerConfig",
+    "MiniCluster", "Client", "RegionServer", "ServerConfig",
     "Master", "RegionInfo", "Coordinator",
     "Region", "compose_cell_key", "split_cell_key",
     "TableDescriptor", "TableKind", "index_table_name", "even_split_keys",

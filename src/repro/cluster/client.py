@@ -31,33 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import MiniCluster
     from repro.cluster.master import RegionInfo
 
-__all__ = ["Client", "MutationBatch"]
-
-
-class MutationBatch:
-    """Builder for one batched write: ordered puts and deletes against a
-    single table, applied with :meth:`Client.batch_mutate`.
-
-    The batch preserves statement order per row (a later mutation of the
-    same row gets a later timestamp server-side) and reports results in
-    input order.  Sessions are not supported on the batch path — session
-    writes need the old row back per mutation, which is what the single
-    :meth:`Client.put` already does.
-    """
-
-    def __init__(self, table: str):
-        self.table = table
-        self.mutations: List[Tuple[str, bytes, Any]] = []
-
-    def put(self, row: bytes, values: Dict[str, bytes]) -> "MutationBatch":
-        """Queue an insert/update of ``values`` into ``row``."""
-        self.mutations.append(("put", row, dict(values)))
-        return self
-
-    def delete(self, row: bytes, columns: Sequence[str]) -> "MutationBatch":
-        """Queue a delete of ``columns`` from ``row``."""
-        self.mutations.append(("del", row, list(columns)))
-        return self
+__all__ = ["Client"]
 
 
 class Client:
@@ -169,18 +143,18 @@ class Client:
                 values: Optional[Dict[str, bytes]],
                 columns: Optional[List[str]], session: Optional[Session],
                 ) -> Generator[Any, Any, int]:
-        """The one single-row write body: a one-row mutation list through
-        the batch RPC; ``values=None`` deletes ``columns``."""
+        """The one write body: one ``handle_mutate`` RPC; ``values=None``
+        deletes ``columns``."""
         want_old = bool(session is not None and not session.disabled
                         and self._session_indexes(table))
         if session is not None:
             session.touch(self.cluster.sim.now())
-        mutation = (("put", row, values) if values is not None
-                    else ("del", row, columns))
+        kind, payload = (("put", values) if values is not None
+                         else ("del", columns))
 
         def write(server):
-            (outcome,) = yield from server.handle_mutate(
-                table, [mutation], return_old=want_old)
+            outcome = yield from server.handle_mutate(
+                table, kind, row, payload, return_old=want_old)
             if outcome[0] != "ok":
                 # A stale route, as if the server had raised it: _routed
                 # refreshes the layout and retries.
@@ -199,98 +173,6 @@ class Client:
                 session.record_put(table, row, values, old_values, ts,
                                    indexes)
         return ts
-
-    def batch_put(self, table: str,
-                  items: Sequence[Tuple[bytes, Dict[str, bytes]]],
-                  ) -> Generator[Any, Any, List[int]]:
-        """Batched put: apply ``(row, values)`` pairs via
-        :meth:`batch_mutate`; returns the assigned timestamps in input
-        order."""
-        batch = MutationBatch(table)
-        for row, values in items:
-            batch.put(row, values)
-        result = yield from self.batch_mutate(batch)
-        return result
-
-    def batch_mutate(self, batch: MutationBatch,
-                     ) -> Generator[Any, Any, List[int]]:
-        """Apply a :class:`MutationBatch`: group the rows by hosting
-        server from the cached layout, issue ONE ``handle_mutate`` RPC
-        per server (scatter), and return the per-row timestamps in input
-        order.
-
-        Retry semantics match :meth:`multi_get`'s routing-epoch story,
-        at row granularity: rows a server answered ``("retry", ...)`` for
-        (region moved or closing for a split), and rows whose whole group
-        failed with a stale route or dead server, are re-routed after a
-        layout refresh — already-applied rows are NOT re-sent.  A group
-        re-sent after a mid-batch crash is safe: every row re-applies
-        under a fresh (higher) timestamp, so convergence is unaffected
-        (timestamp idempotence).
-        """
-        table = batch.table
-        mutations = list(batch.mutations)
-        if not mutations:
-            return []
-        results: List[Optional[int]] = [None] * len(mutations)
-        pending = list(range(len(mutations)))
-        attempts = 0
-
-        def backoff():
-            nonlocal attempts
-            attempts += 1
-            if attempts > self.max_route_retries:
-                raise NoSuchRegionError(
-                    f"batch to {table!r}: {len(pending)} rows still "
-                    f"unroutable after {self.max_route_retries} retries")
-            self.refresh_layout()
-
-        while pending:
-            try:
-                groups: Dict[str, List[int]] = {}
-                for i in pending:
-                    info = self._locate(table, mutations[i][1])
-                    groups.setdefault(info.server_name, []).append(i)
-            except NoSuchRegionError:
-                backoff()
-                yield Timeout(self.retry_backoff_ms)
-                continue
-
-            def one_server(server_name: str):
-                server = self.cluster.servers[server_name]
-                sub = [mutations[i] for i in groups[server_name]]
-                outcomes = yield from self.cluster.network.call(
-                    server, lambda: server.handle_mutate(table, sub))
-                return outcomes
-
-            # collect_errors: one group hitting a stale route must not
-            # discard its siblings' already-applied results (fail-fast
-            # would re-send rows that landed — harmless but wasteful).
-            per_server = yield scatter_gather(
-                self.cluster.sim,
-                [lambda n=name: one_server(n) for name in sorted(groups)],
-                max_fanout=self.max_fanout, collect_errors=True,
-                name="multiput", metrics=self.cluster.metrics,
-                site="multiput")
-
-            retry: List[int] = []
-            for server_name, outcomes in zip(sorted(groups), per_server):
-                indices = groups[server_name]
-                if isinstance(outcomes, (ServerDownError, NoSuchRegionError)):
-                    retry.extend(indices)  # whole group re-routes
-                    continue
-                if isinstance(outcomes, BaseException):
-                    raise outcomes
-                for i, outcome in zip(indices, outcomes):
-                    if outcome[0] == "ok":
-                        results[i] = outcome[1]
-                    else:          # ("retry", reason): only this row
-                        retry.append(i)
-            pending = sorted(retry)
-            if pending:
-                backoff()
-                yield Timeout(self.retry_backoff_ms)
-        return results
 
     def get(self, table: str, row: bytes,
             columns: Optional[List[str]] = None,

@@ -385,159 +385,90 @@ class RegionServer:
         self.put_inflight.increment()
         return True
 
-    def handle_mutate(self, table: str,
-                      mutations: List[Tuple[str, bytes, Any]],
+    def handle_mutate(self, table: str, kind: str, row: bytes, payload: Any,
                       return_old: bool = False,
-                      ) -> Generator[Any, Any, List[Tuple]]:
-        """The write path: WAL → memtable → coprocessors → ack (§2.2,
-        Alg. 1/3), for one row or a batch under ONE handler slot and ONE
-        group-committed WAL write (§8.2's batching, foregrounded).
+                      ) -> Generator[Any, Any, Tuple]:
+        """The write path for one row: WAL → memtable → coprocessors → ack
+        (§2.2, Alg. 1/3).
 
-        ``mutations`` is a list of ``("put", row, values_dict)`` or
-        ``("del", row, columns_list)``; a delete is a tombstone per column,
-        "handled similarly as put in LSM" (§4.3).  Returns a result per
-        mutation, in input order: ``("ok", ts, old_values)`` for applied
-        rows, ``("retry", reason)`` for rows this server cannot serve
-        (region moved, or closing for a split) — a partial batch never
-        fails the whole RPC, the client re-routes just the rejected rows.
-        ``old_values`` is read (only for the indexed columns, at ts − 1)
-        only when ``return_old`` — the extra base read session
-        consistency pays for (§5.2); otherwise it is None.
-
-        Lock-ordering rule: row locks are taken in sorted key order (each
-        row from its own region's lock table) and released in reverse, so
-        two concurrent batches with overlapping row sets cannot deadlock.
-        """
-        for mutation in mutations:
-            self._check_row_key(mutation[1])
+        ``kind`` is ``"put"`` with ``payload`` the values dict, or
+        ``"del"`` with ``payload`` the columns list; a delete is a
+        tombstone per column, "handled similarly as put in LSM" (§4.3).
+        Returns ``("ok", ts, old_values)``, or ``("retry", reason)`` when
+        this server cannot serve the row (region moved, or closing for a
+        split), which the client re-routes.  ``old_values`` is read (only
+        for the indexed columns, at ts − 1) only when ``return_old`` — the
+        extra base read session consistency pays for (§5.2); otherwise it
+        is None."""
+        self._check_row_key(row)
         gated = yield from self._gate_entry(table)
         try:
             return (yield from self._with_handler(
-                lambda: self._apply_mutations(table, mutations, return_old)))
+                lambda: self._apply_mutation(table, kind, row, payload,
+                                             return_old)))
         finally:
             if gated:
                 self.put_inflight.decrement()
 
-    def _apply_mutations(self, table: str,
-                         mutations: List[Tuple[str, bytes, Any]],
-                         return_old: bool,
-                         ) -> Generator[Any, Any, List[Tuple]]:
-        model = self.cluster.model
+    def _apply_mutation(self, table: str, kind: str, row: bytes,
+                        payload: Any, return_old: bool,
+                        ) -> Generator[Any, Any, Tuple]:
+        try:
+            region = self._require_open_region(table, row)
+        except NoSuchRegionError as exc:
+            return ("retry", str(exc))
         descriptor = self.cluster.descriptor(table)
-        results: List[Optional[Tuple]] = [None] * len(mutations)
-
-        # Admission: route every row to a hosted OPEN region; rejected
-        # rows answer ("retry", ...) individually instead of poisoning
-        # their batch-mates.
-        admitted: List[Tuple[int, str, bytes, Any, Region]] = []
-        for i, (kind, row, payload) in enumerate(mutations):
-            try:
-                region = self._require_open_region(table, row)
-            except NoSuchRegionError as exc:
-                results[i] = ("retry", str(exc))
-                continue
-            admitted.append((i, kind, row, payload, region))
-        if not admitted:
-            return results
-
         local_indexes = [ix for ix in descriptor.indexes.values()
                          if ix.is_local]
-        indexed = descriptor.indexed_columns() if return_old else None
-        # Wave split: local-index planning and the session's old-row read
-        # look at the row below its new ts, so a duplicate row inside one
-        # batch must see its earlier mutation already in the memtable —
-        # each wave holds distinct rows and gets its own group commit.
-        # Without such a read the whole batch is one wave.
-        waves = [admitted]
-        if (local_indexes or indexed) and len(admitted) > 1:
-            waves, seen = [[]], set()
-            for item in admitted:
-                if item[2] in seen:
-                    waves.append([])
-                    seen = set()
-                waves[-1].append(item)
-                seen.add(item[2])
-
-        # Row locks: sorted unique key order, duplicates share one
-        # acquisition, reverse-order release (see handle_mutate).
-        row_region: Dict[bytes, Region] = {}
-        for item in admitted:
-            row_region.setdefault(item[2], item[4])
-        locked: List[bytes] = []
         span = None
         hints = None     # sync-insert's PI, shipped beside the log write
+        yield region.locks.acquire(row)
         try:
-            for row in sorted(row_region):
-                yield row_region[row].locks.acquire(row)
-                locked.append(row)
-            # The root span starts once the rows are locked, so a put's
-            # span times its write, not its wait for the row lock.
-            span = self.tracer.start(
-                "multi_put" if len(mutations) > 1
-                else "put" if mutations[0][0] == "put" else "delete",
-                server=self.name, table=table, rows=len(mutations))
-            # (row, values-or-None, ts) for the observer batch hook.
-            batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
-                                   int]] = []
-            for wave in waves:
-                planned = []     # (region, cells) aligned with the wave
-                wal_batch = []   # append_batch input
-                total_cells = 0
-                for i, kind, row, payload, region in wave:
-                    region.note_write()
-                    ts = self.assign_timestamp()
-                    old_values = None
-                    if indexed:
-                        old_values = yield from self.local_read_row(
-                            region, row, indexed, max_ts=ts - 1,
-                            background=False)
-                    if kind == "put":
-                        cells = tuple(
-                            Cell(compose_cell_key(row, col), ts, value)
-                            for col, value in sorted(payload.items()))
-                        new_values: Optional[Dict[str, bytes]] = payload
-                    else:
-                        cells = tuple(
-                            Cell(compose_cell_key(row, col), ts, None)
-                            for col in sorted(payload))
-                        new_values = None
-                    if local_indexes:
-                        # Local-index cells ride in the SAME WAL record as
-                        # the base mutation: the index is crash-atomic with
-                        # its row (§3.1 — co-location pays off here).
-                        extra = yield from plan_local_index_cells(
-                            self, region, row, new_values, ts, local_indexes)
-                        cells = cells + tuple(extra)
-                    planned.append((region, cells))
-                    wal_batch.append((region.name, table, cells,
-                                      descriptor.has_indexes))
-                    total_cells += len(cells)
-                    batch_rows.append((row, new_values, ts))
-                    results[i] = ("ok", ts, old_values)
-                if wave is waves[-1]:    # every row has its ts (§11.3)
-                    hints = HintShip(self, descriptor, batch_rows, span)
+            # The root span starts once the row is locked, so a put's span
+            # times its write, not its wait for the row lock.
+            span = self.tracer.start("put" if kind == "put" else "delete",
+                                     server=self.name, table=table)
+            region.note_write()
+            ts = self.assign_timestamp()
+            old_values = None
+            indexed = descriptor.indexed_columns() if return_old else None
+            if indexed:
+                old_values = yield from self.local_read_row(
+                    region, row, indexed, max_ts=ts - 1, background=False)
+            if kind == "put":
+                cells = tuple(Cell(compose_cell_key(row, col), ts, value)
+                              for col, value in sorted(payload.items()))
+                values: Optional[Dict[str, bytes]] = payload
+            else:
+                cells = tuple(Cell(compose_cell_key(row, col), ts, None)
+                              for col in sorted(payload))
+                values = None
+            if local_indexes:
+                # Local-index cells ride in the SAME WAL record as the base
+                # mutation: the index is crash-atomic with its row (§3.1 —
+                # co-location pays off here).
+                extra = yield from plan_local_index_cells(
+                    self, region, row, values, ts, local_indexes)
+                cells = cells + tuple(extra)
+            hints = HintShip(self, descriptor, row, values, ts, span)
 
-                # Group commit: every mutation keeps its own WAL record
-                # and seqno; the wave is ONE writer of a shared log sync.
-                records = self.wal.append_batch(wal_batch)
-                wal_span = self.tracer.start("wal_append", parent=span,
-                                             server=self.name,
-                                             records=len(records))
-                yield self.log_device.sync(len(records))
-                wal_span.end()
-                for (region, cells), record in zip(planned, records):
-                    region.tree.add_many(cells, seqno=record.seqno)
-                yield Timeout(model.memtable_op() * total_cells)
-            self.cluster.counters.incr("base_put", len(admitted))
+            # One record of a shared log sync: concurrent handlers
+            # group-commit on the log device (§11.2).
+            record = self.wal.append(region.name, table, cells,
+                                     descriptor.has_indexes)
+            wal_span = self.tracer.start("wal_append", parent=span,
+                                         server=self.name)
+            yield self.log_device.sync(1)
+            wal_span.end()
+            region.tree.add_many(cells, seqno=record.seqno)
+            yield Timeout(self.cluster.model.memtable_op() * len(cells))
+            self.cluster.counters.incr("base_put")
 
-            # Index maintenance over the WHOLE batch (all waves): the
-            # hooks plan ops per row timestamp, so wave boundaries do not
-            # matter here.
             for observer in self.cluster.observers_for(table):
-                yield from observer.post_batch(self, descriptor, batch_rows,
-                                               span)
+                yield from observer.post_mutate(self, descriptor, row, values,
+                                                ts, span)
             yield from hints.join()
-            return results
+            return ("ok", ts, old_values)
         except Exception:
             if hints is not None:
                 yield from hints.settle()
@@ -545,8 +476,7 @@ class RegionServer:
         finally:
             if span is not None:
                 span.end()
-            for row in reversed(locked):
-                row_region[row].locks.release(row)
+            region.locks.release(row)
 
     # -- reads ------------------------------------------------------------------
 
@@ -789,8 +719,8 @@ class RegionServer:
 
     def enqueue_index_tasks(self, tasks: List[IndexTask],
                             ) -> Generator[Any, Any, None]:
-        """AU1 second half: queue a mutation's (or a whole batch's) index
-        tasks under ONE enqueue charge and ONE watermark check.
+        """AU1 second half: queue a mutation's index tasks under ONE
+        enqueue charge and ONE watermark check.
 
         The intake gate is checked once, at put entry — a put that passed
         it must NOT wait here again (the drain barrier is already waiting

@@ -121,9 +121,9 @@ def _touched_indexes(descriptor: Any, task: IndexTask) -> list:
 def maintain_indexes(ctx: "IndexOpContext", tasks: list, background: bool,
                      span: Any = None) -> Generator[Any, Any, None]:
     """Run PI / RB / DI for every index the tasks' mutations touch, as two
-    overlapping branches over the whole list (§8.2's batching; one task
-    is a batch of one), each shipped by :func:`ship_index_ops` — one RPC
-    and one group commit per target server:
+    overlapping branches over the whole list, each shipped by
+    :func:`ship_index_ops` — one RPC and one group commit per target
+    server:
 
     * PI: every task's insert ops (SU2);
     * RB→DI: one versioned base read per task at its own ``ts − δ``
@@ -285,7 +285,7 @@ def aps_worker(server: Any, worker_id: int) -> Generator[Any, Any, None]:
     * Batching — "this moderate higher throughput is credited to the
       batching of operations in AUQ" (§8.2): ops bound for one region
       server travel in one RPC and share one log sync; the RPCs to
-      distinct servers go out in parallel, as a client batch's do.
+      distinct servers go out in parallel, as a client multiget's do.
     * Retrying inside the worker (rather than re-enqueueing) keeps the
       task inside the in-flight latch, so the drain-before-flush barrier
       cannot complete while any index update is still owed — preserving

@@ -3,11 +3,10 @@
 HBase coprocessors are the extension point Diff-Index is built on (§7):
 "they listen to and intercept each data entry made to the hosting table,
 and act based on the schemes they implement."  A :class:`RegionObserver`
-registers for two hooks: ``post_batch`` runs inside the write RPC, after
-the base write and before the ack, with every row the RPC wrote — a
-single put or delete is a batch of one, and a delete is a row with
-``values=None`` (§4.3); ``pre_flush`` is the pause-and-drain hook of
-Figure 5.
+registers for two hooks: ``post_mutate`` runs inside the write RPC, after
+the base write and before the ack, with the row the RPC wrote — a delete
+is a row with ``values=None`` (§4.3); ``pre_flush`` is the pause-and-drain
+hook of Figure 5.
 
 :class:`IndexOpContext` is the toolbox handed to observers and to the
 APS: versioned base reads and per-server batches of index writes, each
@@ -36,12 +35,11 @@ class RegionObserver:
     trace tree.
     """
 
-    def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: List[Tuple[bytes, Optional[Dict[str, bytes]],
-                                          int]],
-                   span: Any = None) -> Generator[Any, Any, None]:
-        """The rows one write RPC applied, as ``(row, values, ts)`` in
-        input order; ``values is None`` for a delete."""
+    def post_mutate(self, server: "RegionServer", table: TableDescriptor,
+                    row: bytes, values: Optional[Dict[str, bytes]], ts: int,
+                    span: Any = None) -> Generator[Any, Any, None]:
+        """The row one write RPC applied at ``ts``; ``values is None`` for
+        a delete."""
         return
         yield  # pragma: no cover
 

@@ -63,38 +63,32 @@ def _task(server: "RegionServer", table: TableDescriptor,
                      epoch=server.cluster.ddl_epoch)
 
 
-_Rows = List[Tuple[bytes, Optional[Dict[str, bytes]], int]]
-
-
 class SyncFullObserver(RegionObserver):
     SCHEMES = frozenset({IndexScheme.SYNC_FULL})
 
-    def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: _Rows,
-                   span: Any = None) -> Generator[Any, Any, None]:
-        """Algorithm 1 for every row: one PI ship (grouped per target
-        server) beside per-row RB followed by one grouped DI ship."""
+    def post_mutate(self, server: "RegionServer", table: TableDescriptor,
+                    row: bytes, values: Optional[Dict[str, bytes]], ts: int,
+                    span: Any = None) -> Generator[Any, Any, None]:
+        """Algorithm 1: one PI ship (grouped per target server) beside the
+        RB followed by one grouped DI ship."""
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
             return
-        tasks = [_task(server, table, names, row, values, ts, span)
-                 for row, values, ts in batch_rows]
-        # `fanout` tags how many indexes each row's PI/DI groups may
-        # scatter across (the width of the parallel sync-full fan-out).
+        task = _task(server, table, names, row, values, ts, span)
+        # `fanout` tags how many indexes the PI/DI groups may scatter
+        # across (the width of the parallel sync-full fan-out).
         obs = server.tracer.start("sync_index", parent=span, scheme="full",
-                                  server=server.name, fanout=len(names),
-                                  rows=len(tasks))
+                                  server=server.name, fanout=len(names))
         try:
-            yield from maintain_indexes(server.op_context, tasks,
+            yield from maintain_indexes(server.op_context, [task],
                                         background=False, span=obs)
         except (NoSuchRegionError, RpcError):
             # A stale route from a concurrent split/move counts as a
-            # transient failure (§6.2): the WHOLE batch degrades to the
-            # AUQ, whose retry loop re-resolves the owner.  Every op
-            # carries its row's base timestamps, so re-running deliveries
-            # that already landed is idempotent.
-            for task in tasks:
-                server.degrade_to_auq(task)
+            # transient failure (§6.2): the task degrades to the AUQ,
+            # whose retry loop re-resolves the owner.  Every op carries
+            # the row's base timestamps, so re-running deliveries that
+            # already landed is idempotent.
+            server.degrade_to_auq(task)
         finally:
             obs.end()
 
@@ -107,7 +101,7 @@ class SyncInsertObserver(RegionObserver):
     hint and its PI need not wait for the base log write: the write
     handler ships it beside that write as a :class:`HintShip` (DESIGN.md
     §11.3), and the double-check leaves alone a hit that no newer base
-    cell refutes.  Nothing is left for ``post_batch``."""
+    cell refutes.  Nothing is left for ``post_mutate``."""
 
     SCHEMES = frozenset({IndexScheme.SYNC_INSERT})
 
@@ -115,16 +109,17 @@ class SyncInsertObserver(RegionObserver):
 class HintShip:
     """One write call's sync-insert PI, shipped beside its base log write.
 
-    The handler builds it once every row of the call has its ts, right
-    before the last wave's log write, and joins it after every observer's
-    ``post_batch``, row locks still held.  The ship is :func:`settled`,
-    so a lost RPC or stale route comes back as every task owed to the AUQ
-    (§6.2) when the handler joins it, never as an unjoined crash."""
+    The handler builds it once the row has its ts, right before the log
+    write, and joins it after every observer's ``post_mutate``, row lock
+    still held.  The ship is :func:`settled`, so a lost RPC or stale route
+    comes back as the task owed to the AUQ (§6.2) when the handler joins
+    it, never as an unjoined crash."""
 
     def __init__(self, server: "RegionServer", table: TableDescriptor,
-                 batch_rows: _Rows, span: Any = None):
-        self.server, self.table = server, table
-        self.batch_rows, self.span = batch_rows, span
+                 row: bytes, values: Optional[Dict[str, bytes]], ts: int,
+                 span: Any = None):
+        self.server, self.table, self.span = server, table, span
+        self.row, self.values, self.ts = row, values, ts
         self.names = _owned_indexes(table, SyncInsertObserver.SCHEMES)
         self.process = self._spawn(self.names)
 
@@ -132,16 +127,14 @@ class HintShip:
         """The inserts ``names`` owe, grouped per target server, one RPC +
         one group commit per group."""
         server, table, span = self.server, self.table, self.span
-        if not names:
+        if not names or self.values is None:
             return None
-        tasks = [_task(server, table, names, row, values, ts, span)
-                 for row, values, ts in self.batch_rows if values is not None]
-        if not tasks:
-            return None
+        task = _task(server, table, names, self.row, self.values, self.ts,
+                     span)
         obs = server.tracer.start("sync_index", parent=span, scheme="insert",
-                                  server=server.name, rows=len(tasks))
+                                  server=server.name)
         ctx = server.op_context
-        ops = [op for task in tasks for op in plan_insert_ops(ctx, task)]
+        ops = plan_insert_ops(ctx, task)
 
         def ship() -> Generator[Any, Any, List[IndexTask]]:
             try:
@@ -149,15 +142,15 @@ class HintShip:
                     ctx, ops, background=False, site="PI", span=obs))
             finally:
                 obs.end()
-            return [] if error is None else tasks
+            return [] if error is None else [task]
 
         return server.sim.spawn(ship(), name="PI")
 
     def join(self) -> Generator[Any, Any, None]:
-        """Wait for the PI and queue every task it lost to the AUQ.  An
-        ALTER that moved an index to sync-insert during the base write
-        left it out of the ship: its PI ships now, before the ack (the
-        scheme's ``post_batch`` is empty, so nothing else would)."""
+        """Wait for the PI and queue a task it lost to the AUQ.  An ALTER
+        that moved an index to sync-insert during the base write left it
+        out of the ship: its PI ships now, before the ack (the scheme's
+        ``post_mutate`` is empty, so nothing else would)."""
         late = tuple(name for name in _owned_indexes(
             self.table, SyncInsertObserver.SCHEMES) if name not in self.names)
         for process in (self.process, self._spawn(late)):
@@ -167,7 +160,7 @@ class HintShip:
 
     def settle(self) -> Generator[Any, Any, None]:
         """Wait for the PI on the handler's error path, so no index write
-        of the call outlives its row locks."""
+        of the call outlives its row lock."""
         if self.process is not None:
             yield self.process
 
@@ -183,7 +176,7 @@ class ValidationObserver(RegionObserver):
 
     SCHEMES = frozenset({IndexScheme.VALIDATION})
 
-    def _ship_blind(self, server: "RegionServer", tasks: List[IndexTask],
+    def _ship_blind(self, server: "RegionServer", task: IndexTask,
                     ops: List[tuple]) -> None:
         """Spawn the fire-and-forget delivery.  ``auq_inflight`` is
         incremented while the put still holds its ``put_inflight`` slot,
@@ -192,39 +185,33 @@ class ValidationObserver(RegionObserver):
 
         def deliver() -> Generator[Any, Any, None]:
             obs = server.tracer.start("blind_index", scheme="validation",
-                                      server=server.name, rows=len(tasks))
+                                      server=server.name)
             try:
                 yield from ship_index_ops(server.op_context, ops,
                                           background=True, site="index_pi",
                                           span=obs)
-                now = server.sim.now()
-                for task in tasks:
-                    server.staleness.record(task.visible_at, now)
+                server.staleness.record(task.visible_at, server.sim.now())
             except (NoSuchRegionError, RpcError):
                 # Transient routing failure (§6.2): the AUQ's retry loop
                 # re-resolves the owner and converges the index.
-                for task in tasks:
-                    server.degrade_to_auq(task)
+                server.degrade_to_auq(task)
             finally:
                 obs.end()
                 server.auq_inflight.decrement()
 
         server.sim.spawn(deliver(), name=f"{server.name}:blind-ship")
 
-    def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: _Rows,
-                   span: Any = None) -> Generator[Any, Any, None]:
-        """One blind ship for the whole batch's inserts, grouped per
-        target server inside ``ship_index_ops``."""
+    def post_mutate(self, server: "RegionServer", table: TableDescriptor,
+                    row: bytes, values: Optional[Dict[str, bytes]], ts: int,
+                    span: Any = None) -> Generator[Any, Any, None]:
+        """One blind ship of a put's inserts, grouped per target server
+        inside ``ship_index_ops``."""
         names = _owned_indexes(table, self.SCHEMES)
-        if not names:
-            return
-        tasks = [_task(server, table, names, row, values, ts, span)
-                 for row, values, ts in batch_rows if values is not None]
-        ctx = server.op_context
-        ops = [op for task in tasks for op in plan_insert_ops(ctx, task)]
-        if ops:
-            self._ship_blind(server, tasks, ops)
+        if names and values is not None:
+            task = _task(server, table, names, row, values, ts, span)
+            ops = plan_insert_ops(server.op_context, task)
+            if ops:
+                self._ship_blind(server, task, ops)
         return
         yield  # pragma: no cover
 
@@ -232,22 +219,19 @@ class ValidationObserver(RegionObserver):
 class AsyncObserver(RegionObserver):
     SCHEMES = frozenset({IndexScheme.ASYNC_SIMPLE, IndexScheme.ASYNC_SESSION})
 
-    def post_batch(self, server: "RegionServer", table: TableDescriptor,
-                   batch_rows: _Rows,
-                   span: Any = None) -> Generator[Any, Any, None]:
-        """AU1: the whole batch enters the AUQ under one enqueue charge
-        and one watermark check (Algorithm 3, amortised).  Every row
-        still becomes its own IndexTask — APS batching, staleness
-        tracking, and crash-replay granularity are per row."""
+    def post_mutate(self, server: "RegionServer", table: TableDescriptor,
+                    row: bytes, values: Optional[Dict[str, bytes]], ts: int,
+                    span: Any = None) -> Generator[Any, Any, None]:
+        """AU1: the row's IndexTask enters the AUQ (Algorithm 3); APS
+        batching, staleness tracking and crash-replay granularity are per
+        row."""
         names = _owned_indexes(table, self.SCHEMES)
         if not names:
             return
-        tasks = [_task(server, table, names, row, values, ts, span)
-                 for row, values, ts in batch_rows]
-        obs = server.tracer.start("enqueue", parent=span,
-                                  server=server.name, rows=len(tasks))
+        task = _task(server, table, names, row, values, ts, span)
+        obs = server.tracer.start("enqueue", parent=span, server=server.name)
         try:
-            yield from server.enqueue_index_tasks(tasks)
+            yield from server.enqueue_index_tasks([task])
         finally:
             obs.end()
 

@@ -25,11 +25,10 @@ Both cuts on a region's list are one bisect on that order:
 slices at most ``limit`` records above a channel's watermark, so a ship
 costs O(log tail + batch), never a walk of the un-rolled tail.
 
-``append_batch`` logs several mutations in one call — the group-commit
-entry point of the batched foreground write path.  Each mutation keeps
-its own :class:`WalRecord` and seqno (flush ``roll_forward`` boundaries
-and WAL-as-AUQ-log replay are untouched); only the *device charge* is
-amortised, by the caller, via ``LatencyModel.wal_group_append(n)``.
+``append_batch`` logs several records in one call — how recovery and
+promotion re-log a region's records.  Each keeps its own
+:class:`WalRecord` and seqno (flush ``roll_forward`` boundaries and
+WAL-as-AUQ-log replay are untouched).
 """
 
 from __future__ import annotations
@@ -109,12 +108,10 @@ class WriteAheadLog:
     def append_batch(self, mutations: Sequence[Tuple[str, str,
                                                      Tuple[Cell, ...], bool]],
                      ) -> List[WalRecord]:
-        """Group commit: log several ``(region_name, table, cells,
-        indexed)`` mutations back to back.  Every mutation still gets its
-        own record and seqno — recovery replay and flush roll-forward see
-        exactly what N single appends would have produced; the caller
-        charges the log device ONCE for the whole batch
-        (``LatencyModel.wal_group_append``)."""
+        """Log several ``(region_name, table, cells, indexed)``
+        mutations back to back.  Every mutation still gets its own record
+        and seqno — recovery replay and flush roll-forward see exactly
+        what N single appends would have produced."""
         records: List[WalRecord] = []
         for region_name, table, cells, indexed in mutations:
             record = WalRecord(next(_record_seq), region_name, table,

@@ -4,7 +4,7 @@ Extends the single-copy serving layer with a leader/follower scheme:
 
 * every region gets ``replication_factor - 1`` follower replicas on
   distinct servers (anti-affinity), fed by a leader-side WAL ship loop
-  that reuses the group-commit framing of the batched write path
+  that frames each batch of records like one group commit
   (:mod:`repro.replication.ship`);
 * followers apply shipped records into their own memtables and track
   two watermarks — applied seqno and a leader-clock coverage time —

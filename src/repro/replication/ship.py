@@ -8,9 +8,9 @@ this server currently leads and, per follower, sends one
 
 * the WAL tail above the follower's acked ship watermark, at most
   ``ship_batch_size`` records read by one bisect of the region's
-  seqno-ascending log (``WriteAheadLog.records_after``), reusing the
-  PR-5 group-commit framing (the whole batch is one log-shaped unit and
-  the follower charges one group apply for it);
+  seqno-ascending log (``WriteAheadLog.records_after``), framed like
+  one group commit (the whole batch is one log-shaped unit and the
+  follower charges one group apply for it);
 * the region's latest *flush point* ``(rolled_seqno, prepare_time)``,
   recorded synchronously with the leader's WAL roll-forward — this is
   what lets a follower swap its replayed prefix for the shared store

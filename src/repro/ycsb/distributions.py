@@ -1,21 +1,16 @@
 """Key-choosing distributions, following the YCSB generators.
 
 The zipfian generator is the Gray et al. rejection-free construction used
-by YCSB (``ZipfianGenerator``), including the scrambled variant that
-spreads the hot keys across the keyspace so hot rows do not all land in
-one region.
+by YCSB (``ZipfianGenerator``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import math
 from typing import Protocol
 
 from repro.sim.random import RandomStream
 
-__all__ = ["KeyChooser", "Uniform", "Zipfian", "ScrambledZipfian", "Latest",
-           "Sequential"]
+__all__ = ["KeyChooser", "Uniform", "Zipfian"]
 
 
 class KeyChooser(Protocol):
@@ -32,19 +27,6 @@ class Uniform:
 
     def next_index(self, rng: RandomStream) -> int:
         return rng.randint(0, self.item_count - 1)
-
-
-class Sequential:
-    """0, 1, 2, ... — the load phase."""
-
-    def __init__(self, item_count: int, start: int = 0):
-        self.item_count = item_count
-        self._next = start
-
-    def next_index(self, rng: RandomStream) -> int:
-        index = self._next % self.item_count
-        self._next += 1
-        return index
 
 
 class Zipfian:
@@ -74,34 +56,3 @@ class Zipfian:
             return 1
         return int(self.item_count
                    * (self.eta * u - self.eta + 1.0) ** self.alpha)
-
-
-class ScrambledZipfian:
-    """Zipfian rank hashed over the keyspace (YCSB's default for reads)."""
-
-    def __init__(self, item_count: int, theta: float = 0.99):
-        self.item_count = item_count
-        self._zipf = Zipfian(item_count, theta)
-
-    def next_index(self, rng: RandomStream) -> int:
-        rank = self._zipf.next_index(rng)
-        digest = hashlib.blake2b(rank.to_bytes(8, "big"),
-                                 digest_size=8).digest()
-        return int.from_bytes(digest, "big") % self.item_count
-
-
-class Latest:
-    """Skewed towards the most recently inserted keys."""
-
-    def __init__(self, item_count: int, theta: float = 0.99):
-        self.item_count = item_count
-        self._zipf = Zipfian(item_count, theta)
-
-    def set_item_count(self, item_count: int) -> None:
-        if item_count != self.item_count and item_count >= 1:
-            self.item_count = item_count
-            self._zipf = Zipfian(item_count, self._zipf.theta)
-
-    def next_index(self, rng: RandomStream) -> int:
-        offset = self._zipf.next_index(rng)
-        return max(0, self.item_count - 1 - offset)

@@ -83,10 +83,6 @@ class ItemSchema:
             values[TITLE_COLUMN] = f"title-{new_slot:08d}".encode()
         return values
 
-    @property
-    def all_columns(self) -> List[str]:
-        return [TITLE_COLUMN, INDEXED_PRICE_COLUMN, *FILLER_COLUMNS]
-
     def split_keys(self, num_regions: int) -> List[bytes]:
         """Even pre-split of the item keyspace (the paper distributes data
         evenly over all region servers)."""

@@ -60,11 +60,6 @@ class LatencyRecorder:
         if self.recording:
             self._samples.setdefault(op, []).append(latency_ms)
 
-    def count(self, op: Optional[str] = None) -> int:
-        if op is not None:
-            return len(self._samples.get(op, []))
-        return sum(len(v) for v in self._samples.values())
-
     def stats(self, op: str) -> OpStats:
         return self._summary(op, self._samples.get(op, []))
 

@@ -13,8 +13,7 @@ import dataclasses
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.sim.random import RandomStream
-from repro.ycsb.distributions import (KeyChooser, ScrambledZipfian, Uniform,
-                                      Zipfian)
+from repro.ycsb.distributions import KeyChooser, Uniform, Zipfian
 from repro.ycsb.schema import PRICE_MAX, PRICE_MIN, ItemSchema
 
 __all__ = ["Op", "OpType", "MixSchedule", "CoreWorkload", "make_chooser"]
@@ -96,8 +95,6 @@ def make_chooser(name: str, item_count: int) -> KeyChooser:
         return Uniform(item_count)
     if name == "zipfian":
         return Zipfian(item_count)
-    if name == "scrambled":
-        return ScrambledZipfian(item_count)
     raise ValueError(f"unknown distribution {name!r}")
 
 
@@ -163,7 +160,3 @@ class CoreWorkload:
         low = rng.uniform(PRICE_MIN, PRICE_MAX - span)
         return (self.schema.price_bytes(low),
                 self.schema.price_bytes(low + span))
-
-    @property
-    def expected_range_rows(self) -> int:
-        return max(1, int(self.schema.record_count * self.range_selectivity))

@@ -12,7 +12,7 @@ from repro import (IndexDescriptor, IndexScheme, IndexScope, MiniCluster,
 from repro.query import Eq, plan_query, query
 from repro.sim.random import RandomStream
 from repro.ycsb import (CoreWorkload, ItemSchema, OpType, load_direct,
-                        INDEXED_PRICE_COLUMN, TITLE_COLUMN)
+                        FILLER_COLUMNS, INDEXED_PRICE_COLUMN, TITLE_COLUMN)
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +79,9 @@ def test_full_lifecycle(world):
 
     # Phase 3: a few deletes and a scheme switch under traffic.
     for i in range(10):
-        cluster.run(client.delete("item", schema.rowkey(i),
-                                  columns=schema.all_columns))
+        cluster.run(client.delete(
+            "item", schema.rowkey(i),
+            columns=[TITLE_COLUMN, INDEXED_PRICE_COLUMN, *FILLER_COLUMNS]))
     cluster.run(cluster.change_index_scheme("item_title",
                                             IndexScheme.SYNC_FULL).wait())
     cluster.run(mixed(100), name="phase3")

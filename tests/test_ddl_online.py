@@ -471,7 +471,7 @@ def test_alter_scrub_waits_for_a_put_whose_pi_landed_first():
 def test_alter_to_sync_insert_during_a_put_still_ships_its_pi():
     """An online ALTER from sync-full to sync-insert that lands while a
     put is in its base log write: the put started no PI beside that write
-    (its index was sync-full then), and sync-insert's ``post_batch`` does
+    (its index was sync-full then), and sync-insert's ``post_mutate`` does
     nothing, so the put must ship the PI before it acks."""
     cluster, client, put = _slow_put(IndexScheme.SYNC_FULL, old=b"old")
     cluster.advance(3.0)

@@ -17,7 +17,7 @@ def _load_lint():
 def test_dead_class_attribute_is_flagged_and_live_ones_pass():
     lint = _load_lint()
     text = ("`ValidationObserver.post_put` ships blindly; "
-            "`ValidationObserver.post_batch`, `ValidationObserver.pre_flush`, "
+            "`ValidationObserver.post_mutate`, `ValidationObserver.pre_flush`, "
             "`ServerConfig.auq_high_watermark`, `IndexTask.visible_at`, "
             "`Client.put()` and `System.currentTimeMillis()` all resolve.")
     assert lint.dead_class_attributes(text, lint.repro_classes()) == [

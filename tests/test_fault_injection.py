@@ -115,14 +115,12 @@ def _inject(monkeypatch, fail=None, delay=None):
 def test_sync_full_failure_while_pi_overlaps_rb_di(monkeypatch, failing):
     """PI ships beside the RB→DI chain.  A lost PI while RB→DI is still
     in flight, or a lost DI while a slow PI is still in flight, must
-    degrade every task of the batch to the AUQ exactly once — never
-    crash the simulator with an unjoined branch — and the put returns
-    only after the surviving branch has landed."""
+    degrade the put's task to the AUQ exactly once — never crash the
+    simulator with an unjoined branch — and the put returns only after
+    the surviving branch has landed."""
     cluster = build(0.0, seed=23)
     client = cluster.new_client()
-    rows = [b"r1", b"r2", b"r3"]
-    cluster.run(client.batch_put("t", [(row, {"c": b"old"})
-                                       for row in rows]))
+    cluster.run(client.put("t", b"r1", {"c": b"old"}))
     degraded = []
     original = RegionServer.degrade_to_auq
 
@@ -135,10 +133,9 @@ def test_sync_full_failure_while_pi_overlaps_rb_di(monkeypatch, failing):
         log = _inject(monkeypatch, fail="put")
     else:
         log = _inject(monkeypatch, fail="del", delay="put")
-    cluster.run(client.batch_put("t", [(row, {"c": b"new"})
-                                       for row in rows]))
+    cluster.run(client.put("t", b"r1", {"c": b"new"}))
     done_at = cluster.sim.now()
-    assert sorted(degraded) == rows
+    assert degraded == [b"r1"]
     [(_, _, lost_at)] = [entry for entry in log if entry[0] == "lost"]
     [(_, landed, landed_at)] = [entry for entry in log
                                 if entry[0] == "landed"]
@@ -150,20 +147,18 @@ def test_sync_full_failure_while_pi_overlaps_rb_di(monkeypatch, failing):
     cluster.quiesce()
     assert check_index(cluster, "ix").is_consistent
     hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
-    assert sorted(h.rowkey for h in hits) == rows
+    assert [h.rowkey for h in hits] == [b"r1"]
     assert cluster.run(client.get_by_index("ix", equals=[b"old"])) == []
 
 
 def test_sync_insert_pi_lost_beside_the_base_log_write(monkeypatch):
     """Sync-insert's PI ships beside the base log write.  A PI lost while
-    that write is still in flight must degrade every task of the batch to
-    the AUQ exactly once, after the base write, never as an unjoined
-    crash; the AUQ then converges the index."""
+    that write is still in flight must degrade the put's task to the AUQ
+    exactly once, after the base write, never as an unjoined crash; the
+    AUQ then converges the index."""
     cluster = build(0.0, scheme=IndexScheme.SYNC_INSERT, seed=23)
     client = cluster.new_client()
-    rows = [b"r1", b"r2", b"r3"]
-    cluster.run(client.batch_put("t", [(row, {"c": b"old"})
-                                       for row in rows]))
+    cluster.run(client.put("t", b"r1", {"c": b"old"}))
     degraded = []
     original = RegionServer.degrade_to_auq
 
@@ -173,19 +168,18 @@ def test_sync_insert_pi_lost_beside_the_base_log_write(monkeypatch):
 
     monkeypatch.setattr(RegionServer, "degrade_to_auq", degrade_to_auq)
     log = _inject(monkeypatch, fail="put")
-    cluster.run(client.batch_put("t", [(row, {"c": b"new"})
-                                       for row in rows]))
-    assert sorted(row for row, _at in degraded) == rows
+    cluster.run(client.put("t", b"r1", {"c": b"new"}))
+    [(row, degraded_at)] = degraded
+    assert row == b"r1"
     [(_, kind, lost_at)] = log
     [wal] = [span for span in cluster.tracer.children_of(
-        cluster.tracer.spans("multi_put")[-1]) if span.name == "wal_append"]
-    assert kind == "put" and lost_at < wal.end_ms
-    assert all(at >= wal.end_ms for _row, at in degraded)
+        cluster.tracer.spans("put")[-1]) if span.name == "wal_append"]
+    assert kind == "put" and lost_at < wal.end_ms <= degraded_at
     monkeypatch.undo()
     cluster.quiesce()
     assert check_index(cluster, "ix").is_consistent
     hits = cluster.run(client.get_by_index("ix", equals=[b"new"]))
-    assert sorted(h.rowkey for h in hits) == rows
+    assert [h.rowkey for h in hits] == [b"r1"]
 
 
 class _LogDeviceFailed(Exception):

@@ -29,6 +29,7 @@ def test_one_pair_against_the_same_tree(capsys):
     assert out[3].startswith("wins ") and "/1;" in out[3]
     assert out[4].startswith("bounds: ops_per_cpu_s ")
     assert "setup_s" in out[4] and "peak_rss_mb" in out[4]
+    assert out[4].endswith("not judged below 10 pairs")
     assert out[5].endswith("on both sides")
 
 
@@ -71,3 +72,26 @@ def test_differing_fingerprints_exit_nonzero(monkeypatch, capsys):
     assert host_ab.main(["--parent", str(REPO / "ledger"),
                          "--pairs", "2"]) == 1
     assert "fingerprints differ" in capsys.readouterr().err
+
+
+def test_bounds_are_judged_only_from_ten_pairs(monkeypatch, capsys):
+    """A change 2x worse on every host metric: two pairs print the
+    deltas but judge nothing, ten pairs cross the bounds."""
+    host_ab = _load()
+
+    def fake_side(tree, workload, seed, scale):
+        worse = 2.0 if tree == REPO else 1.0
+        return {"ops_per_cpu_s": 1000.0 / worse, "setup_cpu_s": 0.1 * worse,
+                "peak_rss_mb": 80.0 * worse, "fingerprint": "same"}
+
+    monkeypatch.setattr(host_ab, "run_side", fake_side)
+    parent = str(REPO / "ledger")
+    assert host_ab.main(["--parent", parent, "--pairs", "2"]) == 0
+    [bounds] = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("bounds: ")]
+    assert "ops_per_cpu_s -50.0%" in bounds and "peak_rss_mb +100.0%" in bounds
+    assert "not judged" in bounds
+    assert host_ab.main(["--parent", parent, "--pairs", "10"]) == 1
+    [bounds] = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("bounds: ")]
+    assert "not judged" not in bounds and "worse than" in bounds

@@ -32,8 +32,8 @@ the removed zeros, and both ``--quick`` scenario digests are identical
 (``scripts/sim_diff.py --seeds 42,7,1 --names --scenarios``).
 
 Before that, ``read_heavy_insert`` alone moved when
-sync-insert's PI began to ship beside the base log write of its call's
-last wave (``core.observers.HintShip``), so an update waits for
+sync-insert's PI began to ship beside the base log write of its call
+(``core.observers.HintShip``), so an update waits for
 max(WAL + memtable, PI) rather than their sum, and Algorithm 2's
 double-check began to repair a refuted entry only when the row's newest
 indexed cell, value or tombstone, is at least as new as the entry.

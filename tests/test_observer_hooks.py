@@ -3,7 +3,7 @@ both hooks, exactly as §7 describes the plug-in framework."""
 
 import pytest
 
-from repro import MiniCluster, MutationBatch
+from repro import MiniCluster
 from repro.core.coprocessor import RegionObserver
 
 
@@ -12,17 +12,14 @@ class RecordingObserver(RegionObserver):
         self.puts = []
         self.deletes = []
         self.mutations = []
-        self.batches = []
         self.pre_flushes = []
 
-    def post_batch(self, server, table, batch_rows, span=None):
-        self.batches.append(len(batch_rows))
-        for row, values, ts in batch_rows:
-            self.mutations.append((row, values, ts))
-            if values is None:
-                self.deletes.append((row, ts))
-            else:
-                self.puts.append((row, dict(values), ts))
+    def post_mutate(self, server, table, row, values, ts, span=None):
+        self.mutations.append((row, values, ts))
+        if values is None:
+            self.deletes.append((row, ts))
+        else:
+            self.puts.append((row, dict(values), ts))
         return
         yield  # pragma: no cover
 
@@ -57,21 +54,21 @@ def test_post_delete_hook_fires(wired):
     assert observer.deletes == [(b"r1", ts)]
 
 
-def test_post_batch_sees_every_row_of_one_rpc_in_batch_order(wired):
-    """A single put is a batch of one; a batch RPC hands the hook every
-    row once, in batch order, deletes as ``values=None``."""
+def test_post_mutate_sees_each_write_once_in_call_order(wired):
+    """Each write RPC hands the hook its one row once, with the ts the
+    call returned, in call order; a delete arrives as ``values=None``."""
     cluster, observer = wired
     client = cluster.new_client()
-    cluster.run(client.put("t", b"r2", {"a": b"0"}))
-    assert observer.batches == [1]
-    batch = (MutationBatch("t")
-             .put(b"r3", {"a": b"1"})
-             .delete(b"r2", ["a"])
-             .put(b"r1", {"a": b"2", "b": b"3"})
-             .put(b"r3", {"a": b"4"}))
-    del observer.mutations[:]
-    timestamps = cluster.run(client.batch_mutate(batch))
-    assert observer.batches == [1, 4]
+
+    def writes():
+        timestamps = [(yield from client.put("t", b"r3", {"a": b"1"})),
+                      (yield from client.delete("t", b"r2", ["a"])),
+                      (yield from client.put("t", b"r1",
+                                             {"a": b"2", "b": b"3"})),
+                      (yield from client.put("t", b"r3", {"a": b"4"}))]
+        return timestamps
+    timestamps = cluster.run(writes())
+    assert timestamps == sorted(set(timestamps))
     assert observer.mutations == [
         (b"r3", {"a": b"1"}, timestamps[0]),
         (b"r2", None, timestamps[1]),

@@ -40,7 +40,7 @@ def test_open_loop_sheds_when_backlogged():
     result = driver.run(duration_ms=300.0)
     # far fewer ops issued than the target implies: shedding happened.
     assert driver.issued < 50_000 * 0.3 * 0.5
-    assert result.recorder.count() <= driver.issued
+    assert result.recorder.overall().count <= driver.issued
     # every arrival was either issued or shed (~15,000 Poisson arrivals).
     assert result.shed > 50_000 * 0.3 * 0.5
     assert driver.issued + result.shed == pytest.approx(50_000 * 0.3,
@@ -69,4 +69,4 @@ def test_driver_counts_failed_ops():
     cluster.new_client = impatient
     result = driver.run(duration_ms=50.0)
     assert result.failed > 0
-    assert result.recorder.count() == 0
+    assert result.recorder.overall().count == 0

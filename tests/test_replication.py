@@ -179,17 +179,22 @@ def test_ship_reads_only_records_above_the_watermark():
     seqno-ascending log at the channel's watermark and slices at most
     ``ship_batch_size`` records, never copying or filtering the whole
     un-flushed tail (which made every tick quadratic between flushes)."""
+    # A batch smaller than the records one server logs per ship interval
+    # (about 120 here), so a tick after a burst finds a backlog.
     cluster = MiniCluster(
         num_servers=4, seed=13,
-        replication=ReplicationConfig(replication_factor=3)).start()
+        replication=ReplicationConfig(replication_factor=3,
+                                      ship_batch_size=64)).start()
     cluster.create_table("t", split_keys=[], flush_threshold_bytes=64 << 20)
     client = cluster.new_client()
 
     def load(prefix, rows):
-        for start in range(0, rows, 100):
-            cluster.run(client.batch_put("t", [
-                (b"%s%05d" % (prefix, i), {"c": b"v"})
-                for i in range(start, min(rows, start + 100))]))
+        # Concurrent one-row puts, so records pile up between ticks.
+        puts = [cluster.sim.spawn(client.put(
+            "t", b"%s%05d" % (prefix, i), {"c": b"v"}), name="put")
+            for i in range(rows)]
+        for put in puts:
+            cluster.sim.run_until_complete(put)
 
     load(b"a", 5000)
     cluster.advance(600.0)               # every channel ships the backlog
@@ -290,21 +295,22 @@ def test_promotion_preserves_acked_writes():
     assert_anti_affine(cluster)
 
 
-def test_kill_leader_mid_batch_put():
+def test_kill_leader_mid_concurrent_puts():
     cluster = build()
     client = cluster.new_client()
     items = [(b"b%03d" % i, {"c": b"v%d" % i}) for i in range(150)]
-    proc = cluster.sim.spawn(client.batch_put("t", items), name="batch")
-    proc._waited_on = True
-    cluster.advance(0.5)                 # batch write RPCs are in flight
+    procs = [cluster.sim.spawn(client.put("t", row, values), name="put")
+             for row, values in items]
+    for proc in procs:
+        proc._waited_on = True
+    cluster.advance(0.5)                 # the write RPCs are in flight
     victim = leader_of(cluster, "t", b"b000")
     cluster.kill_server(victim)
-    while not proc.future.done():
+    while not all(proc.future.done() for proc in procs):
         cluster.advance(50.0)
-    assert proc.future.exception() is None
-    timestamps = proc.future.result()
-    assert len(timestamps) == 150 and all(ts is not None
-                                          for ts in timestamps)
+    assert all(proc.future.exception() is None for proc in procs)
+    timestamps = [proc.future.result() for proc in procs]
+    assert all(isinstance(ts, int) for ts in timestamps)
     wait_recovered(cluster, victim)
     for (row, values), ts in zip(items, timestamps):
         got = cluster.run(client.get("t", row))

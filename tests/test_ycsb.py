@@ -3,8 +3,7 @@
 import pytest
 
 from repro.sim.random import RandomStream
-from repro.ycsb import (CoreWorkload, ItemSchema, Latest, OpType,
-                        ScrambledZipfian, Sequential, Uniform, Zipfian,
+from repro.ycsb import (CoreWorkload, ItemSchema, OpType, Uniform, Zipfian,
                         make_chooser)
 from repro.ycsb.schema import PRICE_MAX, PRICE_MIN
 from repro.ycsb.stats import LatencyRecorder
@@ -23,11 +22,6 @@ def test_uniform_in_range_and_spread():
     assert len(set(samples)) > 90
 
 
-def test_sequential_wraps():
-    chooser = Sequential(3)
-    assert draw(chooser, 7) == [0, 1, 2, 0, 1, 2, 0]
-
-
 def test_zipfian_in_range_and_skewed():
     samples = draw(Zipfian(1000))
     assert all(0 <= s < 1000 for s in samples)
@@ -42,30 +36,9 @@ def test_zipfian_rank_frequency_decreases():
     assert counts[0] > counts.get(50, 0) > counts.get(500, 0) - 5
 
 
-def test_scrambled_zipfian_spreads_hot_keys():
-    samples = draw(ScrambledZipfian(1000), n=20000)
-    from collections import Counter
-    counts = Counter(samples)
-    # Skew survives (some key is hot)...
-    assert counts.most_common(1)[0][1] / len(samples) > 0.02
-    # ...but the hottest keys are not clustered at the low end.
-    hottest = [k for k, _ in counts.most_common(10)]
-    assert max(hottest) > 100
-
-
-def test_latest_prefers_recent():
-    chooser = Latest(1000)
-    samples = draw(chooser)
-    recent = sum(1 for s in samples if s > 900)
-    assert recent / len(samples) > 0.3
-    chooser.set_item_count(2000)
-    assert max(draw(chooser)) > 1000
-
-
 def test_make_chooser_names():
     assert isinstance(make_chooser("uniform", 10), Uniform)
     assert isinstance(make_chooser("zipfian", 10), Zipfian)
-    assert isinstance(make_chooser("scrambled", 10), ScrambledZipfian)
     with pytest.raises(ValueError):
         make_chooser("nope", 10)
 
@@ -151,7 +124,9 @@ def test_price_range_selectivity():
     rng = RandomStream(6)
     low, high = workload.next_price_range(rng)
     assert low < high
-    assert workload.expected_range_rows == 10
+    # 1% of 1000 rows: prices are spread evenly, so a range holds ~10.
+    prices = [schema.price_bytes(schema.price_for(i)) for i in range(1000)]
+    assert 8 <= sum(low <= price <= high for price in prices) <= 12
 
 
 # -- stats ------------------------------------------------------------------------
